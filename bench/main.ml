@@ -15,11 +15,14 @@
    IS+CV must reach the target CI width on mult8 at eta=0.99 with at
    least 10x fewer dies than naive MC.
 
-   Part 4 races the optimizer's two timing engines — from-scratch SSTA
-   refreshes vs. the cone-limited incremental engine — over the benchmark
-   ladder, asserts they walk bit-identical trajectories, and (full mode)
-   requires >= 2x optimizer wall-clock improvement on rand1700 and mult16
-   (the bar was 3x before the SoA arena sped up the full-analysis side).
+   Part 4 prices the greedy optimizer's incremental timing engine against
+   the full-refresh flow it replaced, over the benchmark ladder.  That
+   flow walks the same trajectory and pays one from-scratch analysis +
+   backward sweep per exact re-measure point, so it is counted, not run:
+   refreshes x one measured from-scratch refresh in wall-clock, and 2n
+   propagations per refresh against the incremental run's propagations
+   plus 2n per from-scratch build.  Full mode requires >= 2x fewer
+   propagations on rand1700 and mult16.
 
    Part 5 races the greedy statistical optimizer against the slack-band
    batched one on the same ladder, counting timing propagations on a
@@ -55,7 +58,7 @@
    parallel analyze is >= 1.5x faster than sequential, and part 8 unless
    hier analyze is >= 2x faster than flat (and, full mode, hier batch
    optimize >= 1.5x); "--json PATH" additionally writes a
-   machine-readable BENCH_results.json (schema statleak-bench/5, with
+   machine-readable BENCH_results.json (schema statleak-bench/6, with
    the host core count) with per-experiment wall-clock, the key metrics
    of parts 2-8 and a snapshot of the process metrics registry;
    "--trace PATH" records every span of the whole bench run as Chrome
@@ -186,69 +189,72 @@ let run_yield_checks ~quick ~jobs =
     iscv_stderr = e_iscv.Estimate.stderr;
   }
 
-(* ---------- optimizer: full vs incremental SSTA (part 4) ---------- *)
+(* ---------- optimizer: counted full refresh vs incremental (part 4) ---------- *)
 
 type opt_speedup = {
   os_circuit : string;
   os_cells : int;
-  os_t_full : float;
+  os_t_full : float;       (* counted: refreshes x one from-scratch refresh *)
   os_t_inc : float;
+  os_props_full : int;     (* 2n per exact re-measure point *)
+  os_props_inc : int;      (* propagations + 2n per from-scratch build *)
   os_updates : int;
   os_propagated : int;
   os_mean_cone : float;
   os_max_cone : int;
 }
 
+(* The full-refresh flow walks the incremental engine's trajectory and
+   pays one from-scratch analysis + backward sweep at each of its
+   [refreshes] exact re-measure points, so it is counted rather than run:
+   in wall-clock as refreshes x one measured from-scratch refresh, and in
+   propagations on part 5's uniform scale (2n per from-scratch analysis).
+   The >= 2x gate is on the propagation ratio — a machine-independent
+   count; the counted wall-clock ratio is reported but too noisy on
+   rand1700 to gate. *)
 let run_opt_speedup ~quick =
   let names =
     if quick then [ "add32"; "mult8" ]
     else [ "add32"; "mult8"; "rand1200"; "rand1700"; "mult16" ]
   in
   Printf.printf
-    "=== Optimizer timing engine: full refresh vs incremental (Tmax=1.25*D0, \
-     eta=0.95) ===\n%!";
+    "=== Optimizer timing engine: counted full refresh vs incremental \
+     (Tmax=1.25*D0, eta=0.95) ===\n%!";
   let rows =
     List.map
       (fun name ->
         let s = Setup.of_benchmark name in
+        let n = Circuit.num_gates s.Setup.circuit in
         let cells = Circuit.num_cells s.Setup.circuit in
         let tmax = Setup.tmax s ~factor:1.25 in
-        let run ~incremental =
-          let d = Setup.fresh_design s in
-          let cfg =
-            { (Stat_opt.default_config ~tmax ~eta:0.95) with Stat_opt.incremental }
-          in
-          let t0 = Unix.gettimeofday () in
-          let st = Stat_opt.optimize cfg d s.Setup.model in
-          (st, d, Unix.gettimeofday () -. t0)
+        let d = Setup.fresh_design s in
+        let t0 = Unix.gettimeofday () in
+        let st = Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.95) d s.Setup.model in
+        let t_inc = Unix.gettimeofday () -. t0 in
+        let t_full =
+          float_of_int st.Stat_opt.refreshes *. Experiments.full_refresh_seconds s
         in
-        let st_full, d_full, t_full = run ~incremental:false in
-        let st_inc, d_inc, t_inc = run ~incremental:true in
-        (* the bit-identity contract, asserted on every bench run: both
-           engines walk the same trajectory to the same design *)
-        if
-          Design.assignment_digest d_full <> Design.assignment_digest d_inc
-          || st_full.Stat_opt.vth_moves <> st_inc.Stat_opt.vth_moves
-          || st_full.Stat_opt.size_moves <> st_inc.Stat_opt.size_moves
-          || st_full.Stat_opt.refreshes <> st_inc.Stat_opt.refreshes
-          || st_full.Stat_opt.final_yield <> st_inc.Stat_opt.final_yield
-        then failwith (Printf.sprintf "opt speedup: engines diverged on %s" name);
+        let props_full = 2 * n * st.Stat_opt.refreshes in
+        let props_inc =
+          st.Stat_opt.propagated_gates + (2 * n * st.Stat_opt.full_refreshes)
+        in
         Printf.printf
-          "%-10s %5d cells   full %7.2f s   incr %7.2f s   speedup %5.2fx   mean \
-           cone %6.1f gates/move (max %d) over %d updates\n%!"
-          name cells t_full t_inc
-          (t_full /. t_inc)
-          st_inc.Stat_opt.mean_cone st_inc.Stat_opt.max_cone
-          st_inc.Stat_opt.incr_updates;
+          "%-10s %5d cells   full (counted) %7.2f s   incr %7.2f s   speedup %5.2fx   \
+           props %5.2fx   mean cone %6.1f gates/move (max %d) over %d updates\n%!"
+          name cells t_full t_inc (t_full /. t_inc)
+          (float_of_int props_full /. float_of_int props_inc)
+          st.Stat_opt.mean_cone st.Stat_opt.max_cone st.Stat_opt.incr_updates;
         {
           os_circuit = name;
           os_cells = cells;
           os_t_full = t_full;
           os_t_inc = t_inc;
-          os_updates = st_inc.Stat_opt.incr_updates;
-          os_propagated = st_inc.Stat_opt.propagated_gates;
-          os_mean_cone = st_inc.Stat_opt.mean_cone;
-          os_max_cone = st_inc.Stat_opt.max_cone;
+          os_props_full = props_full;
+          os_props_inc = props_inc;
+          os_updates = st.Stat_opt.incr_updates;
+          os_propagated = st.Stat_opt.propagated_gates;
+          os_mean_cone = st.Stat_opt.mean_cone;
+          os_max_cone = st.Stat_opt.max_cone;
         })
       names
   in
@@ -256,15 +262,11 @@ let run_opt_speedup ~quick =
   if not quick then
     List.iter
       (fun r ->
-        let sp = r.os_t_full /. r.os_t_inc in
-        (* the bar was 3x against the pre-arena full-analysis baseline;
-           the SoA arena made from-scratch analysis itself ~1.4x faster,
-           which shrinks this ratio without the incremental engine doing
-           any more work — 2x is the same absolute win over the faster
-           baseline *)
-        if (r.os_circuit = "rand1700" || r.os_circuit = "mult16") && sp < 2.0 then
+        let ratio = float_of_int r.os_props_full /. float_of_int r.os_props_inc in
+        if (r.os_circuit = "rand1700" || r.os_circuit = "mult16") && ratio < 2.0 then
           failwith
-            (Printf.sprintf "opt speedup: %s only %.2fx < 2x" r.os_circuit sp))
+            (Printf.sprintf "opt speedup: %s only %.2fx < 2x fewer propagations"
+               r.os_circuit ratio))
       rows;
   rows
 
@@ -289,8 +291,9 @@ type batch_speedup = {
    forward + n backward).  The greedy optimizer is charged two ways: with
    its incremental engine (propagations + 2n per from-scratch build), and
    as the pre-engine flow that paid a full analysis at each of its
-   [refreshes] exact re-measure points — both engines walk bit-identical
-   trajectories (part 4), so the same run prices both.  The headline
+   [refreshes] exact re-measure points — that flow walks the incremental
+   engine's trajectory (the engine is bit-exact), so the same run prices
+   both.  The headline
    ratio (and the >=10x gate below) is against the from-scratch flow,
    which is what "one exact re-measure per 25 moves" actually costs
    without the incremental engine; the incremental-engine ratio is
@@ -940,8 +943,8 @@ let write_json path ~quick ~jobs ~times ~(sp : speedup) ~(yc : yield_check)
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
-  add "  \"schema\": \"statleak-bench/5\",\n";
-  add "  \"schema_version\": 5,\n";
+  add "  \"schema\": \"statleak-bench/6\",\n";
+  add "  \"schema_version\": 6,\n";
   add "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ()));
   add "  \"quick\": %b,\n" quick;
   add "  \"jobs\": %d,\n" jobs;
@@ -968,16 +971,21 @@ let write_json path ~quick ~jobs ~times ~(sp : speedup) ~(yc : yield_check)
     yc.naive_dies yc.iscv_dies
     (json_float (float_of_int yc.naive_dies /. float_of_int yc.iscv_dies))
     (json_float yc.iscv_yield) (json_float yc.iscv_stderr);
+  (* schema v6: the full-refresh flow is counted (refreshes x one
+     from-scratch refresh), with the propagation counts the gate reads *)
   add "  \"opt_speedup\": [\n";
   List.iteri
     (fun i r ->
       add
-        "    {\"circuit\": \"%s\", \"cells\": %d, \"seconds_full\": %s, \
-         \"seconds_incremental\": %s, \"speedup\": %s, \"updates\": %d, \
+        "    {\"circuit\": \"%s\", \"cells\": %d, \"seconds_full_counted\": %s, \
+         \"seconds_incremental\": %s, \"speedup\": %s, \"props_full\": %d, \
+         \"props_incremental\": %d, \"props_ratio\": %s, \"updates\": %d, \
          \"propagated_gates\": %d, \"mean_cone\": %s, \"max_cone\": %d}%s\n"
         (json_escape r.os_circuit) r.os_cells (json_float r.os_t_full)
         (json_float r.os_t_inc)
         (json_float (r.os_t_full /. r.os_t_inc))
+        r.os_props_full r.os_props_inc
+        (json_float (float_of_int r.os_props_full /. float_of_int r.os_props_inc))
         r.os_updates r.os_propagated (json_float r.os_mean_cone) r.os_max_cone
         (if i = List.length osp - 1 then "" else ","))
     osp;

@@ -24,6 +24,7 @@ module Json = Sl_util.Json
 module Trace = Sl_obs.Trace
 module Metrics = Sl_obs.Metrics
 module Obs_log = Sl_obs.Log
+module Opt_core = Sl_opt.Opt_core
 
 open Cmdliner
 
@@ -52,7 +53,7 @@ let factor_arg =
   Arg.(value & opt float 1.25 & info [ "tmax-factor" ] ~docv:"X" ~doc)
 
 let eta_arg =
-  let doc = "Timing-yield target for the statistical optimizer." in
+  let doc = "Timing-yield target for the statistical optimizer, in (0, 1)." in
   Arg.(value & opt float 0.95 & info [ "eta" ] ~docv:"P" ~doc)
 
 let seed_arg =
@@ -76,6 +77,22 @@ let jobs_arg =
    for a caller who didn't ask), unlike Monte-Carlo's all-cores default —
    both are safe, bit-identity holds either way. *)
 let ssta_jobs = function Some j -> j | None -> 1
+
+(* Flag values are checked before any work: a bad one is a usage error
+   (one line, exit 2), never a library exception. *)
+let bad_flag fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2)
+    fmt
+
+let check_jobs = function
+  | Some j when j < 1 -> bad_flag "--jobs must be >= 1 (got %d)" j
+  | _ -> ()
+
+let check_eta eta =
+  if not (eta > 0.0 && eta < 1.0) then bad_flag "--eta must lie in (0, 1) (got %g)" eta
 
 let partition_arg =
   let doc =
@@ -181,6 +198,7 @@ let sta circuit_spec lib_file size_idx =
     path
 
 let ssta circuit_spec lib_file sigma_scale size_idx factor critical partition jobs trace =
+  check_jobs jobs;
   with_trace trace @@ fun () ->
   let s = make_setup circuit_spec lib_file sigma_scale size_idx in
   let d = Setup.fresh_design s in
@@ -252,6 +270,8 @@ let leakage circuit_spec lib_file sigma_scale size_idx =
     [ 0.5; 0.95; 0.99 ]
 
 let mc circuit_spec lib_file sigma_scale size_idx factor seed samples jobs =
+  check_jobs jobs;
+  if samples < 1 then bad_flag "--samples must be >= 1 (got %d)" samples;
   let s = make_setup circuit_spec lib_file sigma_scale size_idx in
   let d = Setup.fresh_design s in
   let tmax = Setup.tmax s ~factor in
@@ -266,6 +286,8 @@ let mc circuit_spec lib_file sigma_scale size_idx factor seed samples jobs =
 
 let yield circuit_spec lib_file sigma_scale size_idx factor method_s ci halfwidth
     max_samples seed jobs trace =
+  check_jobs jobs;
+  if max_samples < 1 then bad_flag "--max-samples must be >= 1 (got %d)" max_samples;
   with_trace trace @@ fun () ->
   let method_ =
     match Yield_seq.method_of_string method_s with
@@ -331,7 +353,6 @@ let print_profile ~mode ~jobs =
       (i "statleak_opt_seq_levels_total")
       (i "statleak_opt_max_level_width")
   in
-  let moves = i "statleak_opt_vth_moves_total" + i "statleak_opt_size_moves_total" in
   (* partition-parallel evidence: cones driven by the hier engine and the
      domain count the candidate scan actually fanned out on *)
   let engine_rows =
@@ -345,73 +366,44 @@ let print_profile ~mode ~jobs =
       [ ("candidate ranking", Printf.sprintf "parallel scan on %d domains" rank_jobs) ]
     else []
   in
+  let bands name = i ~labels:[] ("statleak_batch_" ^ name) in
   let rows =
-    match mode with
-    | "stat" ->
-      [
-        ( "refresh points",
-          Printf.sprintf "%d (%d full analyses, rest incremental)"
-            (i "statleak_opt_refreshes_total")
-            (i "statleak_opt_full_refreshes_total") );
-        ( "incremental updates",
-          Printf.sprintf "%d single-gate delay updates"
-            (i "statleak_opt_incr_updates_total") );
-        ( "dirty cone",
-          Printf.sprintf "%.1f gates/update mean, %d max, %d recomputed total"
-            (m "statleak_opt_mean_cone")
-            (i "statleak_opt_max_cone")
-            (i "statleak_opt_propagated_gates_total") );
-        ( "exact-equality cutoffs",
-          Printf.sprintf "%d" (i "statleak_opt_cutoffs_total") );
-      ]
-      @ (if moves > 0 then
-           [
-             ( "propagations/move",
-               Printf.sprintf "%.1f per committed move"
-                 (m "statleak_opt_propagated_gates_total" /. float_of_int moves) );
-           ]
-         else [])
-      @ [
-          ( "time in refresh/sync",
-            Printf.sprintf "%.3f s" (m "statleak_opt_time_refresh_seconds") );
-          ( "time collecting candidates",
-            Printf.sprintf "%.3f s" (m "statleak_opt_time_candidates_seconds") );
-          ("level batches", level_batches);
-        ]
-      @ engine_rows
-    | "batch" ->
-      [
-        ( "syncs",
-          Printf.sprintf "%d (%d full analyses, rest incremental)"
-            (i "statleak_batch_syncs_total")
-            (i "statleak_opt_full_refreshes_total") );
-        ( "incremental updates",
-          Printf.sprintf "%d single-gate delay updates"
-            (i "statleak_opt_incr_updates_total") );
-        ( "propagations",
-          Printf.sprintf "%d arrival+required recomputations"
-            (i "statleak_opt_propagated_gates_total") );
-        ( "propagations/move",
-          Printf.sprintf "%.1f per committed move"
-            (m "statleak_batch_props_per_move") );
-        ( "bands rolled back",
-          Printf.sprintf "%d (%d moves undone)"
-            (i ~labels:[] "statleak_batch_bands_rolled_back_total")
-            (i "statleak_opt_rollbacks_total") );
-        ( "time total",
-          Printf.sprintf "%.3f s" (m "statleak_batch_time_total_seconds") );
-        ("level batches", level_batches);
-      ]
-      @ engine_rows
-    | _ -> []
+    [
+      ( "refresh points",
+        Printf.sprintf "%d (%d full analyses, %d engine syncs)"
+          (i "statleak_opt_refreshes_total")
+          (i "statleak_opt_full_refreshes_total")
+          (i "statleak_opt_syncs_total") );
+      ( "incremental updates",
+        Printf.sprintf "%d single-gate delay updates"
+          (i "statleak_opt_incr_updates_total") );
+      ( "dirty cone",
+        Printf.sprintf "%.1f gates/update mean, %d max, %d recomputed total"
+          (m "statleak_opt_mean_cone")
+          (i "statleak_opt_max_cone")
+          (i "statleak_opt_propagated_gates_total") );
+      ("exact-equality cutoffs", Printf.sprintf "%d" (i "statleak_opt_cutoffs_total"));
+      ( "propagations/move",
+        Printf.sprintf "%.1f per committed move" (m "statleak_opt_props_per_move") );
+      ( "bands",
+        Printf.sprintf "%d/%d committed, %d rolled back, %d bisections"
+          (bands "bands_committed_total") (bands "bands_tried_total")
+          (bands "bands_rolled_back_total") (bands "bisections_total") );
+      ( "moves undone",
+        Printf.sprintf "%d in %d passes" (i "statleak_opt_rollbacks_total")
+          (i "statleak_opt_passes_total") );
+      ( "time",
+        Printf.sprintf "%.3f s total, %.3f s in refresh/sync, %.3f s ranking candidates"
+          (m "statleak_opt_time_total_seconds")
+          (m "statleak_opt_time_refresh_seconds")
+          (m "statleak_opt_time_candidates_seconds") );
+      ("level batches", level_batches);
+    ]
+    @ engine_rows
   in
-  if rows <> [] then begin
-    Printf.printf "profile: timing engine (metrics registry, mode=%s)\n" mode;
-    let w =
-      1 + List.fold_left (fun acc (k, _) -> Stdlib.max acc (String.length k)) 0 rows
-    in
-    List.iter (fun (k, v) -> Printf.printf "  %-*s  %s\n" w (k ^ ":") v) rows
-  end
+  Printf.printf "profile: timing engine (metrics registry, mode=%s)\n" mode;
+  let w = 1 + List.fold_left (fun acc (k, _) -> Stdlib.max acc (String.length k)) 0 rows in
+  List.iter (fun (k, v) -> Printf.printf "  %-*s  %s\n" w (k ^ ":") v) rows
 
 let profile_json_value () =
   let kind_str = function
@@ -435,6 +427,9 @@ let profile_json_value () =
 
 let optimize circuit_spec lib_file sigma_scale size_idx factor eta mode samples partition
     jobs profile profile_json trace dump =
+  check_jobs jobs;
+  check_eta eta;
+  if samples < 0 then bad_flag "--samples must be >= 0 (got %d)" samples;
   with_trace trace @@ fun () ->
   let s = make_setup circuit_spec lib_file sigma_scale size_idx in
   let tmax = Setup.tmax s ~factor in
@@ -454,39 +449,26 @@ let optimize circuit_spec lib_file sigma_scale size_idx factor eta mode samples 
     Printf.printf "lr optimizer: feasible=%b iterations=%d repair_moves=%d corner_dmax=%.1f\n"
       st.Sl_opt.Lr_opt.feasible st.Sl_opt.Lr_opt.iterations st.Sl_opt.Lr_opt.repair_moves
       st.Sl_opt.Lr_opt.corner_dmax
-  | "stat" ->
+  | ("stat" | "batch") as mode ->
+    let jobs = ssta_jobs jobs in
     let st =
-      Sl_opt.Stat_opt.optimize
-        { (Sl_opt.Stat_opt.default_config ~tmax ~eta) with
-          Sl_opt.Stat_opt.jobs = ssta_jobs jobs;
-          Sl_opt.Stat_opt.partition }
-        d s.Setup.model
+      if mode = "stat" then
+        Sl_opt.Stat_opt.optimize
+          { (Sl_opt.Stat_opt.default_config ~tmax ~eta) with Sl_opt.Stat_opt.jobs; partition }
+          d s.Setup.model
+      else
+        Sl_opt.Batch_opt.optimize
+          { (Sl_opt.Batch_opt.default_config ~tmax ~eta) with Sl_opt.Batch_opt.jobs; partition }
+          d s.Setup.model
     in
     Printf.printf
-      "stat optimizer: feasible=%b vth_moves=%d size_moves=%d trials=%d refreshes=%d \
-       rollbacks=%d yield=%.4f\n"
-      st.Sl_opt.Stat_opt.feasible st.Sl_opt.Stat_opt.vth_moves
-      st.Sl_opt.Stat_opt.size_moves st.Sl_opt.Stat_opt.trials
-      st.Sl_opt.Stat_opt.refreshes st.Sl_opt.Stat_opt.rollbacks
-      st.Sl_opt.Stat_opt.final_yield;
-    if profile then print_profile ~mode:"stat" ~jobs:(ssta_jobs jobs)
-  | "batch" ->
-    let st =
-      Sl_opt.Batch_opt.optimize
-        { (Sl_opt.Batch_opt.default_config ~tmax ~eta) with
-          Sl_opt.Batch_opt.jobs = ssta_jobs jobs;
-          Sl_opt.Batch_opt.partition }
-        d s.Setup.model
-    in
-    Printf.printf
-      "batch optimizer: feasible=%b vth_moves=%d size_moves=%d trials=%d passes=%d \
-       bands=%d/%d bisections=%d rollbacks=%d yield=%.4f\n"
-      st.Sl_opt.Batch_opt.feasible st.Sl_opt.Batch_opt.vth_moves
-      st.Sl_opt.Batch_opt.size_moves st.Sl_opt.Batch_opt.trials
-      st.Sl_opt.Batch_opt.passes st.Sl_opt.Batch_opt.bands_committed
-      st.Sl_opt.Batch_opt.bands_tried st.Sl_opt.Batch_opt.bisections
-      st.Sl_opt.Batch_opt.rollbacks st.Sl_opt.Batch_opt.final_yield;
-    if profile then print_profile ~mode:"batch" ~jobs:(ssta_jobs jobs)
+      "%s optimizer: feasible=%b vth_moves=%d size_moves=%d trials=%d passes=%d \
+       refreshes=%d rollbacks=%d bands=%d/%d bisections=%d yield=%.4f\n"
+      mode st.Opt_core.feasible st.Opt_core.vth_moves st.Opt_core.size_moves
+      st.Opt_core.trials st.Opt_core.passes st.Opt_core.refreshes st.Opt_core.rollbacks
+      st.Opt_core.bands_committed st.Opt_core.bands_tried st.Opt_core.bisections
+      st.Opt_core.final_yield;
+    if profile then print_profile ~mode ~jobs
   | other ->
     Printf.eprintf "error: unknown mode %S (use det, lr, stat or batch)\n" other;
     exit 2);
@@ -553,6 +535,7 @@ let export circuit_spec format out =
     Printf.printf "wrote %s\n" path
 
 let experiments quick jobs ids =
+  check_jobs jobs;
   let outputs = Experiments.all ~quick ?jobs () in
   let selected =
     match ids with
@@ -743,6 +726,8 @@ let client_request lib sigma_scale size_idx factor eta mode method_ halfwidth
 
 let client socket lib sigma_scale size_idx factor eta mode method_ halfwidth
     max_samples seed ci detail partition jobs args =
+  check_jobs jobs;
+  check_eta eta;
   let req =
     client_request lib sigma_scale size_idx factor eta mode method_ halfwidth
       max_samples seed ci detail partition jobs args

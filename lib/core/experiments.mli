@@ -31,7 +31,14 @@ val t4 : ?names:string list -> ?samples:int -> ?jobs:int -> unit -> output
 (** SSTA / Wilkinson vs Monte-Carlo validation. *)
 
 val t5 : ?names:string list -> unit -> output
-(** Optimizer runtime scaling, with a log–log slope fit. *)
+(** Optimizer runtime scaling, with a log–log slope fit.  The
+    [stat-full] column is counted, not run: the statistical optimizer's
+    exact re-measure points × {!full_refresh_seconds}. *)
+
+val full_refresh_seconds : Setup.t -> float
+(** Wall-clock of one from-scratch [Ssta.analyze] + [Ssta.backward] of the
+    setup's initial design (memo warm, best of three) — the unit cost of a
+    full-refresh optimizer flow. *)
 
 val t6 : ?names:string list -> unit -> output
 (** Power breakdown: dynamic vs leakage, before/after optimization. *)

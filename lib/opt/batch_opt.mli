@@ -1,24 +1,19 @@
-(** Slack-band batched statistical optimizer.
+(** Slack-band batched statistical optimizer: the banded commit policy.
 
-    Same problem as {!Stat_opt} —
-
-    minimize  E[total leakage]
-    s.t.      P(circuit delay ≤ tmax) ≥ η
-
-    over per-gate dual-Vth assignment and discrete sizing — but built for
-    throughput, in the style of the PrimeTime-contest flows: instead of
-    committing one move at a time and re-measuring timing every few
-    moves, it ranks {e every} eligible gate once per pass, slices the
+    Same problem, ranking, yield repair and alternation as {!Stat_opt} —
+    all run by {!Opt_core} — but built for throughput, in the style of
+    the PrimeTime-contest flows: instead of committing one move at a time
+    and re-measuring timing every few moves, it slices each pass's
     ranking into slack bands that fit inside a yield safe zone, applies a
-    whole band through {!Sl_ssta.Incremental.update_gate}, and pays a
+    whole band through {!Sl_ssta.Engine.update_gate}, and pays a
     {e single} timing sync per band.
 
     {2 Algorithm}
 
     Per pass:
-    + one full incremental sync makes the worst-path view current; every
-      eligible move is scored by {!Stat_opt.rank_candidates} (the exact
-      greedy formula, so both optimizers agree on what a good move is);
+    + one full sync makes the worst-path view current and every eligible
+      move is ranked once (the greedy formula, so both policies agree on
+      what a good move is);
     + the ranking is consumed band by band: a band is the next run of
       candidates whose cumulative estimated yield cost fits the safe
       zone — [yield_margin · (yield − η)], re-measured from the live
@@ -35,25 +30,25 @@
       since the committed prefix made its estimates stale).  A failing
       single move slows a gate down, and reduction only ever slows gates
       down, so it is blocked for the rest of the reduction run (the
-      alternation phase upsizes, which breaks that monotonicity, so it
-      clears the blocks).  Bisection thus degenerates to {!Stat_opt}'s
+      alternation phase upsizes, which breaks that monotonicity, so each
+      run starts unblocked).  Bisection thus degenerates to {!Stat_opt}'s
       one-move-at-a-time behaviour in the worst case, while a healthy
       band commits hundreds of moves per sync.  The per-pass band cap
       adapts TCP-style — doubling while bands commit cleanly, halving on
       a rollback — so the optimizer converges near the largest band the
       cost estimates can sustain.
 
-    The loop ends when a pass commits nothing; an alternation phase then
-    buys headroom exactly as {!Stat_opt} does (upsize the most
-    violation-prone gate, re-run, keep the round only if E[leak]
-    dropped).  The optimizer never terminates infeasible from a feasible
-    start: every committed band was measured at yield ≥ η. *)
+    The loop ends when a pass commits fewer than the trickle cutoff; the
+    core's alternation phase then buys headroom.  The optimizer never
+    terminates infeasible from a feasible start: every committed band was
+    measured at yield ≥ η. *)
+
+include module type of struct include Opt_core.Types end
 
 type config = {
   tmax : float;               (** delay constraint, ps *)
-  eta : float;                (** timing-yield target *)
-  sensitivity : Stat_opt.sensitivity;  (** move-ranking metric, shared
-                                           with the greedy optimizer *)
+  eta : float;                (** timing-yield target in (0, 1) *)
+  sensitivity : sensitivity;  (** move-ranking metric *)
   allow_vth : bool;
   allow_size : bool;
   max_passes : int;           (** rank-and-band passes per reduction *)
@@ -105,38 +100,11 @@ val default_config : tmax:float -> eta:float -> config
 (** Paper metric, both knobs, 25 passes, bands of ≤ 512 moves, margin
     1.0, trickle cutoff at 4 moves/pass, partition off, audit off. *)
 
-type stats = {
-  feasible : bool;            (** η met at exit (SSTA-verified) *)
-  vth_moves : int;            (** committed threshold moves *)
-  size_moves : int;           (** committed size moves (both directions) *)
-  trials : int;               (** candidate evaluations *)
-  passes : int;
-  bands_tried : int;          (** band applications, including bisection
-                                  retries *)
-  bands_committed : int;
-  bands_rolled_back : int;
-  bisections : int;           (** failed bands split for retry *)
-  rollbacks : int;            (** moves undone across rolled-back bands *)
-  syncs : int;                (** incremental timing syncs (full + yield-only) *)
-  final_yield : float;
-  full_refreshes : int;       (** O(n) from-scratch analyses (initial
-                                  build + rebuilds after bulk restores) *)
-  incr_updates : int;         (** single-gate delay updates *)
-  propagated_gates : int;     (** arrival + required-time recomputations
-                                  over all syncs *)
-  props_per_move : float;     (** timing propagations per committed move —
-                                  the batching figure of merit *)
-  time_total : float;         (** seconds in optimize *)
-  par_levels : int;           (** level batches run on domains *)
-  seq_levels : int;           (** level batches run inline *)
-  max_level_width : int;      (** widest staged level batch — evidence for
-                                  tuning the parallel width threshold *)
-}
-
 val optimize :
-  ?progress:(Stat_opt.progress -> unit) -> config -> Sl_tech.Design.t ->
+  ?progress:(progress -> unit) -> config -> Sl_tech.Design.t ->
   Sl_variation.Model.t -> stats
 (** Mutates the design in place.  [progress] (default: none) is invoked
     after the repair phase, after every pass and after every alternation
     round — the serve daemon's streaming hook; it must not mutate the
-    design and has no effect on the trajectory. *)
+    design and has no effect on the trajectory.
+    @raise Invalid_argument if [eta] is outside (0, 1). *)

@@ -9,7 +9,6 @@ type config = {
   allow_vth : bool;
   allow_size : bool;
   max_passes : int;
-  incremental : bool;
 }
 
 let default_config ~tmax =
@@ -19,7 +18,6 @@ let default_config ~tmax =
     allow_vth = true;
     allow_size = true;
     max_passes = 25;
-    incremental = true;
   }
 
 type stats = {
@@ -221,7 +219,7 @@ let repair_timing d inc ~tmax ~allow_size =
 let optimize cfg (d : Design.t) (spec : Sl_variation.Spec.t) =
   let dvth = cfg.corner_k *. spec.Sl_variation.Spec.sigma_vth in
   let dl = cfg.corner_k *. spec.Sl_variation.Spec.sigma_l in
-  let inc = Inc_sta.create ~dvth ~dl ~incremental:cfg.incremental d in
+  let inc = Inc_sta.create ~dvth ~dl d in
   let trials = ref 0 and vth_moves = ref 0 and size_moves = ref 0 in
   if cfg.allow_size then fix_timing cfg d inc trials size_moves;
   let feasible = Inc_sta.dmax inc <= cfg.tmax in

@@ -21,13 +21,10 @@ type config = {
   allow_vth : bool;      (** permit threshold reassignment moves *)
   allow_size : bool;     (** permit sizing moves *)
   max_passes : int;      (** greedy passes before giving up *)
-  incremental : bool;    (** cone-limited corner STA updates (see
-                             {!Inc_sta}); [false] = full sweep per move.
-                             Results are bit-identical either way *)
 }
 
 val default_config : tmax:float -> config
-(** 3-sigma corner, both knobs, 25 passes, incremental STA. *)
+(** 3-sigma corner, both knobs, 25 passes. *)
 
 type stats = {
   feasible : bool;       (** corner timing met at exit *)

@@ -12,8 +12,7 @@ type t = {
   delay : float array;
   arrival : float array;
   mutable dmax : float;
-  incremental : bool;
-  (* cone-limited propagation state (incremental mode only) *)
+  (* cone-limited propagation state *)
   fcones : int array option array;
   arr_dirty : bool array;
   seed_flag : bool array;
@@ -48,7 +47,7 @@ let refresh t =
     c.Circuit.gates;
   sweep_arrivals t
 
-let create ?(dvth = 0.0) ?(dl = 0.0) ?(incremental = true) design =
+let create ?(dvth = 0.0) ?(dl = 0.0) design =
   let n = Circuit.num_gates design.Design.circuit in
   let t =
     {
@@ -58,7 +57,6 @@ let create ?(dvth = 0.0) ?(dl = 0.0) ?(incremental = true) design =
       delay = Array.make n 0.0;
       arrival = Array.make n 0.0;
       dmax = 0.0;
-      incremental;
       fcones = Array.make n None;
       arr_dirty = Array.make n false;
       seed_flag = Array.make n false;
@@ -108,65 +106,58 @@ let update_gate t id =
      covers both cases. *)
   let c = t.design.Design.circuit in
   let g = Circuit.gate c id in
-  if not t.incremental then begin
-    t.delay.(id) <- gate_delay t id;
-    Array.iter (fun f -> t.delay.(f) <- gate_delay t f) g.Circuit.fanin;
-    sweep_arrivals t
-  end
-  else begin
-    (* cone-limited: only gates whose delay word actually changed seed a
-       re-propagation through their fanout cones, in topological order,
-       stopping below any gate whose recomputed arrival is bit-identical.
-       The recomputed values equal a full sweep's exactly (same fold). *)
-    let seeds = ref [] in
-    let refresh_delay gid =
-      let gg = Circuit.gate c gid in
-      if gg.Circuit.kind <> Cell_kind.Pi then begin
-        let nd = gate_delay t gid in
-        if not (feq nd t.delay.(gid)) then begin
-          t.delay.(gid) <- nd;
-          if not t.seed_flag.(gid) then begin
-            t.seed_flag.(gid) <- true;
-            seeds := gid :: !seeds
-          end
+  (* cone-limited: only gates whose delay word actually changed seed a
+     re-propagation through their fanout cones, in topological order,
+     stopping below any gate whose recomputed arrival is bit-identical.
+     The recomputed values equal a full sweep's exactly (same fold). *)
+  let seeds = ref [] in
+  let refresh_delay gid =
+    let gg = Circuit.gate c gid in
+    if gg.Circuit.kind <> Cell_kind.Pi then begin
+      let nd = gate_delay t gid in
+      if not (feq nd t.delay.(gid)) then begin
+        t.delay.(gid) <- nd;
+        if not t.seed_flag.(gid) then begin
+          t.seed_flag.(gid) <- true;
+          seeds := gid :: !seeds
         end
       end
-    in
-    refresh_delay id;
-    Array.iter refresh_delay g.Circuit.fanin;
-    match !seeds with
-    | [] -> ()
-    | seed_list ->
-      let region = merge_region t seed_list in
-      let touched = ref [] in
-      let out_dirty = ref false in
-      Array.iter
-        (fun gid ->
-          let gg = Circuit.gate c gid in
-          if gg.Circuit.kind <> Cell_kind.Pi then begin
-            let must =
-              t.seed_flag.(gid)
-              || Array.exists (fun f -> t.arr_dirty.(f)) gg.Circuit.fanin
-            in
-            if must then begin
-              let worst = ref 0.0 in
-              Array.iter
-                (fun f -> if t.arrival.(f) > !worst then worst := t.arrival.(f))
-                gg.Circuit.fanin;
-              let na = !worst +. t.delay.(gid) in
-              if not (feq na t.arrival.(gid)) then begin
-                t.arrival.(gid) <- na;
-                t.arr_dirty.(gid) <- true;
-                touched := gid :: !touched;
-                if Circuit.is_po c gid then out_dirty := true
-              end
+    end
+  in
+  refresh_delay id;
+  Array.iter refresh_delay g.Circuit.fanin;
+  match !seeds with
+  | [] -> ()
+  | seed_list ->
+    let region = merge_region t seed_list in
+    let touched = ref [] in
+    let out_dirty = ref false in
+    Array.iter
+      (fun gid ->
+        let gg = Circuit.gate c gid in
+        if gg.Circuit.kind <> Cell_kind.Pi then begin
+          let must =
+            t.seed_flag.(gid)
+            || Array.exists (fun f -> t.arr_dirty.(f)) gg.Circuit.fanin
+          in
+          if must then begin
+            let worst = ref 0.0 in
+            Array.iter
+              (fun f -> if t.arrival.(f) > !worst then worst := t.arrival.(f))
+              gg.Circuit.fanin;
+            let na = !worst +. t.delay.(gid) in
+            if not (feq na t.arrival.(gid)) then begin
+              t.arrival.(gid) <- na;
+              t.arr_dirty.(gid) <- true;
+              touched := gid :: !touched;
+              if Circuit.is_po c gid then out_dirty := true
             end
-          end)
-        region;
-      List.iter (fun gid -> t.arr_dirty.(gid) <- false) !touched;
-      List.iter (fun gid -> t.seed_flag.(gid) <- false) seed_list;
-      if !out_dirty then recompute_dmax t
-  end
+          end
+        end)
+      region;
+    List.iter (fun gid -> t.arr_dirty.(gid) <- false) !touched;
+    List.iter (fun gid -> t.seed_flag.(gid) <- false) seed_list;
+    if !out_dirty then recompute_dmax t
 
 let slacks t ~tmax =
   let c = t.design.Design.circuit in

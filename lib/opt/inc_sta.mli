@@ -7,20 +7,18 @@
     Updates are exact: there is no approximation relative to a from-scratch
     {!Sl_sta.Sta.analyze} at the same corner.
 
-    By default arrival propagation is cone-limited: only the transitive
-    fanout of gates whose delay word actually changed is re-walked, in
-    topological order, and a gate whose recomputed arrival is bit-identical
-    to its stored value terminates propagation below it.  Results are
+    Arrival propagation is cone-limited: only the transitive fanout of
+    gates whose delay word actually changed is re-walked, in topological
+    order, and a gate whose recomputed arrival is bit-identical to its
+    stored value terminates propagation below it.  Results are
     bit-identical to the full sweep (same fold expressions on identical
-    inputs); [~incremental:false] restores the O(n)-sweep-per-update
-    behavior as an escape hatch. *)
+    inputs). *)
 
 type t
 
-val create : ?dvth:float -> ?dl:float -> ?incremental:bool -> Sl_tech.Design.t -> t
+val create : ?dvth:float -> ?dl:float -> Sl_tech.Design.t -> t
 (** Bind to a design at a uniform corner shift (default: nominal).
-    The design is referenced, not copied.  [incremental] defaults to
-    [true]. *)
+    The design is referenced, not copied. *)
 
 val dmax : t -> float
 val arrival : t -> int -> float

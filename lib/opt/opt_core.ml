@@ -1,0 +1,558 @@
+module Circuit = Sl_netlist.Circuit
+module Cell_kind = Sl_netlist.Cell_kind
+module Design = Sl_tech.Design
+module Cell_lib = Sl_tech.Cell_lib
+module Memo = Sl_tech.Memo
+module Incremental = Sl_ssta.Incremental
+module Engine = Sl_ssta.Engine
+module Leak_ssta = Sl_leakage.Leak_ssta
+module Special = Sl_util.Special
+module Parallel = Sl_util.Parallel
+module Trace = Sl_obs.Trace
+module Metrics = Sl_obs.Metrics
+
+module Types = struct
+  type sensitivity =
+    | Stat_leak_per_yield
+    | Stat_leak_per_delay
+    | Nominal_leak_per_yield
+    | P99_leak_per_yield
+
+  type stats = {
+    feasible : bool;
+    vth_moves : int;
+    size_moves : int;
+    trials : int;
+    passes : int;
+    refreshes : int;
+    syncs : int;
+    rollbacks : int;
+    bands_tried : int;
+    bands_committed : int;
+    bands_rolled_back : int;
+    bisections : int;
+    final_yield : float;
+    full_refreshes : int;
+    incr_updates : int;
+    propagated_gates : int;
+    props_per_move : float;
+    mean_cone : float;
+    max_cone : int;
+    cutoffs : int;
+    time_refresh : float;
+    time_candidates : float;
+    time_total : float;
+    par_levels : int;
+    seq_levels : int;
+    max_level_width : int;
+  }
+
+  type progress = {
+    stage : string;
+    moves_committed : int;
+    cur_yield : float;
+    leak_mean : float;
+  }
+end
+
+include Types
+
+type params = {
+  tmax : float;
+  eta : float;
+  sensitivity : sensitivity;
+  allow_vth : bool;
+  allow_size : bool;
+  max_passes : int;
+  partition : bool;
+  jobs : int;
+}
+
+type t = {
+  p : params;
+  design : Design.t;
+  leak : Leak_ssta.t;
+  memo : Memo.t;
+  engine : Engine.t;
+  progress : progress -> unit;
+  mutable vth_moves : int;
+  mutable size_moves : int;
+  mutable trials : int;
+  mutable passes : int;
+  mutable refreshes : int;
+  mutable syncs : int;
+  mutable rollbacks : int;
+  mutable full_refreshes : int;
+  mutable bands_tried : int;
+  mutable bands_committed : int;
+  mutable bands_rolled_back : int;
+  mutable bisections : int;
+  mutable time_refresh : float;
+  mutable time_candidates : float;
+}
+
+let now () = Unix.gettimeofday ()
+
+let create ~mode ~progress p (d : Design.t) model =
+  let leak = Leak_ssta.create d model in
+  let memo = Memo.create d.Design.lib in
+  (* Freeze the memo up front whenever worker domains may read it —
+     partition mode runs one engine per cone on the pool, and parallel
+     ranking scans gates on the pool.  Prefilled first, so frozen lookups
+     stay bit-identical to lazy filling. *)
+  if p.partition || p.jobs > 1 then begin
+    Memo.prefill memo d;
+    Memo.freeze memo
+  end;
+  let engine =
+    Engine.create ~memo ~jobs:p.jobs ~partition:p.partition d model ~tmax:p.tmax
+  in
+  Metrics.set
+    (Metrics.gauge ~labels:[ ("mode", mode) ]
+       ~help:"Register-boundary cones driven by the optimizer"
+       "statleak_opt_partitions")
+    (float_of_int (Engine.num_partitions engine));
+  (* the build counts as the first exact measure point and full analysis *)
+  {
+    p; design = d; leak; memo; engine; progress;
+    vth_moves = 0; size_moves = 0; trials = 0; passes = 0; refreshes = 1;
+    syncs = 0; rollbacks = 0; full_refreshes = 1; bands_tried = 0;
+    bands_committed = 0; bands_rolled_back = 0; bisections = 0;
+    time_refresh = 0.0; time_candidates = 0.0;
+  }
+
+let yield st = Engine.yield st.engine
+
+let report st stage =
+  st.progress
+    {
+      stage;
+      moves_committed = st.vth_moves + st.size_moves;
+      cur_yield = yield st;
+      leak_mean = Leak_ssta.mean st.leak;
+    }
+
+let timed st f =
+  let t0 = now () in
+  f ();
+  st.time_refresh <- st.time_refresh +. (now () -. t0)
+
+(* Full sync: makes the worst-path view current before it is read. *)
+let sync st =
+  timed st (fun () -> Engine.sync st.engine);
+  st.syncs <- st.syncs + 1
+
+(* Exact re-measure point.  Yield-only by default: the backward/path
+   repair stays deferred until the next ranking syncs it. *)
+let measure ?(paths = false) st =
+  timed st (fun () -> Engine.sync ~paths st.engine);
+  st.syncs <- st.syncs + 1;
+  st.refreshes <- st.refreshes + 1
+
+(* A checkpoint rollback restores an exactly measured state, so it counts
+   as a re-measure point (it replaces a second refresh).  The caller has
+   restored the design assignment first. *)
+let rollback st cp =
+  timed st (fun () -> Engine.rollback st.engine cp);
+  st.refreshes <- st.refreshes + 1
+
+(* After bulk design restores the dirty cone is the whole circuit, so the
+   engine starts over. *)
+let rebuild st =
+  timed st (fun () -> Engine.rebuild st.engine);
+  st.refreshes <- st.refreshes + 1;
+  st.full_refreshes <- st.full_refreshes + 1
+
+(* Set one gate's threshold or size index and push the change through the
+   timing engine ([timing], default true) and the leakage accumulators. *)
+let set ?(timing = true) st kind gate v =
+  (match kind with
+  | `Vth -> Design.set_vth st.design gate v
+  | `Size -> Design.set_size st.design gate v);
+  if timing then Engine.update_gate st.engine gate;
+  Leak_ssta.update_gate st.leak gate
+
+type candidate = {
+  score : float;
+  kind : [ `Vth | `Size ];
+  gate : int;
+  est_cost : float;
+}
+
+type move = { gate : int; kind : [ `Vth | `Size ]; prev : int }
+
+(* One leakage reduction: raise the threshold or downsize by one. *)
+let apply st kind gate =
+  let d = st.design in
+  let prev, next =
+    match kind with
+    | `Vth -> (d.Design.vth_idx.(gate), d.Design.vth_idx.(gate) + 1)
+    | `Size -> (d.Design.size_idx.(gate), d.Design.size_idx.(gate) - 1)
+  in
+  set st kind gate next;
+  { gate; kind; prev }
+
+(* A ranked candidate may have been invalidated by earlier moves of the
+   same pass; re-check cheaply. *)
+let still_valid st (c : candidate) =
+  let d = st.design in
+  match c.kind with
+  | `Vth -> d.Design.vth_idx.(c.gate) + 1 < Cell_lib.num_vth d.Design.lib
+  | `Size -> d.Design.size_idx.(c.gate) > 0
+
+let count st kind delta =
+  match kind with
+  | `Vth -> st.vth_moves <- st.vth_moves + delta
+  | `Size -> st.size_moves <- st.size_moves + delta
+
+(* The yield budget a pass may spend: a share of the headroom over eta. *)
+let headroom st ~margin = margin *. Float.max 0.0 (yield st -. st.p.eta)
+
+(* P(T_g + delta > tmax) with T_g Gaussian(mu, sigma). *)
+let violation ~path_mu ~path_sigma ~tmax id ~delta =
+  let mu = path_mu.(id) +. delta and sigma = path_sigma.(id) in
+  if sigma <= 0.0 then if mu > tmax then 1.0 else 0.0
+  else 1.0 -. Special.normal_cdf ((tmax -. mu) /. sigma)
+
+(* Estimated yield cost of shifting gate [id]'s worst path by [delta].
+   Zero-sigma gates (deterministic paths) are handled explicitly: the move
+   either pushes the path over the constraint (cost 1) or it does not
+   (cost 0) — in particular a path already over the constraint is not
+   charged again, so such gates cannot double-count through the 1e-12
+   epsilon in the score denominators. *)
+let est_yield_cost ~path_mu ~path_sigma ~tmax id ~delta =
+  let sigma = path_sigma.(id) in
+  if sigma <= 0.0 then
+    if path_mu.(id) +. delta > tmax && path_mu.(id) <= tmax then 1.0 else 0.0
+  else
+    Float.max 0.0
+      (violation ~path_mu ~path_sigma ~tmax id ~delta
+      -. violation ~path_mu ~path_sigma ~tmax id ~delta:0.0)
+
+let nominal_leak (d : Design.t) id ~vth_idx ~size_idx =
+  let g = Circuit.gate d.Design.circuit id in
+  Cell_lib.leak_current d.Design.lib g.Circuit.kind
+    ~arity:(Array.length g.Circuit.fanin) ~size_idx ~vth_idx ~dvth:0.0 ~dl:0.0
+
+(* Deterministic candidate order: score descending, ties broken by gate id
+   descending and `Size before `Vth within a gate.  Ties are real — every
+   free-win candidate scores infinity, and zero-est-cost candidates score
+   dleak/1e-12 — and the stdlib does not promise List.sort is stable, so
+   an explicit tie-break is what makes optimizer trajectories reproducible
+   across stdlib versions.  The chosen order equals what the current
+   (stable-in-practice) sort produced over the reverse build order, so
+   pinned seed trajectories are unchanged. *)
+let kind_rank = function `Size -> 0 | `Vth -> 1
+
+let compare_candidates a b =
+  let c = Float.compare b.score a.score in
+  if c <> 0 then c
+  else
+    let c = Int.compare b.gate a.gate in
+    if c <> 0 then c else Int.compare (kind_rank a.kind) (kind_rank b.kind)
+
+(* Worker domains used by the most recent candidate ranking — `--profile`
+   evidence that the parallel scan actually engaged. *)
+let m_rank_jobs =
+  Metrics.gauge ~help:"Worker domains used by the last candidate ranking"
+    "statleak_opt_rank_jobs"
+
+(* Score every eligible single-gate move of the design against the worst-
+   path view.  [`Reduce] ranks leakage reductions (raise threshold /
+   downsize); [`Repair] ranks yield repairs (upsize) by violation
+   probability — the one scoring path behind both policies' reduction
+   passes and the repair phase.
+
+   The scan writes into two fixed slots per gate (vth then size), so it
+   fans out over gate-id chunks when [jobs] > 1 {e and} the memo is
+   frozen (worker domains must never fill the table).  Each slot depends
+   only on its gate id and [compare_candidates] is total on distinct
+   (gate, kind) pairs, so the sorted result is identical for every
+   [jobs] value. *)
+let scan ~eligible ~direction st =
+  let p = st.p and d = st.design and memo = st.memo and leak = st.leak in
+  let path_mu = Engine.path_mu st.engine and path_sigma = Engine.path_sigma st.engine in
+  let tmax = p.tmax in
+  let n = Circuit.num_gates d.Design.circuit in
+  let num_vth = Cell_lib.num_vth d.Design.lib in
+  let num_sizes = Cell_lib.num_sizes d.Design.lib in
+  let leak_mean_now = Leak_ssta.mean leak in
+  let leak_p99_now =
+    match p.sensitivity with
+    | P99_leak_per_yield -> Leak_ssta.quantile leak 0.99
+    | _ -> 0.0
+  in
+  let slots = Array.make (2 * n) None in
+  let consider gate kind ~vth_idx ~size_idx ~delta =
+    if delta <> 0.0 then begin
+      let dleak_stat = leak_mean_now -. Leak_ssta.mean_if leak gate ~vth_idx ~size_idx in
+      if dleak_stat <= 0.0 then None
+      else if delta > 0.0 then begin
+        let est_cost = est_yield_cost ~path_mu ~path_sigma ~tmax gate ~delta in
+        let score =
+          match p.sensitivity with
+          | Stat_leak_per_yield -> dleak_stat /. (est_cost +. 1e-12)
+          | Stat_leak_per_delay -> dleak_stat /. Float.max 1e-9 delta
+          | Nominal_leak_per_yield ->
+            let dleak_nom =
+              nominal_leak d gate ~vth_idx:d.Design.vth_idx.(gate)
+                ~size_idx:d.Design.size_idx.(gate)
+              -. nominal_leak d gate ~vth_idx ~size_idx
+            in
+            dleak_nom /. (est_cost +. 1e-12)
+          | P99_leak_per_yield ->
+            let dp99 =
+              leak_p99_now -. Leak_ssta.quantile_if leak gate ~vth_idx ~size_idx ~p:0.99
+            in
+            dp99 /. (est_cost +. 1e-12)
+        in
+        Some { score; kind; gate; est_cost }
+      end
+      else
+        (* a move that saves leakage AND delay is a free win; top rank *)
+        Some { score = infinity; kind; gate; est_cost = 0.0 }
+    end
+    else None
+  in
+  let scan_gate id =
+    if (Circuit.gate d.Design.circuit id).Circuit.kind <> Cell_kind.Pi then
+      match direction with
+      | `Repair ->
+        (* upsize the gate to pull its worst path in; scored by the
+           violation probability so the sort order equals the historical
+           fix_yield ranking (probability desc, gate id desc) *)
+        if d.Design.size_idx.(id) + 1 < num_sizes && eligible id `Size then begin
+          let v = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
+          if v > 0.0 then
+            slots.(2 * id) <- Some { score = v; kind = `Size; gate = id; est_cost = 0.0 }
+        end
+      | `Reduce ->
+        if p.allow_vth && d.Design.vth_idx.(id) + 1 < num_vth && eligible id `Vth then begin
+          let v = d.Design.vth_idx.(id) in
+          let delta =
+            Memo.delay_delta memo d id ~vth_idx:(v + 1)
+              ~size_idx:d.Design.size_idx.(id)
+          in
+          slots.(2 * id) <-
+            consider id `Vth ~vth_idx:(v + 1) ~size_idx:d.Design.size_idx.(id) ~delta
+        end;
+        if p.allow_size && d.Design.size_idx.(id) > 0 && eligible id `Size then begin
+          let s = d.Design.size_idx.(id) in
+          let delta =
+            Memo.delay_delta memo d id ~vth_idx:d.Design.vth_idx.(id)
+              ~size_idx:(s - 1)
+          in
+          slots.(2 * id + 1) <-
+            consider id `Size ~vth_idx:d.Design.vth_idx.(id) ~size_idx:(s - 1) ~delta
+        end
+  in
+  let eff_jobs = if p.jobs > 1 && Memo.frozen memo then p.jobs else 1 in
+  Metrics.set m_rank_jobs (float_of_int eff_jobs);
+  Parallel.run_chunks ~jobs:eff_jobs ~threshold:1024 ~n ~init:(fun () -> ())
+    (fun () lo hi ->
+      for id = lo to hi - 1 do
+        scan_gate id
+      done);
+  let candidates = ref [] in
+  for i = (2 * n) - 1 downto 0 do
+    match slots.(i) with Some c -> candidates := c :: !candidates | None -> ()
+  done;
+  List.sort compare_candidates !candidates
+
+let rank ?(eligible = fun _ _ -> true) ?(direction = `Reduce) st =
+  sync st;
+  let t0 = now () in
+  let sorted =
+    Trace.span "opt.rank"
+      ~attrs:[ ("gates", string_of_int (Circuit.num_gates st.design.Design.circuit)) ]
+      (fun () -> scan ~eligible ~direction st)
+  in
+  st.time_candidates <- st.time_candidates +. (now () -. t0);
+  sorted
+
+(* Initial yield repair: upsize statistically critical gates.  Each step
+   ranks upsizable gates in [`Repair] direction and trial-applies the top
+   few under a checkpoint, each trial measured by one yield-only sync,
+   keeping the first that improves yield; a rejected trial rolls the
+   checkpoint back.  The phase ends when no candidate in the shortlist
+   helps. *)
+let fix_yield st =
+  Trace.span "opt.fix_yield" @@ fun () ->
+  let d = st.design in
+  let n = Circuit.num_gates d.Design.circuit in
+  let shortlist = 16 in
+  let stuck = ref false in
+  let steps = ref 0 in
+  while yield st < st.p.eta && (not !stuck) && !steps < 4 * n do
+    incr steps;
+    let ranked = rank ~direction:`Repair st in
+    let rec try_candidates k = function
+      | [] -> false
+      | _ when k >= shortlist -> false
+      | (c : candidate) :: rest ->
+        let id = c.gate in
+        let s = d.Design.size_idx.(id) in
+        let cp = Engine.checkpoint st.engine in
+        set st `Size id (s + 1);
+        st.trials <- st.trials + 1;
+        let y_before = yield st in
+        measure st;
+        if yield st > y_before then begin
+          Engine.commit st.engine cp;
+          count st `Size 1;
+          true
+        end
+        else begin
+          set ~timing:false st `Size id s;
+          rollback st cp;
+          try_candidates (k + 1) rest
+        end
+    in
+    if not (try_candidates 0 ranked) then stuck := true
+  done
+
+(* Passes run until one commits fewer than [cutoff] moves. *)
+let reduce st ~cutoff pass =
+  let pass0 = st.passes in
+  let go = ref true in
+  while !go && st.passes - pass0 < st.p.max_passes do
+    st.passes <- st.passes + 1;
+    let committed =
+      Trace.span "opt.pass" ~attrs:[ ("pass", string_of_int st.passes) ] (fun () ->
+          pass st)
+    in
+    if committed < cutoff then go := false
+  done
+
+(* Alternation: single moves can be trapped when every remaining
+   reduction needs slack that only an upsize elsewhere can create.  Buy
+   headroom by upsizing the most violation-prone gate, re-run the
+   reduction, and keep the round only if E[leak] actually dropped. *)
+let alternate st ~reduce =
+  let d = st.design in
+  let n = Circuit.num_gates d.Design.circuit in
+  let num_sizes = Cell_lib.num_sizes d.Design.lib in
+  let continue_ = ref true in
+  let rounds = ref 0 in
+  while !continue_ && !rounds < 4 do
+    incr rounds;
+    sync st;
+    let best_leak = Leak_ssta.mean st.leak in
+    let saved_vth = Array.copy d.Design.vth_idx in
+    let saved_size = Array.copy d.Design.size_idx in
+    let path_mu = Engine.path_mu st.engine and path_sigma = Engine.path_sigma st.engine in
+    (* most critical upsizable cell *)
+    let target = ref (-1) and worst = ref (-1.0) in
+    for id = 0 to n - 1 do
+      if
+        (Circuit.gate d.Design.circuit id).Circuit.kind <> Cell_kind.Pi
+        && d.Design.size_idx.(id) + 1 < num_sizes
+      then begin
+        let v = violation ~path_mu ~path_sigma ~tmax:st.p.tmax id ~delta:0.0 in
+        if Float.compare v !worst > 0 then begin
+          worst := v;
+          target := id
+        end
+      end
+    done;
+    if !target < 0 then continue_ := false
+    else begin
+      set st `Size !target (d.Design.size_idx.(!target) + 1);
+      count st `Size 1;
+      st.trials <- st.trials + 1;
+      measure ~paths:true st;
+      reduce st;
+      if yield st < st.p.eta || Leak_ssta.mean st.leak >= best_leak then begin
+        (* round did not pay off: bulk-restore the previous solution *)
+        Array.blit saved_vth 0 d.Design.vth_idx 0 n;
+        Array.blit saved_size 0 d.Design.size_idx 0 n;
+        Leak_ssta.refresh st.leak;
+        rebuild st;
+        continue_ := false
+      end;
+      report st "alternation"
+    end
+  done
+
+let stats st ~time_total : stats =
+  let is = Engine.stats st.engine in
+  let moves = st.vth_moves + st.size_moves in
+  let props = is.Incremental.propagated + is.Incremental.bwd_propagated in
+  let per a b = if b > 0 then float_of_int a /. float_of_int b else 0.0 in
+  {
+    feasible = yield st >= st.p.eta;
+    vth_moves = st.vth_moves;
+    size_moves = st.size_moves;
+    trials = st.trials;
+    passes = st.passes;
+    refreshes = st.refreshes;
+    syncs = st.syncs;
+    rollbacks = st.rollbacks;
+    bands_tried = st.bands_tried;
+    bands_committed = st.bands_committed;
+    bands_rolled_back = st.bands_rolled_back;
+    bisections = st.bisections;
+    final_yield = yield st;
+    full_refreshes = st.full_refreshes;
+    incr_updates = is.Incremental.updates;
+    propagated_gates = props;
+    props_per_move = per props moves;
+    mean_cone = per is.Incremental.propagated is.Incremental.updates;
+    max_cone = is.Incremental.max_cone;
+    cutoffs = is.Incremental.cutoffs;
+    time_refresh = st.time_refresh;
+    time_candidates = st.time_candidates;
+    time_total;
+    par_levels = is.Incremental.par_levels;
+    seq_levels = is.Incremental.seq_levels;
+    max_level_width = is.Incremental.max_level_width;
+  }
+
+(* End-of-run publication into the process-global registry: every number
+   the profile view prints comes from here, so `--profile` is a read of
+   one source of truth.  Count-like fields accumulate ([add]) — under
+   serve, repeated optimizes keep proper counter semantics — while
+   per-run figures (yield, cone shape, times) are gauges.  Band events
+   are not repeated here: the banded policy counts them live. *)
+let publish_stats ~mode (s : stats) =
+  let labels = [ ("mode", mode) ] in
+  let c name v = Metrics.add (Metrics.counter ~labels name) v in
+  let g name v = Metrics.set (Metrics.gauge ~labels name) v in
+  g "statleak_opt_feasible" (if s.feasible then 1.0 else 0.0);
+  c "statleak_opt_vth_moves_total" s.vth_moves;
+  c "statleak_opt_size_moves_total" s.size_moves;
+  c "statleak_opt_trials_total" s.trials;
+  c "statleak_opt_passes_total" s.passes;
+  c "statleak_opt_refreshes_total" s.refreshes;
+  c "statleak_opt_syncs_total" s.syncs;
+  c "statleak_opt_rollbacks_total" s.rollbacks;
+  g "statleak_opt_final_yield" s.final_yield;
+  c "statleak_opt_full_refreshes_total" s.full_refreshes;
+  c "statleak_opt_incr_updates_total" s.incr_updates;
+  c "statleak_opt_propagated_gates_total" s.propagated_gates;
+  g "statleak_opt_props_per_move" s.props_per_move;
+  g "statleak_opt_mean_cone" s.mean_cone;
+  g "statleak_opt_max_cone" (float_of_int s.max_cone);
+  c "statleak_opt_cutoffs_total" s.cutoffs;
+  g "statleak_opt_time_refresh_seconds" s.time_refresh;
+  g "statleak_opt_time_candidates_seconds" s.time_candidates;
+  g "statleak_opt_time_total_seconds" s.time_total;
+  c "statleak_opt_par_levels_total" s.par_levels;
+  c "statleak_opt_seq_levels_total" s.seq_levels;
+  g "statleak_opt_max_level_width" (float_of_int s.max_level_width)
+
+let run ~mode ?(progress = fun (_ : progress) -> ()) p ~reduce d model =
+  if not (p.eta > 0.0 && p.eta < 1.0) then
+    invalid_arg (Printf.sprintf "optimize: eta = %g outside (0, 1)" p.eta);
+  Trace.span "opt.optimize" ~attrs:[ ("mode", mode) ] @@ fun () ->
+  let t0 = now () in
+  let st = create ~mode ~progress p d model in
+  fix_yield st;
+  report st "fix_yield";
+  if yield st >= p.eta then begin
+    reduce st;
+    if p.allow_size then alternate st ~reduce
+  end;
+  let s = stats st ~time_total:(now () -. t0) in
+  publish_stats ~mode s;
+  s

@@ -1,0 +1,198 @@
+(** The statistical optimizer's shared core.
+
+    minimize  E[total leakage]
+    s.t.      P(circuit delay ≤ tmax) ≥ η
+
+    over per-gate dual-Vth assignment and discrete sizing.  Both
+    statistical optimizers run the same loop: an incremental timing
+    engine gives every gate the canonical distribution of the worst path
+    through it, T_g = A_g + S_g; a candidate move on gate g shifts the
+    mean of T_g by its nominal delay delta δ_g, with estimated yield cost
+    P(T_g + δ_g > tmax) − P(T_g > tmax); candidates are ranked by leakage
+    saved per estimated cost and the yield is re-measured exactly before
+    a move is kept.  They differ only in how a pass commits the ranked
+    moves — the {e commit policy}: {!Stat_opt} (greedy, a blind budget
+    with newest-first undo) and {!Batch_opt} (slack bands under a
+    checkpoint with prefix bisection).
+
+    The core owns everything else: the leakage model, memo prefill and
+    freeze, the timing engine (flat or partition-parallel), candidate
+    ranking, the yield-repair and alternation phases, the pass loop, the
+    stats record, its publication and progress reporting. *)
+
+(** Types both policies re-export, so [Stat_opt.stats] and
+    [Batch_opt.stats] are the same record. *)
+module Types : sig
+  type sensitivity =
+    | Stat_leak_per_yield
+        (** Δ E[leak] per estimated yield cost — the paper's metric *)
+    | Stat_leak_per_delay
+        (** Δ E[leak] per ps of local delay increase: statistically blind
+            timing ranking (A3 ablation) *)
+    | Nominal_leak_per_yield
+        (** Δ nominal leak per yield cost: variation-blind leakage ranking
+            (A3 ablation) *)
+    | P99_leak_per_yield
+        (** Δ 99th-percentile leak per yield cost: tail-driven ranking
+            (A3 ablation) *)
+
+  type stats = {
+    feasible : bool;          (** η met at exit (SSTA-verified) *)
+    vth_moves : int;          (** committed threshold moves *)
+    size_moves : int;         (** committed size moves (both directions) *)
+    trials : int;             (** candidate evaluations *)
+    passes : int;             (** reduction passes, over every run *)
+    refreshes : int;          (** exact re-measure points: the initial
+                                  build, yield syncs, checkpoint rollbacks
+                                  and rebuilds *)
+    syncs : int;              (** engine syncs (yield-only and full) *)
+    rollbacks : int;          (** committed-then-undone moves *)
+    bands_tried : int;        (** band applications, including bisection
+                                  retries (banded policy; 0 otherwise) *)
+    bands_committed : int;
+    bands_rolled_back : int;
+    bisections : int;         (** failed bands split for retry *)
+    final_yield : float;      (** SSTA yield at exit *)
+    full_refreshes : int;     (** O(n) from-scratch analyses: the build and
+                                  rebuilds after bulk restores *)
+    incr_updates : int;       (** single-gate delay updates *)
+    propagated_gates : int;   (** arrival + required-time recomputations
+                                  over all syncs *)
+    props_per_move : float;   (** propagations per committed move *)
+    mean_cone : float;        (** arrival recomputations per update — the
+                                  effective dirty-cone size *)
+    max_cone : int;
+    cutoffs : int;            (** recomputations cut off by exact equality *)
+    time_refresh : float;     (** seconds in syncs, rollbacks and rebuilds *)
+    time_candidates : float;  (** seconds ranking candidates *)
+    time_total : float;       (** seconds in optimize *)
+    par_levels : int;         (** level batches run on domains *)
+    seq_levels : int;         (** level batches run inline *)
+    max_level_width : int;    (** widest level batch seen *)
+  }
+
+  type progress = {
+    stage : string;           (** "fix_yield" | "reduce" | "alternation" *)
+    moves_committed : int;    (** vth + size moves currently applied *)
+    cur_yield : float;        (** SSTA yield at the last exact re-measure *)
+    leak_mean : float;        (** E[total leakage] now, nA *)
+  }
+  (** One streaming status point — what the serve daemon forwards to
+      clients as progress frames. *)
+end
+
+include module type of struct include Types end
+
+type params = {
+  tmax : float;
+  eta : float;
+  sensitivity : sensitivity;
+  allow_vth : bool;
+  allow_size : bool;
+  max_passes : int;           (** passes per reduction run *)
+  partition : bool;
+  jobs : int;
+}
+(** The settings both policies share; see their [config] docs. *)
+
+type t = {
+  p : params;
+  design : Sl_tech.Design.t;
+  leak : Sl_leakage.Leak_ssta.t;
+  memo : Sl_tech.Memo.t;
+  engine : Sl_ssta.Engine.t;
+  progress : progress -> unit;
+  mutable vth_moves : int;
+  mutable size_moves : int;
+  mutable trials : int;
+  mutable passes : int;
+  mutable refreshes : int;
+  mutable syncs : int;
+  mutable rollbacks : int;
+  mutable full_refreshes : int;
+  mutable bands_tried : int;
+  mutable bands_committed : int;
+  mutable bands_rolled_back : int;
+  mutable bisections : int;
+  mutable time_refresh : float;
+  mutable time_candidates : float;
+}
+(** One run's state.  A policy counts its own commits and rollbacks in
+    the mutable fields; the rest is the core's. *)
+
+val run :
+  mode:string -> ?progress:(progress -> unit) -> params -> reduce:(t -> unit) ->
+  Sl_tech.Design.t -> Sl_variation.Model.t -> stats
+(** Mutates the design in place: set up, repair the yield, then — from a
+    feasible state — call [reduce] and alternate (upsize the most
+    violation-prone gate, [reduce] again, keep the round only if E[leak]
+    dropped).  Publishes the stats under the [mode] label.  [progress]
+    (default: none) must not mutate the design.
+    @raise Invalid_argument if [eta] is outside (0, 1). *)
+
+val reduce : t -> cutoff:int -> (t -> int) -> unit
+(** [reduce st ~cutoff pass] runs passes until one commits fewer than
+    [cutoff] moves, at most [max_passes]. *)
+
+val report : t -> string -> unit
+val yield : t -> float
+
+(** {2 Timing engine} *)
+
+val sync : t -> unit
+(** Full sync: the worst-path view becomes current. *)
+
+val measure : ?paths:bool -> t -> unit
+(** Sync counted as a re-measure point; yield-only unless [paths]. *)
+
+val rollback : t -> Sl_ssta.Engine.checkpoint -> unit
+(** Checkpoint rollback, counted as a re-measure point; the caller has
+    restored the design assignment first. *)
+
+(** {2 Moves} *)
+
+type candidate = {
+  score : float;              (** sensitivity value; [infinity] = free win *)
+  kind : [ `Vth | `Size ];
+  gate : int;
+  est_cost : float;           (** estimated yield cost of the move *)
+}
+
+val rank :
+  ?eligible:(int -> [ `Vth | `Size ] -> bool) -> ?direction:[ `Reduce | `Repair ] ->
+  t -> candidate list
+(** Syncs, then scores every eligible single-gate move against the
+    worst-path view, best first.  [`Reduce] (default) ranks leakage
+    reductions (raise threshold / downsize by one) by the sensitivity;
+    [`Repair] ranks upsizes by violation probability, with [est_cost] 0.
+    The order is total: score descending, ties by gate id descending then
+    [`Size] before [`Vth].  The scan fans out over the domain pool when
+    the memo is frozen; the list is identical for every [jobs] value. *)
+
+type move = { gate : int; kind : [ `Vth | `Size ]; prev : int }
+
+val still_valid : t -> candidate -> bool
+(** The move is still possible: earlier moves may have used up its gate. *)
+
+val count : t -> [ `Vth | `Size ] -> int -> unit
+(** Add to the committed-move counter of one kind. *)
+
+val headroom : t -> margin:float -> float
+(** [margin · max 0 (yield − η)]: the estimated yield cost a pass may
+    spend before the next exact re-measure. *)
+
+val set : ?timing:bool -> t -> [ `Vth | `Size ] -> int -> int -> unit
+(** [set st kind gate v] assigns one index and updates the leakage and —
+    unless [~timing:false], for a caller that restores the timing view
+    through {!rollback} — the timing engine. *)
+
+val apply : t -> [ `Vth | `Size ] -> int -> move
+(** One reduction move through {!set}. *)
+
+val violation :
+  path_mu:float array -> path_sigma:float array -> tmax:float -> int ->
+  delta:float -> float
+
+val est_yield_cost :
+  path_mu:float array -> path_sigma:float array -> tmax:float -> int ->
+  delta:float -> float

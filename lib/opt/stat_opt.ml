@@ -1,24 +1,7 @@
-module Circuit = Sl_netlist.Circuit
-module Cell_kind = Sl_netlist.Cell_kind
-module Design = Sl_tech.Design
-module Cell_lib = Sl_tech.Cell_lib
-module Memo = Sl_tech.Memo
-module Model = Sl_variation.Model
-module Ssta = Sl_ssta.Ssta
-module Canonical = Sl_ssta.Canonical
-module Incremental = Sl_ssta.Incremental
 module Engine = Sl_ssta.Engine
-module Leak_ssta = Sl_leakage.Leak_ssta
-module Special = Sl_util.Special
-module Parallel = Sl_util.Parallel
-module Trace = Sl_obs.Trace
-module Metrics = Sl_obs.Metrics
+module Core = Opt_core
 
-type sensitivity =
-  | Stat_leak_per_yield
-  | Stat_leak_per_delay
-  | Nominal_leak_per_yield
-  | P99_leak_per_yield
+include Opt_core.Types
 
 type config = {
   tmax : float;
@@ -29,7 +12,6 @@ type config = {
   max_passes : int;
   refresh_every : int;
   yield_margin : float;
-  incremental : bool;
   partition : bool;
   audit : bool;
   jobs : int;
@@ -45,651 +27,79 @@ let default_config ~tmax ~eta =
     max_passes = 25;
     refresh_every = 25;
     yield_margin = 0.5;
-    incremental = true;
     partition = false;
     audit = false;
     jobs = 1;
   }
 
-type stats = {
-  feasible : bool;
-  vth_moves : int;
-  size_moves : int;
-  trials : int;
-  refreshes : int;
-  rollbacks : int;
-  final_yield : float;
-  full_refreshes : int;
-  incr_updates : int;
-  propagated_gates : int;
-  mean_cone : float;
-  max_cone : int;
-  cutoffs : int;
-  time_refresh : float;
-  time_candidates : float;
-  par_levels : int;
-  seq_levels : int;
-  max_level_width : int;
-}
-
-type progress = {
-  stage : string;
-  moves_committed : int;
-  cur_yield : float;
-  leak_mean : float;
-}
-
-type move = { id : int; prev : [ `Vth of int | `Size of int ] }
-
-type engine = Full | Inc of Engine.t
-
-(* Mutable optimizer state refreshed by each exact SSTA (full mode) or
-   kept consistent by the incremental engine (Inc mode: path_mu/path_sigma
-   alias the engine's live arrays). *)
-type state = {
-  design : Design.t;
-  model : Model.t;
-  leak : Leak_ssta.t;
-  memo : Memo.t;
-  engine : engine;
-  jobs : int;
-  (* level-schedule evidence for Full-mode refreshes; Inc mode counts
-     inside the engine *)
-  pstats : Ssta.par_stats;
-  mutable path_mu : float array;     (* mean of T_g = A_g + S_g *)
-  mutable path_sigma : float array;
-  mutable yield_ : float;
-  mutable refreshes : int;
-  mutable full_refreshes : int;
-  mutable settles : int;
-  mutable time_refresh : float;
-  mutable time_candidates : float;
-}
-
-let now () = Unix.gettimeofday ()
-
-(* One exact re-measure point.  Full mode: from-scratch SSTA.  Inc mode:
-   lazy dirty-cone repair (bit-identical state; see Sl_ssta.Incremental).
-   [rebuild] forces the engine to start over — used after bulk design
-   restores, where the dirty cone would be the whole circuit. *)
-let refresh ?(rebuild = false) ?(paths = true) st ~tmax =
-  let t0 = now () in
-  (match st.engine with
-  | Full ->
-    let res =
-      Ssta.analyze ~memo:st.memo ~jobs:st.jobs ~stats:st.pstats st.design
-        st.model
-    in
-    let bwd = Ssta.backward ~jobs:st.jobs ~stats:st.pstats st.design.Design.circuit res in
-    let n = Circuit.num_gates st.design.Design.circuit in
-    let mu = Array.make n 0.0 and sg = Array.make n 0.0 in
-    for id = 0 to n - 1 do
-      let t = Ssta.path_through res ~backward:bwd id in
-      mu.(id) <- t.Canonical.mean;
-      sg.(id) <- Canonical.sigma t
+(* One greedy pass: sorted candidates are accepted blind while the yield
+   budget lasts; an exact re-measure every [refresh_every] accepted moves
+   (or when the budget is exhausted) undoes the newest moves until the
+   constraint holds again.  Returns the number of moves the pass kept. *)
+let pass cfg settles (st : Core.t) =
+  let candidates = Core.rank st in
+  st.trials <- st.trials + List.length candidates;
+  let accepted = ref 0 in
+  let budget = ref (Core.headroom st ~margin:cfg.yield_margin) in
+  let batch : Core.move list ref = ref [] in
+  let settle () =
+    (* only the yield is consulted here, so the backward/path repair is
+       deferred to the next ranking *)
+    Core.measure st;
+    while Core.yield st < cfg.eta && !batch <> [] do
+      match !batch with
+      | [] -> ()
+      | m :: rest ->
+        Core.set st m.kind m.gate m.prev;
+        Core.count st m.kind (-1);
+        st.rollbacks <- st.rollbacks + 1;
+        decr accepted;
+        batch := rest;
+        Core.measure st
     done;
-    st.path_mu <- mu;
-    st.path_sigma <- sg;
-    st.yield_ <- Ssta.timing_yield res ~tmax;
-    st.full_refreshes <- st.full_refreshes + 1
-  | Inc inc ->
-    if rebuild then begin
-      Engine.rebuild inc;
-      st.full_refreshes <- st.full_refreshes + 1
+    batch := [];
+    budget := Core.headroom st ~margin:cfg.yield_margin;
+    incr settles;
+    Core.report st "reduce";
+    if cfg.audit && !settles mod cfg.refresh_every = 0 then begin
+      (* debug-build agreement check against a from-scratch analysis;
+         compiled out under -noassert *)
+      Core.sync st;
+      assert (Engine.audit st.engine)
     end
-    else Engine.sync ~paths inc;
-    st.yield_ <- Engine.yield inc);
-  st.refreshes <- st.refreshes + 1;
-  st.time_refresh <- st.time_refresh +. (now () -. t0)
-
-(* Make path_mu/path_sigma current before they are read.  Full mode keeps
-   them current at every refresh; the incremental engine defers the
-   backward/path repair out of yield-only refreshes, so path readers must
-   settle it first.  The repaired values equal what full mode computed at
-   its last refresh — same design, same folds — so rankings agree. *)
-let ensure_paths st =
-  match st.engine with
-  | Full -> ()
-  | Inc inc ->
-    let t0 = now () in
-    Engine.sync inc;
-    st.time_refresh <- st.time_refresh +. (now () -. t0)
-
-(* Notify the timing engine that gate [id]'s assignment changed. *)
-let touch st id =
-  match st.engine with Full -> () | Inc inc -> Engine.update_gate inc id
-
-(* P(T_g + delta > tmax) with T_g Gaussian(mu, sigma). *)
-let violation_ ~path_mu ~path_sigma ~tmax id ~delta =
-  let mu = path_mu.(id) +. delta and sigma = path_sigma.(id) in
-  if sigma <= 0.0 then if mu > tmax then 1.0 else 0.0
-  else 1.0 -. Special.normal_cdf ((tmax -. mu) /. sigma)
-
-let violation st ~tmax id ~delta =
-  violation_ ~path_mu:st.path_mu ~path_sigma:st.path_sigma ~tmax id ~delta
-
-(* Estimated yield cost of shifting gate [id]'s worst path by [delta].
-   Zero-sigma gates (deterministic paths) are handled explicitly: the move
-   either pushes the path over the constraint (cost 1) or it does not
-   (cost 0) — in particular a path already over the constraint is not
-   charged again, so such gates cannot double-count through the 1e-12
-   epsilon in the score denominators. *)
-let est_yield_cost_ ~path_mu ~path_sigma ~tmax id ~delta =
-  let sigma = path_sigma.(id) in
-  if sigma <= 0.0 then
-    if path_mu.(id) +. delta > tmax && path_mu.(id) <= tmax then 1.0 else 0.0
-  else
-    Float.max 0.0
-      (violation_ ~path_mu ~path_sigma ~tmax id ~delta
-      -. violation_ ~path_mu ~path_sigma ~tmax id ~delta:0.0)
-
-let nominal_leak (d : Design.t) id ~vth_idx ~size_idx =
-  let g = Circuit.gate d.Design.circuit id in
-  Cell_lib.leak_current d.Design.lib g.Circuit.kind
-    ~arity:(Array.length g.Circuit.fanin) ~size_idx ~vth_idx ~dvth:0.0 ~dl:0.0
-
-type candidate = {
-  score : float;
-  kind : [ `Vth | `Size ];
-  gate : int;
-  est_cost : float;
-}
-
-(* Deterministic candidate order: score descending, ties broken by gate id
-   descending and `Size before `Vth within a gate.  Ties are real — every
-   free-win candidate scores infinity, and zero-est-cost candidates score
-   dleak/1e-12 — and the stdlib does not promise List.sort is stable, so
-   an explicit tie-break is what makes optimizer trajectories reproducible
-   across stdlib versions.  The chosen order equals what the current
-   (stable-in-practice) sort produced over the reverse build order, so
-   pinned seed trajectories are unchanged. *)
-let kind_rank = function `Size -> 0 | `Vth -> 1
-
-let compare_candidates a b =
-  let c = Float.compare b.score a.score in
-  if c <> 0 then c
-  else
-    let c = Int.compare b.gate a.gate in
-    if c <> 0 then c else Int.compare (kind_rank a.kind) (kind_rank b.kind)
-
-(* Worker domains used by the most recent candidate ranking — `--profile`
-   evidence that the parallel scan actually engaged. *)
-let m_rank_jobs =
-  Metrics.gauge ~help:"Worker domains used by the last candidate ranking"
-    "statleak_opt_rank_jobs"
-
-(* Score every eligible single-gate move of the design against the given
-   worst-path view.  [`Reduce] (the default) ranks leakage reductions
-   (raise threshold / downsize); [`Repair] ranks yield repairs (upsize)
-   by violation probability — the one scoring path behind both the
-   optimizers' reduction passes and their fix_yield phases, so every
-   ranking in the system comes from this function.
-
-   The scan writes into two fixed slots per gate (vth then size), so it
-   fans out over gate-id chunks when [jobs] > 1 {e and} the memo is
-   frozen (worker domains must never fill the table).  Each slot depends
-   only on its gate id and [compare_candidates] is total on distinct
-   (gate, kind) pairs, so the sorted result is identical for every
-   [jobs] value. *)
-let rank_candidates ~sensitivity ~allow_vth ~allow_size ~tmax ~memo ~leak
-    ~path_mu ~path_sigma ?(eligible = fun _ _ -> true) ?(jobs = 1)
-    ?(direction = `Reduce) (d : Design.t) =
-  Trace.span "opt.rank"
-    ~attrs:[ ("gates", string_of_int (Circuit.num_gates d.Design.circuit)) ]
-  @@ fun () ->
-  let n = Circuit.num_gates d.Design.circuit in
-  let num_vth = Cell_lib.num_vth d.Design.lib in
-  let num_sizes = Cell_lib.num_sizes d.Design.lib in
-  let leak_mean_now = Leak_ssta.mean leak in
-  let leak_p99_now =
-    match sensitivity with
-    | P99_leak_per_yield -> Leak_ssta.quantile leak 0.99
-    | _ -> 0.0
   in
-  let slots = Array.make (2 * n) None in
-  let consider gate kind ~vth_idx ~size_idx ~delta =
-    if delta <> 0.0 then begin
-      let dleak_stat = leak_mean_now -. Leak_ssta.mean_if leak gate ~vth_idx ~size_idx in
-      if dleak_stat <= 0.0 then None
-      else if delta > 0.0 then begin
-        let est_cost = est_yield_cost_ ~path_mu ~path_sigma ~tmax gate ~delta in
-        let score =
-          match sensitivity with
-          | Stat_leak_per_yield -> dleak_stat /. (est_cost +. 1e-12)
-          | Stat_leak_per_delay -> dleak_stat /. Float.max 1e-9 delta
-          | Nominal_leak_per_yield ->
-            let dleak_nom =
-              nominal_leak d gate ~vth_idx:d.Design.vth_idx.(gate)
-                ~size_idx:d.Design.size_idx.(gate)
-              -. nominal_leak d gate ~vth_idx ~size_idx
-            in
-            dleak_nom /. (est_cost +. 1e-12)
-          | P99_leak_per_yield ->
-            let dp99 =
-              leak_p99_now -. Leak_ssta.quantile_if leak gate ~vth_idx ~size_idx ~p:0.99
-            in
-            dp99 /. (est_cost +. 1e-12)
-        in
-        Some { score; kind; gate; est_cost }
-      end
-      else
-        (* a move that saves leakage AND delay is a free win; top rank *)
-        Some { score = infinity; kind; gate; est_cost = 0.0 }
-    end
-    else None
-  in
-  let scan_gate id =
-    if (Circuit.gate d.Design.circuit id).Circuit.kind <> Cell_kind.Pi then
-      match direction with
-      | `Repair ->
-        (* upsize the gate to pull its worst path in; scored by the
-           violation probability so the sort order equals the historical
-           fix_yield ranking (probability desc, gate id desc) *)
-        if d.Design.size_idx.(id) + 1 < num_sizes && eligible id `Size then begin
-          let v = violation_ ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
-          if v > 0.0 then
-            slots.(2 * id) <- Some { score = v; kind = `Size; gate = id; est_cost = 0.0 }
-        end
-      | `Reduce ->
-        if allow_vth && d.Design.vth_idx.(id) + 1 < num_vth && eligible id `Vth then begin
-          let v = d.Design.vth_idx.(id) in
-          let delta =
-            Memo.delay_delta memo d id ~vth_idx:(v + 1)
-              ~size_idx:d.Design.size_idx.(id)
-          in
-          slots.(2 * id) <-
-            consider id `Vth ~vth_idx:(v + 1) ~size_idx:d.Design.size_idx.(id) ~delta
-        end;
-        if allow_size && d.Design.size_idx.(id) > 0 && eligible id `Size then begin
-          let s = d.Design.size_idx.(id) in
-          let delta =
-            Memo.delay_delta memo d id ~vth_idx:d.Design.vth_idx.(id)
-              ~size_idx:(s - 1)
-          in
-          slots.(2 * id + 1) <-
-            consider id `Size ~vth_idx:d.Design.vth_idx.(id) ~size_idx:(s - 1) ~delta
-        end
-  in
-  let eff_jobs = if jobs > 1 && Memo.frozen memo then jobs else 1 in
-  Metrics.set m_rank_jobs (float_of_int eff_jobs);
-  Parallel.run_chunks ~jobs:eff_jobs ~threshold:1024 ~n ~init:(fun () -> ())
-    (fun () lo hi ->
-      for id = lo to hi - 1 do
-        scan_gate id
-      done);
-  let candidates = ref [] in
-  for i = (2 * n) - 1 downto 0 do
-    match slots.(i) with Some c -> candidates := c :: !candidates | None -> ()
-  done;
-  List.sort compare_candidates !candidates
+  List.iter
+    (fun (c : Core.candidate) ->
+      if Core.still_valid st c && c.est_cost <= !budget then begin
+        batch := Core.apply st c.kind c.gate :: !batch;
+        Core.count st c.kind 1;
+        incr accepted;
+        budget := !budget -. c.est_cost;
+        if List.length !batch >= cfg.refresh_every || !budget <= 0.0 then settle ()
+      end)
+    candidates;
+  settle ();
+  !accepted
 
-let collect_candidates cfg st =
-  ensure_paths st;
-  let t0 = now () in
-  let sorted =
-    rank_candidates ~sensitivity:cfg.sensitivity ~allow_vth:cfg.allow_vth
-      ~allow_size:cfg.allow_size ~tmax:cfg.tmax ~memo:st.memo ~leak:st.leak
-      ~path_mu:st.path_mu ~path_sigma:st.path_sigma ~jobs:st.jobs st.design
-  in
-  st.time_candidates <- st.time_candidates +. (now () -. t0);
-  sorted
-
-let apply_move st kind id =
-  let d = st.design in
-  let m =
-    match kind with
-    | `Vth ->
-      let prev = d.Design.vth_idx.(id) in
-      Design.set_vth d id (prev + 1);
-      { id; prev = `Vth prev }
-    | `Size ->
-      let prev = d.Design.size_idx.(id) in
-      Design.set_size d id (prev - 1);
-      { id; prev = `Size prev }
-  in
-  touch st id;
-  m
-
-let undo_move st m =
-  (match m.prev with
-  | `Vth v -> Design.set_vth st.design m.id v
-  | `Size s -> Design.set_size st.design m.id s);
-  touch st m.id
-
-(* Initial yield repair: upsize statistically critical gates.  Each step
-   ranks upsizable gates through {!rank_candidates} in [`Repair]
-   direction — the same scoring path as every other ranking, ordered by
-   violation probability — and trial-applies the top few with an exact
-   SSTA, keeping the first that improves yield; the phase ends when no
-   candidate in the shortlist helps.  In incremental mode a rejected
-   trial rolls the dirty-cone snapshot back instead of paying a second
-   full refresh. *)
-let fix_yield cfg st trials size_moves =
-  Trace.span "opt.fix_yield" @@ fun () ->
-  let d = st.design in
-  let n = Circuit.num_gates d.Design.circuit in
-  let shortlist = 16 in
-  let stuck = ref false in
-  let steps = ref 0 in
-  while st.yield_ < cfg.eta && (not !stuck) && !steps < 4 * n do
-    incr steps;
-    ensure_paths st;
-    let ranked =
-      rank_candidates ~sensitivity:cfg.sensitivity ~allow_vth:cfg.allow_vth
-        ~allow_size:cfg.allow_size ~direction:`Repair ~tmax:cfg.tmax
-        ~memo:st.memo ~leak:st.leak ~path_mu:st.path_mu
-        ~path_sigma:st.path_sigma ~jobs:st.jobs st.design
-    in
-    let rec try_candidates k = function
-      | [] -> false
-      | _ when k >= shortlist -> false
-      | (c : candidate) :: rest ->
-        let id = c.gate in
-        let s = d.Design.size_idx.(id) in
-        let cp =
-          match st.engine with
-          | Inc inc -> Some (inc, Engine.checkpoint inc)
-          | Full -> None
-        in
-        Design.set_size d id (s + 1);
-        touch st id;
-        Leak_ssta.update_gate st.leak id;
-        incr trials;
-        let y_before = st.yield_ in
-        (* only the yield is read before the next path sync *)
-        refresh st ~tmax:cfg.tmax ~paths:false;
-        if st.yield_ > y_before then begin
-          (match cp with Some (inc, c) -> Engine.commit inc c | None -> ());
-          incr size_moves;
-          true
-        end
-        else begin
-          Design.set_size d id s;
-          Leak_ssta.update_gate st.leak id;
-          (match cp with
-          | Some (inc, c) ->
-            (* snapshot rollback replaces the second full refresh of the
-               reject path; count it as a refresh so stats line up *)
-            Engine.rollback inc c;
-            st.yield_ <- Engine.yield inc;
-            st.refreshes <- st.refreshes + 1
-          | None -> refresh st ~tmax:cfg.tmax);
-          try_candidates (k + 1) rest
-        end
-    in
-    if not (try_candidates 0 ranked) then stuck := true
-  done
-
-(* End-of-run publication into the process-global registry: every number
-   the profile view prints comes from here, so `--profile` is a read of
-   one source of truth.  Count-like fields accumulate ([add]) — under
-   serve, repeated optimizes keep proper counter semantics — while
-   per-run figures (yield, cone shape, times) are gauges. *)
-let publish_stats ~mode (s : stats) =
-  let labels = [ ("mode", mode) ] in
-  let c name v = Metrics.add (Metrics.counter ~labels name) v in
-  let g name v = Metrics.set (Metrics.gauge ~labels name) v in
-  g "statleak_opt_feasible" (if s.feasible then 1.0 else 0.0);
-  c "statleak_opt_vth_moves_total" s.vth_moves;
-  c "statleak_opt_size_moves_total" s.size_moves;
-  c "statleak_opt_trials_total" s.trials;
-  c "statleak_opt_refreshes_total" s.refreshes;
-  c "statleak_opt_rollbacks_total" s.rollbacks;
-  g "statleak_opt_final_yield" s.final_yield;
-  c "statleak_opt_full_refreshes_total" s.full_refreshes;
-  c "statleak_opt_incr_updates_total" s.incr_updates;
-  c "statleak_opt_propagated_gates_total" s.propagated_gates;
-  g "statleak_opt_mean_cone" s.mean_cone;
-  g "statleak_opt_max_cone" (float_of_int s.max_cone);
-  c "statleak_opt_cutoffs_total" s.cutoffs;
-  g "statleak_opt_time_refresh_seconds" s.time_refresh;
-  g "statleak_opt_time_candidates_seconds" s.time_candidates;
-  c "statleak_opt_par_levels_total" s.par_levels;
-  c "statleak_opt_seq_levels_total" s.seq_levels;
-  g "statleak_opt_max_level_width" (float_of_int s.max_level_width)
-
-let optimize ?(progress = fun (_ : progress) -> ()) cfg (d : Design.t) model =
-  Trace.span "opt.optimize" ~attrs:[ ("mode", "stat") ]
-  @@ fun () ->
-  let leak = Leak_ssta.create d model in
-  let memo = Memo.create d.Design.lib in
-  (* Freeze the memo up front whenever worker domains may read it —
-     partition mode runs one engine per cone on the pool, and parallel
-     ranking scans gates on the pool.  Prefilled first, so frozen lookups
-     stay bit-identical to lazy filling. *)
-  if cfg.partition || cfg.jobs > 1 then begin
-    Memo.prefill memo d;
-    Memo.freeze memo
-  end;
-  let engine =
-    if cfg.incremental then
-      Inc
-        (Engine.create ~memo ~jobs:cfg.jobs ~partition:cfg.partition d model
-           ~tmax:cfg.tmax)
-    else Full
-  in
-  let st =
+let optimize ?progress cfg d model =
+  let settles = ref 0 in
+  Core.run ~mode:"stat" ?progress
     {
-      design = d;
-      model;
-      leak;
-      memo;
-      engine;
+      Core.tmax = cfg.tmax;
+      eta = cfg.eta;
+      sensitivity = cfg.sensitivity;
+      allow_vth = cfg.allow_vth;
+      allow_size = cfg.allow_size;
+      max_passes = cfg.max_passes;
+      partition = cfg.partition;
       jobs = cfg.jobs;
-      pstats = Ssta.par_stats ();
-      path_mu = [||];
-      path_sigma = [||];
-      yield_ = 0.0;
-      refreshes = 0;
-      full_refreshes = 0;
-      settles = 0;
-      time_refresh = 0.0;
-      time_candidates = 0.0;
     }
-  in
-  (match engine with
-  | Inc inc ->
-    (* the build above was the one full analysis; alias its live arrays *)
-    st.path_mu <- Engine.path_mu inc;
-    st.path_sigma <- Engine.path_sigma inc;
-    st.full_refreshes <- 1;
-    Metrics.set
-      (Metrics.gauge ~labels:[ ("mode", "stat") ]
-         ~help:"Register-boundary cones driven by the optimizer"
-         "statleak_opt_partitions")
-      (float_of_int (Engine.num_partitions inc))
-  | Full -> ());
-  refresh st ~tmax:cfg.tmax;
-  let trials = ref 0 and vth_moves = ref 0 and size_moves = ref 0 in
-  let rollbacks = ref 0 in
-  let report stage =
-    progress
-      {
-        stage;
-        moves_committed = !vth_moves + !size_moves;
-        cur_yield = st.yield_;
-        leak_mean = Leak_ssta.mean st.leak;
-      }
-  in
-  fix_yield cfg st trials size_moves;
-  report "fix_yield";
-  let feasible_start = st.yield_ >= cfg.eta in
-  (* greedy reduction: sorted candidate passes with budgeted acceptance,
-     exact refresh and rollback; runs until a pass accepts nothing *)
-  let reduce () =
-    let pass = ref 0 in
-    let go = ref true in
-    while !go && !pass < cfg.max_passes do
-      incr pass;
-      Trace.span "opt.pass" ~attrs:[ ("pass", string_of_int !pass) ]
-      @@ fun () ->
-      let accepted_this_pass = ref 0 in
-      let candidates = collect_candidates cfg st in
-      trials := !trials + List.length candidates;
-      let budget = ref (cfg.yield_margin *. Float.max 0.0 (st.yield_ -. cfg.eta)) in
-      let batch : move list ref = ref [] in
-      let batch_count = ref 0 in
-      let settle_batch () =
-        (* exact re-measure; roll back newest moves if the constraint
-           broke.  Only the yield is consulted here, so the incremental
-           engine defers backward/path repair to the next candidate
-           collection. *)
-        refresh st ~tmax:cfg.tmax ~paths:false;
-        while st.yield_ < cfg.eta && !batch <> [] do
-          match !batch with
-          | [] -> ()
-          | m :: rest ->
-            undo_move st m;
-            Leak_ssta.update_gate st.leak m.id;
-            (match m.prev with
-            | `Vth _ -> decr vth_moves
-            | `Size _ -> decr size_moves);
-            incr rollbacks;
-            decr accepted_this_pass;
-            batch := rest;
-            refresh st ~tmax:cfg.tmax ~paths:false
-        done;
-        batch := [];
-        batch_count := 0;
-        budget := cfg.yield_margin *. Float.max 0.0 (st.yield_ -. cfg.eta);
-        st.settles <- st.settles + 1;
-        report "reduce";
-        match st.engine with
-        | Inc inc when cfg.audit && st.settles mod cfg.refresh_every = 0 ->
-          (* debug-build agreement check against a from-scratch analysis;
-             compiled out under -noassert *)
-          ensure_paths st;
-          assert (Engine.audit inc)
-        | _ -> ()
-      in
-      List.iter
-        (fun c ->
-          (* moves may have invalidated this candidate; re-check cheaply *)
-          let still_valid =
-            match c.kind with
-            | `Vth -> d.Design.vth_idx.(c.gate) + 1 < Cell_lib.num_vth d.Design.lib
-            | `Size -> d.Design.size_idx.(c.gate) > 0
-          in
-          if still_valid && c.est_cost <= !budget then begin
-            let m = apply_move st c.kind c.gate in
-            Leak_ssta.update_gate st.leak c.gate;
-            (match c.kind with
-            | `Vth -> incr vth_moves
-            | `Size -> incr size_moves);
-            incr accepted_this_pass;
-            budget := !budget -. c.est_cost;
-            batch := m :: !batch;
-            incr batch_count;
-            if !batch_count >= cfg.refresh_every || !budget <= 0.0 then settle_batch ()
-          end)
-        candidates;
-      settle_batch ();
-      if !accepted_this_pass <= 0 then go := false
-    done
-  in
-  if feasible_start then begin
-    reduce ();
-    (* Alternation: single moves can be trapped when every remaining
-       reduction needs slack that only an upsize elsewhere can create.
-       Buy headroom by upsizing the most violation-prone gate, re-run the
-       reduction, and keep the round only if E[leak] actually dropped. *)
-    if cfg.allow_size then begin
-      let n = Circuit.num_gates d.Design.circuit in
-      let num_sizes = Cell_lib.num_sizes d.Design.lib in
-      let continue_ = ref true in
-      let rounds = ref 0 in
-      while !continue_ && !rounds < 4 do
-        incr rounds;
-        ensure_paths st;
-        let best_leak = Leak_ssta.mean st.leak in
-        let saved_vth = Array.copy d.Design.vth_idx in
-        let saved_size = Array.copy d.Design.size_idx in
-        (* most critical upsizable cell *)
-        let target = ref (-1) and worst = ref (-1.0) in
-        for id = 0 to n - 1 do
-          if
-            (Circuit.gate d.Design.circuit id).Circuit.kind <> Cell_kind.Pi
-            && d.Design.size_idx.(id) + 1 < num_sizes
-          then begin
-            let v = violation st ~tmax:cfg.tmax id ~delta:0.0 in
-            if Float.compare v !worst > 0 then begin
-              worst := v;
-              target := id
-            end
-          end
-        done;
-        if !target < 0 then continue_ := false
-        else begin
-          Design.set_size d !target (d.Design.size_idx.(!target) + 1);
-          touch st !target;
-          Leak_ssta.update_gate st.leak !target;
-          incr size_moves;
-          incr trials;
-          refresh st ~tmax:cfg.tmax;
-          reduce ();
-          if st.yield_ < cfg.eta || Leak_ssta.mean st.leak >= best_leak then begin
-            (* round did not pay off: restore the previous solution; the
-               dirty cone of a bulk restore is the whole circuit, so the
-               incremental engine rebuilds from scratch *)
-            Array.blit saved_vth 0 d.Design.vth_idx 0 n;
-            Array.blit saved_size 0 d.Design.size_idx 0 n;
-            Leak_ssta.refresh st.leak;
-            refresh ~rebuild:true st ~tmax:cfg.tmax;
-            continue_ := false
-          end;
-          report "alternation"
-        end
-      done
-    end
-  end;
-  let istats =
-    match st.engine with
-    | Inc inc -> Some (Engine.stats inc)
-    | Full -> None
-  in
-  let result_stats = {
-    feasible = st.yield_ >= cfg.eta;
-    vth_moves = !vth_moves;
-    size_moves = !size_moves;
-    trials = !trials;
-    refreshes = st.refreshes;
-    rollbacks = !rollbacks;
-    final_yield = st.yield_;
-    full_refreshes = st.full_refreshes;
-    incr_updates = (match istats with Some s -> s.Incremental.updates | None -> 0);
-    propagated_gates =
-      (match istats with
-      | Some s -> s.Incremental.propagated + s.Incremental.bwd_propagated
-      | None -> 0);
-    mean_cone =
-      (match istats with
-      | Some s when s.Incremental.updates > 0 ->
-        float_of_int s.Incremental.propagated /. float_of_int s.Incremental.updates
-      | _ -> 0.0);
-    max_cone = (match istats with Some s -> s.Incremental.max_cone | None -> 0);
-    cutoffs = (match istats with Some s -> s.Incremental.cutoffs | None -> 0);
-    time_refresh = st.time_refresh;
-    time_candidates = st.time_candidates;
-    par_levels =
-      (match istats with
-      | Some s -> s.Incremental.par_levels
-      | None -> st.pstats.Ssta.par_levels);
-    seq_levels =
-      (match istats with
-      | Some s -> s.Incremental.seq_levels
-      | None -> st.pstats.Ssta.seq_levels);
-    max_level_width =
-      (match istats with
-      | Some s -> s.Incremental.max_level_width
-      | None -> st.pstats.Ssta.max_level_width);
-  }
-  in
-  publish_stats ~mode:"stat" result_stats;
-  result_stats
+    ~reduce:(fun st -> Core.reduce st ~cutoff:1 (pass cfg settles))
+    d model
 
 (**/**)
 
 module Private = struct
-  let violation = violation_
-  let est_yield_cost = est_yield_cost_
+  let violation = Core.violation
+  let est_yield_cost = Core.est_yield_cost
 end

@@ -1,64 +1,42 @@
 (** Statistical yield-constrained leakage optimizer — the paper's core
-    contribution.
+    contribution, with the greedy commit policy.
 
     minimize  E[total leakage]
     s.t.      P(circuit delay ≤ tmax) ≥ η
 
-    over per-gate dual-Vth assignment and discrete sizing.
-
-    Machinery per greedy pass:
-    + a full SSTA (+ backward sweep) gives every gate the canonical
-      distribution of the worst path through it, T_g = A_g + S_g;
-    + a candidate move on gate g (raise threshold / downsize) shifts the
-      mean of T_g by the move's nominal delay delta δ_g; the estimated
-      yield cost is P(T_g + δ_g > tmax) − P(T_g > tmax);
-    + candidates are ranked by leakage saved per estimated yield cost
-      (the statistical sensitivity; see {!sensitivity} for the ablations)
-      and accepted while a yield budget lasts;
+    over per-gate dual-Vth assignment and discrete sizing.  {!Opt_core}
+    runs the optimizer — worst-path view, candidate ranking by leakage
+    saved per estimated yield cost, yield repair and alternation.  This
+    module decides how a pass commits the ranking:
+    + candidates are accepted while a yield budget lasts (a [yield_margin]
+      share of the headroom yield − η), without re-measuring;
     + every [refresh_every] accepted moves — or when the budget is
-      exhausted — an exact SSTA refresh re-measures yield; if the
-      constraint broke, the most recent moves are rolled back until it
+      exhausted — an exact yield re-measure checks the constraint; if it
+      broke, the most recent moves are undone, newest first, until it
       holds again.
 
     The estimate-and-refresh structure is what makes the optimizer
     near-linear in circuit size (T5) while never terminating in an
     infeasible state. *)
 
-type sensitivity =
-  | Stat_leak_per_yield
-      (** Δ E[leak] per estimated yield cost — the paper's metric *)
-  | Stat_leak_per_delay
-      (** Δ E[leak] per ps of local delay increase: statistically blind
-          timing ranking (A3 ablation) *)
-  | Nominal_leak_per_yield
-      (** Δ nominal leak per yield cost: variation-blind leakage ranking
-          (A3 ablation) *)
-  | P99_leak_per_yield
-      (** Δ 99th-percentile leak per yield cost: tail-driven ranking
-          (A3 ablation) *)
+include module type of struct include Opt_core.Types end
 
 type config = {
   tmax : float;           (** delay constraint, ps *)
-  eta : float;            (** timing-yield target, e.g. 0.95 *)
+  eta : float;            (** timing-yield target in (0, 1), e.g. 0.95 *)
   sensitivity : sensitivity;
   allow_vth : bool;
   allow_size : bool;
   max_passes : int;
-  refresh_every : int;    (** accepted moves between exact SSTA refreshes *)
+  refresh_every : int;    (** accepted moves between exact re-measures *)
   yield_margin : float;   (** fraction of (yield − η) spendable between
-                              refreshes, in (0, 1] *)
-  incremental : bool;     (** drive refreshes through the cone-limited
-                              {!Sl_ssta.Incremental} engine instead of a
-                              from-scratch SSTA each time.  The engine is
-                              bit-identical to full analysis at every
-                              refresh point, so results (moves, yield,
-                              leakage) do not change — only wall-clock *)
-  partition : bool;       (** drive refreshes through the partition-parallel
+                              re-measures, in (0, 1] *)
+  partition : bool;       (** drive timing through the partition-parallel
                               {!Sl_ssta.Hier} engine: register-boundary
                               cones re-timed concurrently on [jobs]
                               domains, stitched through canonical boundary
                               macromodels.  Bit-identical to the flat
-                              engine at every refresh point — trajectories,
+                              engine at every re-measure — trajectories,
                               leakage and yield do not change.  Falls back
                               to the flat engine transparently when the
                               netlist does not decompose
@@ -67,97 +45,22 @@ type config = {
                               [assert] that the incremental state agrees
                               bit-for-bit with a from-scratch analysis
                               (compiled out under [-noassert]) *)
-  jobs : int;             (** domains for level-parallel SSTA propagation
-                              inside every refresh (full or incremental).
-                              Bit-identical for every value — the
-                              trajectory cannot change, only wall-clock *)
+  jobs : int;             (** domains for level-parallel propagation and
+                              candidate ranking.  Bit-identical for every
+                              value — only wall-clock changes *)
 }
 
 val default_config : tmax:float -> eta:float -> config
-(** Paper metric, both knobs, 25 passes, refresh every 25 moves,
-    margin 0.5, incremental engine on, partition off, audit off. *)
-
-type stats = {
-  feasible : bool;        (** η met at exit (SSTA-verified) *)
-  vth_moves : int;
-  size_moves : int;
-  trials : int;           (** candidate evaluations *)
-  refreshes : int;        (** exact SSTA re-measure points (full analyses,
-                              incremental syncs and snapshot rollbacks) *)
-  rollbacks : int;        (** moves undone after a failed refresh *)
-  final_yield : float;    (** SSTA yield at exit *)
-  full_refreshes : int;   (** O(n) from-scratch analyses among the above *)
-  incr_updates : int;     (** single-gate incremental timing updates *)
-  propagated_gates : int; (** arrival + required-time recomputations over
-                              all incremental updates *)
-  mean_cone : float;      (** mean arrival recomputations per update — the
-                              effective dirty-cone size *)
-  max_cone : int;
-  cutoffs : int;          (** recomputations cut off by exact equality *)
-  time_refresh : float;   (** seconds inside refresh/sync/rollback *)
-  time_candidates : float;(** seconds inside candidate collection *)
-  par_levels : int;       (** level batches run on domains (see [jobs]) *)
-  seq_levels : int;       (** level batches run inline (below threshold) *)
-  max_level_width : int;  (** widest level batch seen — threshold evidence *)
-}
-
-type progress = {
-  stage : string;          (** "fix_yield" | "reduce" | "alternation" *)
-  moves_committed : int;   (** vth + size moves currently applied *)
-  cur_yield : float;       (** SSTA yield at the last exact re-measure *)
-  leak_mean : float;       (** E[total leakage] now, nA *)
-}
-(** One streaming status point of a long-running optimization — what the
-    serve daemon forwards to clients as progress frames.  Also the shape
-    {!Batch_opt} reports. *)
+(** Paper metric, both knobs, 25 passes, re-measure every 25 moves,
+    margin 0.5, partition off, audit off. *)
 
 val optimize :
   ?progress:(progress -> unit) -> config -> Sl_tech.Design.t -> Sl_variation.Model.t ->
   stats
 (** Mutates the design in place.  [progress] (default: none) is invoked
-    at every exact re-measure point; it must not mutate the design and
-    has no effect on the trajectory. *)
-
-(** {2 Candidate ranking}
-
-    The scoring core, shared with {!Batch_opt} so both optimizers rank
-    moves by the exact same formula — in both directions: leakage
-    reduction and yield repair. *)
-
-type candidate = {
-  score : float;              (** sensitivity value; [infinity] = free win *)
-  kind : [ `Vth | `Size ];
-  gate : int;
-  est_cost : float;           (** estimated yield cost of the move *)
-}
-
-val rank_candidates :
-  sensitivity:sensitivity ->
-  allow_vth:bool ->
-  allow_size:bool ->
-  tmax:float ->
-  memo:Sl_tech.Memo.t ->
-  leak:Sl_leakage.Leak_ssta.t ->
-  path_mu:float array ->
-  path_sigma:float array ->
-  ?eligible:(int -> [ `Vth | `Size ] -> bool) ->
-  ?jobs:int ->
-  ?direction:[ `Reduce | `Repair ] ->
-  Sl_tech.Design.t ->
-  candidate list
-(** Every eligible single-gate move scored against the given worst-path
-    view, best first.  [`Reduce] (the default direction) ranks leakage
-    reductions (raise threshold by one / downsize by one) by the
-    sensitivity metric; [`Repair] ranks yield repairs (upsize by one) by
-    violation probability, with [est_cost] 0 — the ranking both
-    optimizers' fix_yield phases consume.  The order is fully
-    deterministic: score descending, ties broken by gate id descending
-    then [`Size] before [`Vth].  [eligible] (default: all) filters moves
-    before they are scored.  [jobs] (default 1) fans the per-gate scan
-    out over the domain pool when the memo is frozen — the candidate
-    list is identical for every value (slot-per-gate scan, total order);
-    with an unfrozen memo the scan stays sequential (worker domains must
-    not fill the table). *)
+    at every exact re-measure point of a pass and after each phase; it
+    must not mutate the design and has no effect on the trajectory.
+    @raise Invalid_argument if [eta] is outside (0, 1). *)
 
 (**/**)
 

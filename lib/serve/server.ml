@@ -9,8 +9,7 @@ module Cell_lib = Sl_tech.Cell_lib
 module Liberty = Sl_tech.Liberty
 module Incremental = Sl_ssta.Incremental
 module Setup = Statleak.Setup
-module Stat_opt = Sl_opt.Stat_opt
-module Batch_opt = Sl_opt.Batch_opt
+module Opt_core = Sl_opt.Opt_core
 module Yield_seq = Sl_yield.Seq
 module Estimate = Sl_yield.Estimate
 module Log = Sl_obs.Log
@@ -424,8 +423,9 @@ let op_optimize t fd req =
   let name = req_session req in
   Metrics.incr (session_optimizes name);
   with_session t name (fun s ->
+      let mode_name = Option.get (Json.str ~default:"stat" "mode" req) in
       let mode =
-        match Option.get (Json.str ~default:"stat" "mode" req) with
+        match mode_name with
         | "stat" -> `Stat
         | "batch" -> `Batch
         | other -> failwith (Printf.sprintf "unknown mode %S (use stat or batch)" other)
@@ -435,43 +435,32 @@ let op_optimize t fd req =
       if jobs < 1 then failwith "jobs must be >= 1";
       let partition = Option.get (Json.bool ~default:false "partition" req) in
       let detail = Option.get (Json.bool ~default:false "detail" req) in
-      let progress (p : Stat_opt.progress) =
+      let progress (p : Opt_core.progress) =
         Protocol.send fd
           (Protocol.progress
              [
-               ("stage", Json.Str p.Stat_opt.stage);
-               ("moves", Json.Num (float_of_int p.Stat_opt.moves_committed));
-               ("yield", Json.Num p.Stat_opt.cur_yield);
-               ("leak_mean", Json.Num p.Stat_opt.leak_mean);
+               ("stage", Json.Str p.Opt_core.stage);
+               ("moves", Json.Num (float_of_int p.Opt_core.moves_committed));
+               ("yield", Json.Num p.Opt_core.cur_yield);
+               ("leak_mean", Json.Num p.Opt_core.leak_mean);
              ])
       in
-      let stats = Session.optimize ~progress ~jobs ~partition s ~mode ~eta in
+      let st = Session.optimize ~progress ~jobs ~partition s ~mode ~eta in
+      let count name v = (name, Json.Num (float_of_int v)) in
       let common =
-        match stats with
-        | Session.Stat_stats st ->
-          [
-            ("mode", Json.Str "stat");
-            ("feasible", Json.Bool st.Stat_opt.feasible);
-            ("vth_moves", Json.Num (float_of_int st.Stat_opt.vth_moves));
-            ("size_moves", Json.Num (float_of_int st.Stat_opt.size_moves));
-            ("trials", Json.Num (float_of_int st.Stat_opt.trials));
-            ("refreshes", Json.Num (float_of_int st.Stat_opt.refreshes));
-            ("rollbacks", Json.Num (float_of_int st.Stat_opt.rollbacks));
-          ]
-          @ Protocol.float_field "final_yield" st.Stat_opt.final_yield
-        | Session.Batch_stats st ->
-          [
-            ("mode", Json.Str "batch");
-            ("feasible", Json.Bool st.Batch_opt.feasible);
-            ("vth_moves", Json.Num (float_of_int st.Batch_opt.vth_moves));
-            ("size_moves", Json.Num (float_of_int st.Batch_opt.size_moves));
-            ("trials", Json.Num (float_of_int st.Batch_opt.trials));
-            ("passes", Json.Num (float_of_int st.Batch_opt.passes));
-            ("bands_committed", Json.Num (float_of_int st.Batch_opt.bands_committed));
-            ("bands_tried", Json.Num (float_of_int st.Batch_opt.bands_tried));
-            ("rollbacks", Json.Num (float_of_int st.Batch_opt.rollbacks));
-          ]
-          @ Protocol.float_field "final_yield" st.Batch_opt.final_yield
+        [
+          ("mode", Json.Str mode_name);
+          ("feasible", Json.Bool st.Opt_core.feasible);
+          count "vth_moves" st.Opt_core.vth_moves;
+          count "size_moves" st.Opt_core.size_moves;
+          count "trials" st.Opt_core.trials;
+          count "passes" st.Opt_core.passes;
+          count "refreshes" st.Opt_core.refreshes;
+          count "bands_committed" st.Opt_core.bands_committed;
+          count "bands_tried" st.Opt_core.bands_tried;
+          count "rollbacks" st.Opt_core.rollbacks;
+        ]
+        @ Protocol.float_field "final_yield" st.Opt_core.final_yield
       in
       let extra =
         ("digest", Json.Str (Design.assignment_digest s.Session.design))

@@ -197,24 +197,18 @@ let rollback t name =
 
 let savepoint_names t = List.map fst t.savepoints
 
-type opt_stats = Stat_stats of Stat_opt.stats | Batch_stats of Batch_opt.stats
-
 let optimize ?progress ?(jobs = 1) ?(partition = false) t ~mode ~eta =
   let model = t.setup.Setup.model in
   let stats =
     match mode with
     | `Stat ->
-      Stat_stats
-        (Stat_opt.optimize ?progress
-           { (Stat_opt.default_config ~tmax:t.tmax ~eta) with
-             Stat_opt.jobs; partition }
-           t.design model)
+      Stat_opt.optimize ?progress
+        { (Stat_opt.default_config ~tmax:t.tmax ~eta) with Stat_opt.jobs; partition }
+        t.design model
     | `Batch ->
-      Batch_stats
-        (Batch_opt.optimize ?progress
-           { (Batch_opt.default_config ~tmax:t.tmax ~eta) with
-             Batch_opt.jobs; partition }
-           t.design model)
+      Batch_opt.optimize ?progress
+        { (Batch_opt.default_config ~tmax:t.tmax ~eta) with Batch_opt.jobs; partition }
+        t.design model
   in
   (* the optimizer ran its own engine over our design; re-base ours *)
   Incremental.rebuild t.engine;

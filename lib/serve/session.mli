@@ -100,15 +100,11 @@ val rollback : t -> string -> int
 
 val savepoint_names : t -> string list
 
-type opt_stats =
-  | Stat_stats of Sl_opt.Stat_opt.stats
-  | Batch_stats of Sl_opt.Batch_opt.stats
-
 val optimize :
-  ?progress:(Sl_opt.Stat_opt.progress -> unit) ->
+  ?progress:(Sl_opt.Opt_core.progress -> unit) ->
   ?jobs:int ->
   ?partition:bool ->
-  t -> mode:[ `Stat | `Batch ] -> eta:float -> opt_stats
+  t -> mode:[ `Stat | `Batch ] -> eta:float -> Sl_opt.Opt_core.stats
 (** Run the requested optimizer on the session design with the session's
     [tmax] and the optimizer's default configuration — exactly what the
     one-shot [statleak optimize --mode stat|batch] CLI runs, so the move

@@ -18,6 +18,7 @@ module Canonical = Sl_ssta.Canonical
 module Leak_ssta = Sl_leakage.Leak_ssta
 module Stat_opt = Sl_opt.Stat_opt
 module Batch_opt = Sl_opt.Batch_opt
+module Setup = Statleak.Setup
 
 let setup name =
   let c = Option.get (Benchmarks.by_name name) in
@@ -99,6 +100,109 @@ let test_vs_stat name () =
       true
       (st_b.Batch_opt.propagated_gates < st_s.Stat_opt.propagated_gates)
 
+(* ---------- exact trajectory pins ----------
+
+   The banded trajectory, pinned move for move: the set-up of the greedy
+   optimizer's seed pins (test_incremental.ml) — tmax = 1.25·D0, eta =
+   0.95, default config — with E[leak] from a fresh Leak_ssta of the
+   final design and the final yield compared as IEEE bits. *)
+
+type batch_pin = {
+  b_name : string;
+  b_vth : int;
+  b_size : int;
+  b_trials : int;
+  b_passes : int;
+  b_committed : int;
+  b_tried : int;
+  b_rolled_back : int;
+  b_bisections : int;
+  b_rollbacks : int;
+  b_yield_bits : string;
+  b_eleak : float;
+  b_digest : string;
+  b_props : int;
+}
+
+let batch_pins =
+  [
+    {
+      b_name = "c17";
+      b_vth = 6;
+      b_size = 11;
+      b_trials = 62;
+      b_passes = 10;
+      b_committed = 6;
+      b_tried = 15;
+      b_rolled_back = 9;
+      b_bisections = 7;
+      b_rollbacks = 39;
+      b_yield_bits = "3feff25f640bd151";
+      b_eleak = 28.398471389682072;
+      b_digest = "v[0,6]/s[2,2,1,1,0,0,0]";
+      b_props = 130;
+    };
+    {
+      b_name = "add32";
+      b_vth = 160;
+      b_size = 282;
+      b_trials = 708;
+      b_passes = 7;
+      b_committed = 7;
+      b_tried = 8;
+      b_rolled_back = 1;
+      b_bisections = 1;
+      b_rollbacks = 128;
+      b_yield_bits = "3fee810eefb22b03";
+      b_eleak = 695.76254904721111;
+      b_digest = "v[0,160]/s[120,40,0,0,0,0,0]";
+      b_props = 1746;
+    };
+    {
+      b_name = "mult8";
+      b_vth = 320;
+      b_size = 570;
+      b_trials = 2234;
+      b_passes = 17;
+      b_committed = 18;
+      b_tried = 19;
+      b_rolled_back = 1;
+      b_bisections = 1;
+      b_rollbacks = 192;
+      b_yield_bits = "3fee9532c8ae3478";
+      b_eleak = 1464.6511619228534;
+      b_digest = "v[0,320]/s[252,65,3,0,0,0,0]";
+      b_props = 7093;
+    };
+  ]
+
+let test_batch_pins () =
+  List.iter
+    (fun p ->
+      let s = Setup.of_benchmark p.b_name in
+      let tmax = Setup.tmax s ~factor:1.25 in
+      let d = Setup.fresh_design s in
+      let st = Batch_opt.optimize (Batch_opt.default_config ~tmax ~eta:0.95) d s.Setup.model in
+      let tag what = Printf.sprintf "%s: %s" p.b_name what in
+      let int what expected actual = Alcotest.(check int) (tag what) expected actual in
+      int "vth_moves" p.b_vth st.Batch_opt.vth_moves;
+      int "size_moves" p.b_size st.Batch_opt.size_moves;
+      int "trials" p.b_trials st.Batch_opt.trials;
+      int "passes" p.b_passes st.Batch_opt.passes;
+      int "bands committed" p.b_committed st.Batch_opt.bands_committed;
+      int "bands tried" p.b_tried st.Batch_opt.bands_tried;
+      int "bands rolled back" p.b_rolled_back st.Batch_opt.bands_rolled_back;
+      int "bisections" p.b_bisections st.Batch_opt.bisections;
+      int "rollbacks" p.b_rollbacks st.Batch_opt.rollbacks;
+      int "propagated gates" p.b_props st.Batch_opt.propagated_gates;
+      Alcotest.(check string) (tag "final yield bits") p.b_yield_bits
+        (Printf.sprintf "%016Lx" (Int64.bits_of_float st.Batch_opt.final_yield));
+      let eleak = Leak_ssta.mean (Leak_ssta.create d s.Setup.model) in
+      Alcotest.(check string) (tag "E[leak]")
+        (Printf.sprintf "%.17g" p.b_eleak) (Printf.sprintf "%.17g" eleak);
+      Alcotest.(check string) (tag "digest") p.b_digest (Design.assignment_digest d))
+    batch_pins
+
 (* ---------- determinism and knobs ---------- *)
 
 let test_deterministic () =
@@ -111,9 +215,10 @@ let test_deterministic () =
   let v2, s2, st2 = run () in
   Alcotest.(check (array int)) "vth assignment" v1 v2;
   Alcotest.(check (array int)) "size assignment" s1 s2;
-  Alcotest.(check bool) "identical stats" true
-    ({ st1 with Batch_opt.time_total = 0.0 }
-    = { st2 with Batch_opt.time_total = 0.0 })
+  let untimed st =
+    { st with Batch_opt.time_refresh = 0.0; time_candidates = 0.0; time_total = 0.0 }
+  in
+  Alcotest.(check bool) "identical stats" true (untimed st1 = untimed st2)
 
 let test_knobs () =
   let d, model, tmax = setup "add32" in
@@ -188,6 +293,8 @@ let suite =
           (test_vs_stat "add32");
         Alcotest.test_case "vs stat_opt: parity and <=1% leak (mult8)" `Slow
           (test_vs_stat "mult8");
+        Alcotest.test_case "trajectory pins (c17, add32, mult8)" `Slow
+          test_batch_pins;
         Alcotest.test_case "deterministic" `Quick test_deterministic;
         Alcotest.test_case "knob gating" `Quick test_knobs;
         Alcotest.test_case "jobs=2 trajectory identity (wide levels)" `Slow

@@ -114,6 +114,24 @@ let test_unparsable_lib_file () =
   Sys.remove path;
   check_clean_error "garbage library" r path
 
+(* Bad flag values are usage errors: one line, exit 2, before any work —
+   never a library exception surfacing as an internal error. *)
+let test_rejects_bad_flag_values () =
+  List.iter
+    (fun (args, needle) ->
+      let ((code, out) as r) = run args in
+      check_clean_error args r needle;
+      if code <> 2 then Alcotest.failf "%s: exit %d, expected 2\n%s" args code out)
+    [
+      ("optimize c17 --jobs 0 --samples 0", "--jobs");
+      ("mc c17 --samples 0", "--samples");
+      ("mc c17 --jobs 0", "--jobs");
+      ("yield c17 --jobs 0", "--jobs");
+      ("yield c17 --max-samples 0", "--max-samples");
+      ("optimize c17 --mode batch --eta 1.5", "--eta");
+      ("optimize c17 --eta 0", "--eta");
+    ]
+
 let test_profile_json () =
   let code, out =
     run "optimize c17 --mode stat --samples 0 --profile-json"
@@ -192,6 +210,7 @@ let suite =
           test_structurally_bad_bench_file;
         Alcotest.test_case "missing lib file" `Quick test_missing_lib_file;
         Alcotest.test_case "unparsable lib file" `Quick test_unparsable_lib_file;
+        Alcotest.test_case "rejects bad flag values" `Quick test_rejects_bad_flag_values;
         Alcotest.test_case "profile json" `Quick test_profile_json;
         Alcotest.test_case "trace export" `Quick test_trace_export;
         Alcotest.test_case "client without server" `Quick test_client_no_server;

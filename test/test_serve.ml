@@ -13,6 +13,8 @@ module Memo = Sl_tech.Memo
 module Cell_lib = Sl_tech.Cell_lib
 module Setup = Statleak.Setup
 module Stat_opt = Sl_opt.Stat_opt
+module Batch_opt = Sl_opt.Batch_opt
+module Opt_core = Sl_opt.Opt_core
 module Protocol = Sl_serve.Protocol
 module Server = Sl_serve.Server
 module Client = Sl_serve.Client
@@ -249,7 +251,9 @@ let test_serve_bit_identity () =
 
 let ints_of_csv str = List.map int_of_string (String.split_on_char ',' str)
 
-let test_serve_optimize_parity () =
+(* The daemon's optimize must walk the one-shot CLI run's trajectory at
+   its defaults, in either commit policy. *)
+let test_serve_optimize_parity mode () =
   with_server (fun sock _ ->
       Client.with_connection ~socket:sock (fun c ->
           ignore (load c ~session:"opt" ~bench:"c17");
@@ -260,7 +264,7 @@ let test_serve_optimize_parity () =
               [
                 ("type", s "optimize");
                 ("session", s "opt");
-                ("mode", s "stat");
+                ("mode", s mode);
                 ("eta", n 0.95);
                 ("detail", Json.Bool true);
               ]
@@ -271,20 +275,27 @@ let test_serve_optimize_parity () =
           let d = Setup.fresh_design setup in
           let tmax = Setup.tmax setup ~factor:1.25 in
           let st =
-            Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.95) d
-              setup.Setup.model
+            if mode = "stat" then
+              Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.95) d
+                setup.Setup.model
+            else
+              Batch_opt.optimize (Batch_opt.default_config ~tmax ~eta:0.95) d
+                setup.Setup.model
           in
-          Alcotest.(check int) "vth moves" st.Stat_opt.vth_moves
+          Alcotest.(check string) "mode" mode (get_str "mode" resp);
+          Alcotest.(check int) "vth moves" st.Opt_core.vth_moves
             (get_int "vth_moves" resp);
-          Alcotest.(check int) "size moves" st.Stat_opt.size_moves
+          Alcotest.(check int) "size moves" st.Opt_core.size_moves
             (get_int "size_moves" resp);
-          Alcotest.(check int) "trials" st.Stat_opt.trials (get_int "trials" resp);
-          Alcotest.(check int) "refreshes" st.Stat_opt.refreshes
+          Alcotest.(check int) "trials" st.Opt_core.trials (get_int "trials" resp);
+          Alcotest.(check int) "refreshes" st.Opt_core.refreshes
             (get_int "refreshes" resp);
-          Alcotest.(check int) "rollbacks" st.Stat_opt.rollbacks
+          Alcotest.(check int) "rollbacks" st.Opt_core.rollbacks
             (get_int "rollbacks" resp);
+          Alcotest.(check int) "bands committed" st.Opt_core.bands_committed
+            (get_int "bands_committed" resp);
           Alcotest.(check string) "final yield bits"
-            (Protocol.bits_of_float st.Stat_opt.final_yield)
+            (Protocol.bits_of_float st.Opt_core.final_yield)
             (get_str "final_yield_bits" resp);
           let assignment = Option.get (Json.mem "assignment" resp) in
           Alcotest.(check (list int)) "vth assignment"
@@ -379,6 +390,8 @@ let test_serve_error_paths () =
           expect_error "negative load" (fun () ->
               edit c ~session:"x" ~op:"set-load" ~gate:"G10" ~value:(-1.0));
           expect_error "unknown type" (fun () -> rpc c [ ("type", s "warp") ]);
+          expect_error "yield target outside (0, 1)" (fun () ->
+              rpc c [ ("type", s "optimize"); ("session", s "x"); ("eta", n 1.5) ]);
           expect_error "netlist parse error" (fun () ->
               rpc c
                 [
@@ -452,7 +465,9 @@ let suite =
     ( "serve",
       [
         Alcotest.test_case "edit/rollback bit-identity" `Quick test_serve_bit_identity;
-        Alcotest.test_case "optimize parity" `Quick test_serve_optimize_parity;
+        Alcotest.test_case "optimize parity" `Quick (test_serve_optimize_parity "stat");
+        Alcotest.test_case "optimize parity (batch)" `Quick
+          (test_serve_optimize_parity "batch");
         Alcotest.test_case "eviction and restore" `Quick test_serve_eviction_restore;
         Alcotest.test_case "concurrent sessions" `Quick test_serve_concurrent_sessions;
         Alcotest.test_case "error paths" `Quick test_serve_error_paths;

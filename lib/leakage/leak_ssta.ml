@@ -159,12 +159,12 @@ let ln_if t id ~vth_idx ~size_idx =
   Cell_lib.ln_leak_nominal t.design.Design.lib g.Circuit.kind
     ~arity:(Array.length g.Circuit.fanin) ~size_idx ~vth_idx
 
-let mean_if t id ~vth_idx ~size_idx =
-  if not t.is_cell.(id) then mean t
+let mean_shift_if t id ~vth_idx ~size_idx =
+  if not t.is_cell.(id) then 0.0
   else begin
     let m_new = ln_if t id ~vth_idx ~size_idx in
     let c = t.cell.(id) in
-    mean t +. (exp (t.q.(c) /. 2.0) *. (ex m_new t.r2 -. ex t.m.(id) t.r2))
+    exp (t.q.(c) /. 2.0) *. (ex m_new t.r2 -. ex t.m.(id) t.r2)
   end
 
 let quantile_if t id ~vth_idx ~size_idx ~p =

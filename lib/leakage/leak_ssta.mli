@@ -50,10 +50,11 @@ val refresh : t -> unit
 (** Full recomputation (defends against floating-point drift after many
     incremental updates). *)
 
-val mean_if :
+val mean_shift_if :
   t -> int -> vth_idx:int -> size_idx:int -> float
-(** E[total leakage] if gate [id] were reassigned as given — evaluated
-    without mutating anything; the optimizer's what-if query. *)
+(** Change of E[total leakage] if gate [id] were reassigned as given —
+    evaluated in O(1) without mutating anything (0 for PIs); the
+    optimizer's what-if query, added to a [mean t] read once per scan. *)
 
 val quantile_if :
   t -> int -> vth_idx:int -> size_idx:int -> p:float -> float

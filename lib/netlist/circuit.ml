@@ -13,6 +13,7 @@ type t = {
   inputs : int array;
   outputs : int array;
   depth : int;
+  is_output : bool array;
 }
 
 let num_gates c = Array.length c.gates
@@ -33,7 +34,12 @@ let find c name =
   in
   loop 0
 
-let is_po c id = Array.exists (fun o -> o = id) c.outputs
+let is_po c id = c.is_output.(id)
+
+let output_flags n outputs =
+  let flags = Array.make n false in
+  Array.iter (fun o -> flags.(o) <- true) outputs;
+  flags
 
 let eval_all c ins =
   if Array.length ins <> Array.length c.inputs then
@@ -200,7 +206,8 @@ let partition_at_registers c =
             let depth =
               Array.fold_left (fun acc g -> Stdlib.max acc g.level) 0 gates
             in
-            { name = Printf.sprintf "%s#%d" c.name p; gates; inputs; outputs; depth })
+            let is_output = output_flags (Array.length gates) outputs in
+            { name = Printf.sprintf "%s#%d" c.name p; gates; inputs; outputs; depth; is_output })
           part_ids
       in
       Some { parts; part_of; local_of; part_ids }
@@ -323,5 +330,5 @@ module Builder = struct
     in
     if Array.length outputs = 0 then failwith "Circuit.Builder.build: no primary outputs";
     let depth = Array.fold_left (fun acc g -> Stdlib.max acc g.level) 0 gates in
-    { name = b.cname; gates; inputs; outputs; depth }
+    { name = b.cname; gates; inputs; outputs; depth; is_output = output_flags n outputs }
 end

@@ -21,6 +21,7 @@ type t = private {
   inputs : int array;          (** ids of primary-input nodes *)
   outputs : int array;         (** ids of gates driving primary outputs *)
   depth : int;                 (** max level over all gates *)
+  is_output : bool array;      (** gate id -> drives a primary output *)
 }
 
 val num_gates : t -> int
@@ -34,7 +35,8 @@ val find : t -> string -> gate option
 (** Look a gate up by net name (O(n); intended for tests and CLIs). *)
 
 val is_po : t -> int -> bool
-(** Whether gate [id] drives a primary output. *)
+(** Whether gate [id] drives a primary output.  O(1): reads
+    [is_output]. *)
 
 val eval : t -> bool array -> bool array
 (** [eval c ins] simulates the circuit; [ins] are primary-input values in
@@ -50,7 +52,7 @@ val levels : t -> int array array
 
 val fanout_cone : t -> int -> int array
 (** Ids of all gates in the transitive fanout of [id] (excluding [id]),
-    in topological order.  Used by incremental timing. *)
+    in topological order. *)
 
 val fanin_cone : t -> int -> int array
 (** Transitive fanin of [id] (excluding [id]), topological order. *)

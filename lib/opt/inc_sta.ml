@@ -1,6 +1,7 @@
 module Circuit = Sl_netlist.Circuit
 module Cell_kind = Sl_netlist.Cell_kind
 module Design = Sl_tech.Design
+module Sta = Sl_sta.Sta
 
 let feq (a : float) (b : float) =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -10,42 +11,25 @@ type t = {
   dvth : float;
   dl : float;
   delay : float array;
-  arrival : float array;
+  mutable arrival : float array;
   mutable dmax : float;
-  (* cone-limited propagation state *)
-  fcones : int array option array;
-  arr_dirty : bool array;
-  seed_flag : bool array;
-  region_flag : bool array;
+  (* event frontier: binary min-heap of gate ids awaiting a recompute,
+     duplicates allowed; empty between updates.  Its own int heap:
+     with Sl_util.Heap (float keys, an option per pop) `statleak
+     optimize mult16 --mode det` took twice as long. *)
+  mutable heap : int array;
+  mutable size : int;
 }
 
 let gate_delay t id = Design.gate_delay t.design id ~dvth:t.dvth ~dl:t.dl
-
-let recompute_dmax t =
-  let c = t.design.Design.circuit in
-  t.dmax <-
-    Array.fold_left (fun acc id -> Float.max acc t.arrival.(id)) 0.0 c.Circuit.outputs
-
-let sweep_arrivals t =
-  let c = t.design.Design.circuit in
-  Array.iter
-    (fun (g : Circuit.gate) ->
-      if g.Circuit.kind <> Cell_kind.Pi then begin
-        let worst = ref 0.0 in
-        Array.iter
-          (fun f -> if t.arrival.(f) > !worst then worst := t.arrival.(f))
-          g.Circuit.fanin;
-        t.arrival.(g.Circuit.id) <- !worst +. t.delay.(g.Circuit.id)
-      end)
-    c.Circuit.gates;
-  recompute_dmax t
 
 let refresh t =
   let c = t.design.Design.circuit in
   Array.iter
     (fun (g : Circuit.gate) -> t.delay.(g.Circuit.id) <- gate_delay t g.Circuit.id)
     c.Circuit.gates;
-  sweep_arrivals t
+  t.arrival <- Sta.arrivals c t.delay;
+  t.dmax <- Sta.dmax_of_arrivals c t.arrival
 
 let create ?(dvth = 0.0) ?(dl = 0.0) design =
   let n = Circuit.num_gates design.Design.circuit in
@@ -55,12 +39,10 @@ let create ?(dvth = 0.0) ?(dl = 0.0) design =
       dvth;
       dl;
       delay = Array.make n 0.0;
-      arrival = Array.make n 0.0;
+      arrival = [||];
       dmax = 0.0;
-      fcones = Array.make n None;
-      arr_dirty = Array.make n false;
-      seed_flag = Array.make n false;
-      region_flag = Array.make n false;
+      heap = Array.make 64 0;
+      size = 0;
     }
   in
   refresh t;
@@ -70,112 +52,74 @@ let dmax t = t.dmax
 let arrival t id = t.arrival.(id)
 let delay t id = t.delay.(id)
 
-let fcone t id =
-  match t.fcones.(id) with
-  | Some c -> c
-  | None ->
-    let c = Circuit.fanout_cone t.design.Design.circuit id in
-    t.fcones.(id) <- Some c;
-    c
+let push t id =
+  if t.size = Array.length t.heap then begin
+    let h = Array.make (2 * t.size) 0 in
+    Array.blit t.heap 0 h 0 t.size;
+    t.heap <- h
+  end;
+  let i = ref t.size in
+  t.size <- t.size + 1;
+  while !i > 0 && t.heap.((!i - 1) / 2) > id do
+    t.heap.(!i) <- t.heap.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  t.heap.(!i) <- id
 
-(* Sorted unique union of the seeds and their transitive fanout cones. *)
-let merge_region t seeds =
-  let acc = ref [] in
-  let add gid =
-    if not t.region_flag.(gid) then begin
-      t.region_flag.(gid) <- true;
-      acc := gid :: !acc
+let pop t =
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < t.size && t.heap.(l + 1) < t.heap.(l) then l + 1 else l in
+    if c < t.size && t.heap.(c) < last then begin
+      t.heap.(!i) <- t.heap.(c);
+      i := c
     end
-  in
-  List.iter
-    (fun s ->
-      add s;
-      Array.iter add (fcone t s))
-    seeds;
-  let region = Array.of_list !acc in
-  (* Int.compare, not polymorphic compare: the region is sorted on every
-     update, and the polymorphic version walks the generic comparison path
-     per element pair *)
-  Array.sort Int.compare region;
-  Array.iter (fun gid -> t.region_flag.(gid) <- false) region;
-  region
+    else sifting := false
+  done;
+  t.heap.(!i) <- last;
+  top
 
 let update_gate t id =
   (* a size change alters this gate's drive and its drivers' loads; a
      threshold change only its own delay.  Refreshing the fanin delays too
      covers both cases. *)
   let c = t.design.Design.circuit in
-  let g = Circuit.gate c id in
-  (* cone-limited: only gates whose delay word actually changed seed a
-     re-propagation through their fanout cones, in topological order,
-     stopping below any gate whose recomputed arrival is bit-identical.
-     The recomputed values equal a full sweep's exactly (same fold). *)
-  let seeds = ref [] in
   let refresh_delay gid =
-    let gg = Circuit.gate c gid in
-    if gg.Circuit.kind <> Cell_kind.Pi then begin
+    if (Circuit.gate c gid).Circuit.kind <> Cell_kind.Pi then begin
       let nd = gate_delay t gid in
       if not (feq nd t.delay.(gid)) then begin
         t.delay.(gid) <- nd;
-        if not t.seed_flag.(gid) then begin
-          t.seed_flag.(gid) <- true;
-          seeds := gid :: !seeds
-        end
+        push t gid
       end
     end
   in
   refresh_delay id;
-  Array.iter refresh_delay g.Circuit.fanin;
-  match !seeds with
-  | [] -> ()
-  | seed_list ->
-    let region = merge_region t seed_list in
-    let touched = ref [] in
-    let out_dirty = ref false in
-    Array.iter
-      (fun gid ->
-        let gg = Circuit.gate c gid in
-        if gg.Circuit.kind <> Cell_kind.Pi then begin
-          let must =
-            t.seed_flag.(gid)
-            || Array.exists (fun f -> t.arr_dirty.(f)) gg.Circuit.fanin
-          in
-          if must then begin
-            let worst = ref 0.0 in
-            Array.iter
-              (fun f -> if t.arrival.(f) > !worst then worst := t.arrival.(f))
-              gg.Circuit.fanin;
-            let na = !worst +. t.delay.(gid) in
-            if not (feq na t.arrival.(gid)) then begin
-              t.arrival.(gid) <- na;
-              t.arr_dirty.(gid) <- true;
-              touched := gid :: !touched;
-              if Circuit.is_po c gid then out_dirty := true
-            end
-          end
-        end)
-      region;
-    List.iter (fun gid -> t.arr_dirty.(gid) <- false) !touched;
-    List.iter (fun gid -> t.seed_flag.(gid) <- false) seed_list;
-    if !out_dirty then recompute_dmax t
-
-let slacks t ~tmax =
-  let c = t.design.Design.circuit in
-  let n = Circuit.num_gates c in
-  let required = Array.make n infinity in
-  Array.iter
-    (fun id -> required.(id) <- Float.min required.(id) tmax)
-    c.Circuit.outputs;
-  for i = n - 1 downto 0 do
-    let g = c.Circuit.gates.(i) in
-    let r = required.(g.Circuit.id) in
-    if Float.is_finite r then begin
-      let avail = r -. t.delay.(g.Circuit.id) in
-      Array.iter
-        (fun f -> if avail < required.(f) then required.(f) <- avail)
-        g.Circuit.fanin
+  Array.iter refresh_delay (Circuit.gate c id).Circuit.fanin;
+  (* Event-driven frontier.  Ids are a topological order and a gate only
+     ever pushes its fanouts (larger ids), so popping in increasing id
+     recomputes each gate after every fanin that could still change.  A
+     gate is recomputed iff its delay word changed or a fanin's arrival
+     word changed, with Sta's own fold: the words equal a full sweep's. *)
+  let out_dirty = ref false in
+  while t.size > 0 do
+    let gid = pop t in
+    while t.size > 0 && t.heap.(0) = gid do
+      ignore (pop t)
+    done;
+    let g = Circuit.gate c gid in
+    let na = Sta.gate_arrival t.arrival t.delay g in
+    if not (feq na t.arrival.(gid)) then begin
+      t.arrival.(gid) <- na;
+      Array.iter (push t) g.Circuit.fanout;
+      if Circuit.is_po c gid then out_dirty := true
     end
   done;
-  Array.init n (fun i ->
-      let r = if Float.is_finite required.(i) then required.(i) else tmax in
-      r -. t.arrival.(i))
+  if !out_dirty then t.dmax <- Sta.dmax_of_arrivals c t.arrival
+
+let slacks t ~tmax =
+  let required = Sta.required_times t.design.Design.circuit t.delay ~tmax in
+  Array.mapi (fun i r -> r -. t.arrival.(i)) required

@@ -285,7 +285,11 @@ let scan ~eligible ~direction st =
   let slots = Array.make (2 * n) None in
   let consider gate kind ~vth_idx ~size_idx ~delta =
     if delta <> 0.0 then begin
-      let dleak_stat = leak_mean_now -. Leak_ssta.mean_if leak gate ~vth_idx ~size_idx in
+      (* the what-if mean is [mean +. shift], the mean read once per scan *)
+      let dleak_stat =
+        leak_mean_now
+        -. (leak_mean_now +. Leak_ssta.mean_shift_if leak gate ~vth_idx ~size_idx)
+      in
       if dleak_stat <= 0.0 then None
       else if delta > 0.0 then begin
         let est_cost = est_yield_cost ~path_mu ~path_sigma ~tmax gate ~delta in

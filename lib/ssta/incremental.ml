@@ -91,8 +91,6 @@ type t = {
   jobs : int;
   par_threshold : int;
   levels : int array array;
-  (* gate id -> drives a primary output; Circuit.is_po is a linear scan *)
-  po : bool array;
   zero : Canonical.t;
   gate_delay : Canonical.t array;
   arrival : Canonical.t array;
@@ -177,7 +175,10 @@ let recompute_bwd t (g : Circuit.gate) =
     Array.to_list g.Circuit.fanout
     |> List.map (fun fo -> Canonical.add t.gate_delay.(fo) t.bwd.(fo))
   in
-  let terms = if t.po.(g.Circuit.id) then t.zero :: terms else terms in
+  let terms =
+    if Circuit.is_po t.design.Design.circuit g.Circuit.id then t.zero :: terms
+    else terms
+  in
   match terms with
   | [] -> None (* dead gate: backward stays zero forever *)
   | tm :: rest -> Some (List.fold_left Canonical.max2 tm rest)
@@ -262,8 +263,6 @@ let create ?memo ?(jobs = 1) ?(par_threshold = Ssta.default_par_threshold)
   let n = Circuit.num_gates d.Design.circuit in
   let num_pcs = Model.num_pcs model in
   let zero = Canonical.constant ~num_pcs 0.0 in
-  let po = Array.make n false in
-  Array.iter (fun o -> po.(o) <- true) d.Design.circuit.Circuit.outputs;
   let t =
     {
       design = d;
@@ -274,7 +273,6 @@ let create ?memo ?(jobs = 1) ?(par_threshold = Ssta.default_par_threshold)
       jobs = (if jobs < 1 then invalid_arg "Incremental.create: jobs < 1" else jobs);
       par_threshold;
       levels = Circuit.levels d.Design.circuit;
-      po;
       zero;
       gate_delay = Array.make n zero;
       arrival = Array.make n zero;
@@ -452,7 +450,7 @@ let sync_impl ~paths t =
               t.arr_dirty.(gid) <- true;
               touched := gid :: !touched;
               mark_path_dirty t gid;
-              if t.po.(gid) then t.out_dirty <- true
+              if Circuit.is_po c gid then t.out_dirty <- true
             end
           done
         end)

@@ -168,14 +168,12 @@ let backward ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats circuit
   @@ fun () ->
   let num_pcs = Canonical.num_pcs res.circuit_delay in
   let zero = Canonical.constant ~num_pcs 0.0 in
-  let po = Array.make n false in
-  Array.iter (fun o -> po.(o) <- true) circuit.Circuit.outputs;
   let sa = Arena.create ~n ~num_pcs in
   let bwd_gate sc tm gid =
     let g = circuit.Circuit.gates.(gid) in
     let fanout = g.Circuit.fanout in
     let len = Array.length fanout in
-    if po.(gid) then begin
+    if Circuit.is_po circuit gid then begin
       (* PO driver: the zero term heads the fold *)
       Arena.load_zero sc;
       for k = 0 to len - 1 do

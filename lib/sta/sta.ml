@@ -24,15 +24,20 @@ let delays ?dvth ?dl (d : Design.t) =
   Array.init n (fun id ->
       Design.gate_delay d id ~dvth:(get dvth id) ~dl:(get dl id))
 
+let gate_arrival arrival delay (g : Circuit.gate) =
+  let fanin = g.Circuit.fanin in
+  let worst = ref 0.0 in
+  for k = 0 to Array.length fanin - 1 do
+    let a = arrival.(fanin.(k)) in
+    if a > !worst then worst := a
+  done;
+  !worst +. delay.(g.Circuit.id)
+
 let arrivals ?(jobs = 1) ?(par_threshold = default_par_threshold) circuit delay =
   let n = Circuit.num_gates circuit in
   let arr = Array.make n 0.0 in
   let one (g : Circuit.gate) =
-    if g.Circuit.kind <> Cell_kind.Pi then begin
-      let worst = ref 0.0 in
-      Array.iter (fun f -> if arr.(f) > !worst then worst := arr.(f)) g.Circuit.fanin;
-      arr.(g.Circuit.id) <- !worst +. delay.(g.Circuit.id)
-    end
+    if g.Circuit.kind <> Cell_kind.Pi then arr.(g.Circuit.id) <- gate_arrival arr delay g
   in
   if jobs <= 1 then Array.iter one circuit.Circuit.gates
   else
@@ -55,15 +60,10 @@ let dmax_of_arrivals circuit arrival =
     (fun acc id -> Float.max acc arrival.(id))
     0.0 circuit.Circuit.outputs
 
-let analyze ?dvth ?dl ?tmax ?jobs (d : Design.t) =
-  let circuit = d.Design.circuit in
-  let delay = delays ?dvth ?dl d in
-  let arrival = arrivals ?jobs circuit delay in
-  let dmax = dmax_of_arrivals circuit arrival in
-  let t = match tmax with Some t -> t | None -> dmax in
+let required_times circuit delay ~tmax =
   let n = Circuit.num_gates circuit in
   let required = Array.make n infinity in
-  Array.iter (fun id -> required.(id) <- Float.min required.(id) t) circuit.Circuit.outputs;
+  Array.iter (fun id -> required.(id) <- Float.min required.(id) tmax) circuit.Circuit.outputs;
   (* backward sweep in reverse topological order *)
   for i = n - 1 downto 0 do
     let g = circuit.Circuit.gates.(i) in
@@ -77,9 +77,18 @@ let analyze ?dvth ?dl ?tmax ?jobs (d : Design.t) =
   done;
   (* gates feeding nothing observable get full freedom *)
   for i = 0 to n - 1 do
-    if not (Float.is_finite required.(i)) then required.(i) <- t
+    if not (Float.is_finite required.(i)) then required.(i) <- tmax
   done;
-  let slack = Array.init n (fun i -> required.(i) -. arrival.(i)) in
+  required
+
+let analyze ?dvth ?dl ?tmax ?jobs (d : Design.t) =
+  let circuit = d.Design.circuit in
+  let delay = delays ?dvth ?dl d in
+  let arrival = arrivals ?jobs circuit delay in
+  let dmax = dmax_of_arrivals circuit arrival in
+  let tmax = match tmax with Some t -> t | None -> dmax in
+  let required = required_times circuit delay ~tmax in
+  let slack = Array.mapi (fun i r -> r -. arrival.(i)) required in
   { delay; arrival; required; slack; dmax }
 
 let dmax ?dvth ?dl ?jobs d =

@@ -30,6 +30,17 @@ val arrivals :
     parallelizes across dies, not within a sweep — leave [jobs] at 1
     inside per-die evaluators. *)
 
+val gate_arrival : float array -> float array -> Sl_netlist.Circuit.gate -> float
+(** [gate_arrival arrival delay g]: the forward fold of one non-PI gate,
+    shared by every full and incremental deterministic sweep. *)
+
+val dmax_of_arrivals : Sl_netlist.Circuit.t -> float array -> float
+(** Max arrival over the primary outputs (at least 0). *)
+
+val required_times :
+  Sl_netlist.Circuit.t -> float array -> tmax:float -> float array
+(** Backward sweep given per-gate delays; unobservable gates get [tmax]. *)
+
 val analyze :
   ?dvth:float array -> ?dl:float array -> ?tmax:float -> ?jobs:int ->
   Sl_tech.Design.t -> result

@@ -78,11 +78,11 @@ let drive_res t kind ~arity ~size_idx ~vth_idx =
 let self_load t kind ~arity ~size_idx = (entry t kind ~arity).self.(size_idx)
 let input_cap t kind ~arity ~size_idx = (entry t kind ~arity).cap.(size_idx)
 
-(* Mirrors Design.load exactly: (fanout pins + wire + PO cap) + self, with
-   the same fold and summation order, reading caps from the tables. *)
-let load_at t (d : Design.t) id ~size_idx =
+(* Mirrors Design.external_load exactly: (fanout pins + wire) + PO cap +
+   extra, with the same fold and summation order, reading caps from the
+   tables.  It does not depend on the gate's own assignment. *)
+let external_load t (d : Design.t) id =
   let c = d.Design.circuit in
-  let g = Circuit.gate c id in
   let wire = d.Design.lib.Cell_lib.tech.Tech.c_wire in
   let fanout_cap =
     Array.fold_left
@@ -91,34 +91,38 @@ let load_at t (d : Design.t) id ~size_idx =
         acc +. wire
         +. input_cap t go.Circuit.kind ~arity:(Array.length go.Circuit.fanin)
              ~size_idx:d.Design.size_idx.(fo))
-      0.0 g.Circuit.fanout
+      0.0 (Circuit.gate c id).Circuit.fanout
   in
   let po_cap =
     if Circuit.is_po c id then d.Design.lib.Cell_lib.tech.Tech.c_out else 0.0
   in
-  let self =
-    if g.Circuit.kind = Cell_kind.Pi then 0.0
-    else self_load t g.Circuit.kind ~arity:(Array.length g.Circuit.fanin) ~size_idx
-  in
-  (* same association as Design.load = ((fanout + po) + extra) + self *)
-  fanout_cap +. po_cap +. d.Design.extra_load.(id) +. self
+  fanout_cap +. po_cap +. d.Design.extra_load.(id)
+
+(* A non-PI gate's delay at (vth_idx, size_idx) given its external load:
+   the same association as Design.load = ((fanout + po) + extra) + self *)
+let delay_with t (g : Circuit.gate) ~ext ~vth_idx ~size_idx =
+  let arity = Array.length g.Circuit.fanin in
+  drive_res t g.Circuit.kind ~arity ~size_idx ~vth_idx
+  *. (ext +. self_load t g.Circuit.kind ~arity ~size_idx)
 
 let gate_delay_at t (d : Design.t) id ~vth_idx ~size_idx =
   let g = Circuit.gate d.Design.circuit id in
   if g.Circuit.kind = Cell_kind.Pi then 0.0
-  else begin
-    let r =
-      drive_res t g.Circuit.kind ~arity:(Array.length g.Circuit.fanin) ~size_idx
-        ~vth_idx
-    in
-    r *. load_at t d id ~size_idx
-  end
+  else delay_with t g ~ext:(external_load t d id) ~vth_idx ~size_idx
 
 let gate_delay t d id =
   gate_delay_at t d id ~vth_idx:d.Design.vth_idx.(id) ~size_idx:d.Design.size_idx.(id)
 
-let delay_delta t d id ~vth_idx ~size_idx =
-  gate_delay_at t d id ~vth_idx ~size_idx -. gate_delay t d id
+(* both points share one external-load fold *)
+let delay_delta t (d : Design.t) id ~vth_idx ~size_idx =
+  let g = Circuit.gate d.Design.circuit id in
+  if g.Circuit.kind = Cell_kind.Pi then 0.0
+  else begin
+    let ext = external_load t d id in
+    delay_with t g ~ext ~vth_idx ~size_idx
+    -. delay_with t g ~ext ~vth_idx:d.Design.vth_idx.(id)
+         ~size_idx:d.Design.size_idx.(id)
+  end
 
 let gate_delay_sens t (d : Design.t) id =
   let g = Circuit.gate d.Design.circuit id in

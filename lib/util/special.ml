@@ -2,28 +2,29 @@ let sqrt2 = sqrt 2.0
 let inv_sqrt_2pi = 1.0 /. sqrt (2.0 *. Float.pi)
 
 (* Chebyshev-fitted erfc (Numerical Recipes style): fractional error below
-   1.2e-7 for all x, monotone, and well-behaved in both tails. *)
+   1.2e-7 for all x, monotone, and well-behaved in both tails.  Tables are
+   module-level: a literal in a function body is copied on every call. *)
+let erfc_cof =
+  [| -1.3026537197817094; 6.4196979235649026e-1; 1.9476473204185836e-2;
+     -9.561514786808631e-3; -9.46595344482036e-4; 3.66839497852761e-4;
+     4.2523324806907e-5; -2.0278578112534e-5; -1.624290004647e-6;
+     1.303655835580e-6; 1.5626441722e-8; -8.5238095915e-8;
+     6.529054439e-9; 5.059343495e-9; -9.91364156e-10;
+     -2.27365122e-10; 9.6467911e-11; 2.394038e-12;
+     -6.886027e-12; 8.94487e-13; 3.13092e-13;
+     -1.12708e-13; 3.81e-16; 7.106e-15 |]
+
 let erfc x =
   let z = Float.abs x in
   let t = 2.0 /. (2.0 +. z) in
   let ty = (4.0 *. t) -. 2.0 in
-  let cof =
-    [| -1.3026537197817094; 6.4196979235649026e-1; 1.9476473204185836e-2;
-       -9.561514786808631e-3; -9.46595344482036e-4; 3.66839497852761e-4;
-       4.2523324806907e-5; -2.0278578112534e-5; -1.624290004647e-6;
-       1.303655835580e-6; 1.5626441722e-8; -8.5238095915e-8;
-       6.529054439e-9; 5.059343495e-9; -9.91364156e-10;
-       -2.27365122e-10; 9.6467911e-11; 2.394038e-12;
-       -6.886027e-12; 8.94487e-13; 3.13092e-13;
-       -1.12708e-13; 3.81e-16; 7.106e-15 |]
-  in
   let d = ref 0.0 and dd = ref 0.0 in
-  for j = Array.length cof - 1 downto 1 do
+  for j = Array.length erfc_cof - 1 downto 1 do
     let tmp = !d in
-    d := (ty *. !d) -. !dd +. cof.(j);
+    d := (ty *. !d) -. !dd +. erfc_cof.(j);
     dd := tmp
   done;
-  let ans = t *. exp ((-.z *. z) +. (0.5 *. (cof.(0) +. (ty *. !d))) -. !dd) in
+  let ans = t *. exp ((-.z *. z) +. (0.5 *. (erfc_cof.(0) +. (ty *. !d))) -. !dd) in
   if x >= 0.0 then ans else 2.0 -. ans
 
 let erf x = 1.0 -. erfc x
@@ -33,22 +34,23 @@ let normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)
 (* Acklam's rational approximation for the probit function, followed by a
    single Halley step against [normal_cdf] that brings the absolute error
    below 1e-12 wherever the CDF itself is representable. *)
+let icdf_a =
+  [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
+     1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
+and icdf_b =
+  [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
+     6.680131188771972e+01; -1.328068155288572e+01 |]
+and icdf_c =
+  [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
+     -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
+and icdf_d =
+  [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
+     3.754408661907416e+00 |]
+
 let normal_icdf p =
   if not (p > 0.0 && p < 1.0) then
     invalid_arg "Special.normal_icdf: p must lie in (0,1)";
-  let a =
-    [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
-       1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
-  and b =
-    [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
-       6.680131188771972e+01; -1.328068155288572e+01 |]
-  and c =
-    [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
-       -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
-  and d =
-    [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
-       3.754408661907416e+00 |]
-  in
+  let a = icdf_a and b = icdf_b and c = icdf_c and d = icdf_d in
   let plow = 0.02425 in
   let x =
     if p < plow then begin

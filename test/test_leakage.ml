@@ -126,7 +126,7 @@ let test_mean_if_matches_actual_change () =
   let d, m = setup (Benchmarks.c17 ()) in
   let l = Leak_ssta.create d m in
   let id = d.Design.circuit.Circuit.outputs.(0) in
-  let predicted = Leak_ssta.mean_if l id ~vth_idx:1 ~size_idx:2 in
+  let predicted = Leak_ssta.mean l +. Leak_ssta.mean_shift_if l id ~vth_idx:1 ~size_idx:2 in
   Design.set_vth d id 1;
   Design.set_size d id 2;
   Leak_ssta.update_gate l id;

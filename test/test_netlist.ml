@@ -561,10 +561,19 @@ let prop_adder_widths =
       done;
       !ok)
 
+(* is_po is an O(1) flag built with the circuit: it must agree with
+   membership in [outputs] for every gate *)
+let po_flags_agree (c : Circuit.t) =
+  let member = Array.make (Circuit.num_gates c) false in
+  Array.iter (fun o -> member.(o) <- true) c.Circuit.outputs;
+  Array.for_all (fun (g : Circuit.gate) -> Circuit.is_po c g.Circuit.id = member.(g.Circuit.id))
+    c.Circuit.gates
+
 (* property: partition_at_registers is a true partition — every gate in
    exactly one part, the id maps mutually consistent, kinds/levels
-   preserved under the monotone remap, and the global outputs exactly
-   covered by the parts' outputs *)
+   preserved under the monotone remap, the global outputs exactly
+   covered by the parts' outputs, and is_po right on the whole circuit
+   and on every cone *)
 let prop_register_partition =
   QCheck.Test.make ~name:"partition_at_registers is a true partition"
     ~count:10
@@ -601,6 +610,8 @@ let prop_register_partition =
           = Array.length c.Circuit.outputs
         in
         covered && !maps_consistent && outputs_covered
+        && po_flags_agree c
+        && Array.for_all po_flags_agree p.Circuit.parts
         && Array.length p.Circuit.parts >= 2)
 
 let suite =

@@ -14,6 +14,7 @@ module Sta = Sl_sta.Sta
 module Ssta = Sl_ssta.Ssta
 module Leak_ssta = Sl_leakage.Leak_ssta
 module Rng = Sl_util.Rng
+module Setup = Statleak.Setup
 
 let check_float ?(eps = 1e-9) msg expected actual =
   if
@@ -31,20 +32,6 @@ let cells (d : Design.t) =
 
 (* ---------- Inc_sta ---------- *)
 
-let test_inc_matches_full_sta () =
-  let d = design (Generators.array_multiplier 6) in
-  let inc = Inc_sta.create d in
-  check_float ~eps:1e-12 "initial dmax" (Sta.dmax d) (Inc_sta.dmax inc);
-  let ids = cells d in
-  let rng = Rng.create 3 in
-  for _ = 1 to 100 do
-    let id = ids.(Rng.int rng (Array.length ids)) in
-    Design.set_vth d id (Rng.int rng 2);
-    Design.set_size d id (Rng.int rng 7);
-    Inc_sta.update_gate inc id;
-    check_float ~eps:1e-9 "incremental = full" (Sta.dmax d) (Inc_sta.dmax inc)
-  done
-
 let test_inc_corner_shift () =
   let d = design (Benchmarks.c17 ()) in
   let inc = Inc_sta.create ~dvth:0.05 ~dl:0.1 d in
@@ -52,15 +39,64 @@ let test_inc_corner_shift () =
   let dvth = Array.make n 0.05 and dl = Array.make n 0.1 in
   check_float ~eps:1e-12 "corner dmax" (Sta.dmax ~dvth ~dl d) (Inc_sta.dmax inc)
 
-let test_inc_slacks_match_analyze () =
-  let d = design (Generators.ripple_adder 8) in
-  let inc = Inc_sta.create d in
-  let tmax = Inc_sta.dmax inc +. 50.0 in
-  let s_inc = Inc_sta.slacks inc ~tmax in
-  let res = Sta.analyze ~tmax d in
-  Array.iteri
-    (fun i s -> check_float ~eps:1e-9 (Printf.sprintf "slack %d" i) res.Sta.slack.(i) s)
-    s_inc
+(* Exactness: after every random move — set_vth / set_size + update_gate,
+   half of them followed by the optimizers' trial-then-revert — the
+   incremental state at a non-nominal corner equals a from-scratch
+   Sta.analyze at that corner word for word. *)
+
+let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Drive [moves] random moves on a seeded random DAG at a seeded corner.
+   [check rng inc analyze] runs after the set-up and after every update,
+   [analyze tmax] being a from-scratch Sta.analyze at the same corner; the
+   property holds iff every check does. *)
+let random_moves ~seed ~moves check =
+  let rng = Rng.create seed in
+  let c =
+    Generators.random_dag ~seed ~gates:(40 + Rng.int rng 200) ~inputs:12 ~outputs:6
+  in
+  let d = design c in
+  let dvth = 0.01 +. Rng.float rng 0.05 and dl = 0.02 +. Rng.float rng 0.1 in
+  let inc = Inc_sta.create ~dvth ~dl d in
+  let n = Circuit.num_gates c in
+  let analyze tmax = Sta.analyze ~dvth:(Array.make n dvth) ~dl:(Array.make n dl) ~tmax d in
+  let ids = cells d in
+  let num_vth = Cell_lib.num_vth d.Design.lib and num_sizes = Cell_lib.num_sizes d.Design.lib in
+  let ok = ref (check rng inc analyze) in
+  for _ = 1 to moves do
+    let id = ids.(Rng.int rng (Array.length ids)) in
+    let v = d.Design.vth_idx.(id) and s = d.Design.size_idx.(id) in
+    if Rng.int rng 2 = 0 then Design.set_vth d id (Rng.int rng num_vth)
+    else Design.set_size d id (Rng.int rng num_sizes);
+    Inc_sta.update_gate inc id;
+    ok := check rng inc analyze && !ok;
+    if Rng.int rng 2 = 0 then begin
+      Design.set_vth d id v;
+      Design.set_size d id s;
+      Inc_sta.update_gate inc id;
+      ok := check rng inc analyze && !ok
+    end
+  done;
+  !ok
+
+let prop_inc_matches_full_sta =
+  QCheck.Test.make ~name:"matches full STA" ~count:20 QCheck.(int_range 1 100_000)
+    (fun seed ->
+      random_moves ~seed ~moves:40 (fun _ inc analyze ->
+          let res = analyze (Inc_sta.dmax inc) in
+          feq res.Sta.dmax (Inc_sta.dmax inc)
+          && Array.for_all Fun.id
+               (Array.mapi (fun i a -> feq a (Inc_sta.arrival inc i)) res.Sta.arrival)
+          && Array.for_all2 feq res.Sta.slack (Inc_sta.slacks inc ~tmax:(Inc_sta.dmax inc))))
+
+(* slacks against constraints on both sides of the current delay, so
+   negative slacks are covered too *)
+let prop_inc_slacks_match_analyze =
+  QCheck.Test.make ~name:"slacks match analyze" ~count:20 QCheck.(int_range 1 100_000)
+    (fun seed ->
+      random_moves ~seed ~moves:30 (fun rng inc analyze ->
+          let tmax = Inc_sta.dmax inc *. (0.5 +. Rng.float rng 1.0) in
+          Array.for_all2 feq (analyze tmax).Sta.slack (Inc_sta.slacks inc ~tmax)))
 
 (* ---------- Det_opt ---------- *)
 
@@ -357,6 +393,88 @@ let test_greedy_close_to_anneal () =
     (Printf.sprintf "greedy %.4g <= 2x anneal %.4g" lg la)
     true (lg <= 2.0 *. la)
 
+(* ---------- deterministic trajectory pins ----------
+
+   Det_opt and Lr_opt (whose polish runs Det_opt) both walk Inc_sta at the
+   3-sigma corner; any change to the incremental timing engine that is not
+   bit-exact shows up here as a different move count, corner delay or
+   final assignment.  Set-up as the statistical seed pins: tmax = 1.25·D0,
+   default config.  [corner_dmax] is compared as IEEE bits and the final
+   assignment as an MD5 of the full per-gate (vth, size) arrays. *)
+
+type det_pin = {
+  dp_name : string;
+  dp_trials : int;
+  dp_vth : int;
+  dp_size : int;
+  dp_dmax_bits : string;
+  dp_digest : string;
+  lp_dmax_bits : string;
+  lp_digest : string;
+}
+
+let det_pins =
+  [
+    {
+      dp_name = "c17";
+      dp_trials = 34;
+      dp_vth = 2;
+      dp_size = 4;
+      dp_dmax_bits = "40674523a3d786b8";
+      dp_digest = "591a356b6e2eb1c5addfcc86b728863b";
+      lp_dmax_bits = "40674523a3d786b8";
+      lp_digest = "591a356b6e2eb1c5addfcc86b728863b";
+    };
+    {
+      dp_name = "add32";
+      dp_trials = 2872;
+      dp_vth = 130;
+      dp_size = 222;
+      dp_dmax_bits = "40b00fa57f53da44";
+      dp_digest = "fee0fde549290a71a29ef032175149d4";
+      lp_dmax_bits = "40b01021cf20de85";
+      lp_digest = "cdf360d47bda3a1b074209e39f155be0";
+    };
+    {
+      dp_name = "mult8";
+      dp_trials = 2916;
+      dp_vth = 244;
+      dp_size = 423;
+      dp_dmax_bits = "40abf3fefc7f86a3";
+      dp_digest = "9fda9b03ef4c74e94cbac83db3976383";
+      lp_dmax_bits = "40abf3fefc7f86a3";
+      lp_digest = "9fda9b03ef4c74e94cbac83db3976383";
+    };
+  ]
+
+let bits_hex x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
+
+let full_digest (d : Design.t) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Digest.to_hex
+    (Digest.string (ints d.Design.vth_idx ^ "/" ^ ints d.Design.size_idx))
+
+let test_det_lr_pins () =
+  List.iter
+    (fun p ->
+      let s = Setup.of_benchmark p.dp_name in
+      let tmax = Setup.tmax s ~factor:1.25 in
+      let tag what = Printf.sprintf "%s: %s" p.dp_name what in
+      let d = Setup.fresh_design s in
+      let st = Det_opt.optimize (Det_opt.default_config ~tmax) d s.Setup.spec in
+      Alcotest.(check int) (tag "det trials") p.dp_trials st.Det_opt.trials;
+      Alcotest.(check int) (tag "det vth_moves") p.dp_vth st.Det_opt.vth_moves;
+      Alcotest.(check int) (tag "det size_moves") p.dp_size st.Det_opt.size_moves;
+      Alcotest.(check string) (tag "det corner_dmax bits") p.dp_dmax_bits
+        (bits_hex st.Det_opt.corner_dmax);
+      Alcotest.(check string) (tag "det digest") p.dp_digest (full_digest d);
+      let d = Setup.fresh_design s in
+      let st = Sl_opt.Lr_opt.optimize (Sl_opt.Lr_opt.default_config ~tmax) d s.Setup.spec in
+      Alcotest.(check string) (tag "lr corner_dmax bits") p.lp_dmax_bits
+        (bits_hex st.Sl_opt.Lr_opt.corner_dmax);
+      Alcotest.(check string) (tag "lr digest") p.lp_digest (full_digest d))
+    det_pins
+
 let prop_stat_never_violates =
   QCheck.Test.make ~name:"stat-opt result always meets eta (random dags)" ~count:5
     QCheck.(int_range 1 100)
@@ -372,11 +490,8 @@ let suite =
   let qc = List.map QCheck_alcotest.to_alcotest in
   [
     ( "opt.inc_sta",
-      [
-        Alcotest.test_case "matches full STA" `Quick test_inc_matches_full_sta;
-        Alcotest.test_case "corner shift" `Quick test_inc_corner_shift;
-        Alcotest.test_case "slacks match analyze" `Quick test_inc_slacks_match_analyze;
-      ] );
+      Alcotest.test_case "corner shift" `Quick test_inc_corner_shift
+      :: qc [ prop_inc_matches_full_sta; prop_inc_slacks_match_analyze ] );
     ( "opt.det",
       [
         Alcotest.test_case "respects corner timing" `Quick test_det_respects_corner_timing;
@@ -384,6 +499,7 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_det_deterministic;
         Alcotest.test_case "knob restriction" `Quick test_det_vth_only_respects_knobs;
         Alcotest.test_case "infeasible reported" `Quick test_det_infeasible_reported;
+        Alcotest.test_case "det and lr trajectory pins" `Quick test_det_lr_pins;
       ] );
     ( "opt.stat",
       [

@@ -94,6 +94,10 @@ let check_jobs = function
 let check_eta eta =
   if not (eta > 0.0 && eta < 1.0) then bad_flag "--eta must lie in (0, 1) (got %g)" eta
 
+let check_factor factor =
+  if not (factor > 0.0 && Float.is_finite factor) then
+    bad_flag "--tmax-factor must be a finite number > 0 (got %g)" factor
+
 let partition_arg =
   let doc =
     "Partition the design at register boundaries and run one timing engine \
@@ -160,8 +164,13 @@ let load_lib = function
       exit 2)
 
 let make_setup circuit_spec lib_file sigma_scale size_idx =
+  if not (sigma_scale >= 0.0 && Float.is_finite sigma_scale) then
+    bad_flag "--sigma-scale must be a finite number >= 0 (got %g)" sigma_scale;
   let circuit = load_circuit circuit_spec in
   let lib = load_lib lib_file in
+  let sizes = Sl_tech.Cell_lib.num_sizes lib in
+  if size_idx < 0 || size_idx >= sizes then
+    bad_flag "--size-idx must lie in [0, %d] for this library (got %d)" (sizes - 1) size_idx;
   let spec = Spec.scaled sigma_scale in
   Setup.make ~lib ~spec ~base_size_idx:size_idx ~name:circuit.Circuit.name circuit
 
@@ -199,6 +208,7 @@ let sta circuit_spec lib_file size_idx =
 
 let ssta circuit_spec lib_file sigma_scale size_idx factor critical partition jobs trace =
   check_jobs jobs;
+  check_factor factor;
   with_trace trace @@ fun () ->
   let s = make_setup circuit_spec lib_file sigma_scale size_idx in
   let d = Setup.fresh_design s in
@@ -271,6 +281,7 @@ let leakage circuit_spec lib_file sigma_scale size_idx =
 
 let mc circuit_spec lib_file sigma_scale size_idx factor seed samples jobs =
   check_jobs jobs;
+  check_factor factor;
   if samples < 1 then bad_flag "--samples must be >= 1 (got %d)" samples;
   let s = make_setup circuit_spec lib_file sigma_scale size_idx in
   let d = Setup.fresh_design s in
@@ -287,16 +298,20 @@ let mc circuit_spec lib_file sigma_scale size_idx factor seed samples jobs =
 let yield circuit_spec lib_file sigma_scale size_idx factor method_s ci halfwidth
     max_samples seed jobs trace =
   check_jobs jobs;
-  if max_samples < 1 then bad_flag "--max-samples must be >= 1 (got %d)" max_samples;
-  with_trace trace @@ fun () ->
+  check_factor factor;
+  if not (ci > 0.0 && ci < 1.0) then bad_flag "--ci must lie in (0, 1) (got %g)" ci;
+  if not (halfwidth >= 0.0 && Float.is_finite halfwidth) then
+    bad_flag "--halfwidth must be a finite number >= 0 (got %g)" halfwidth;
   let method_ =
     match Yield_seq.method_of_string method_s with
     | Some m -> m
-    | None ->
-      Printf.eprintf
-        "error: unknown method %S (use naive, lhs, is, cv or is+cv)\n" method_s;
-      exit 2
+    | None -> bad_flag "unknown method %S (use naive, lhs, is, cv or is+cv)" method_s
   in
+  let least = Yield_seq.min_samples method_ in
+  if max_samples < least then
+    bad_flag "--max-samples must be >= %d for method %s (got %d)" least
+      (Yield_seq.method_to_string method_) max_samples;
+  with_trace trace @@ fun () ->
   let s = make_setup circuit_spec lib_file sigma_scale size_idx in
   let d = Setup.fresh_design s in
   let tmax = Setup.tmax s ~factor in
@@ -429,6 +444,7 @@ let optimize circuit_spec lib_file sigma_scale size_idx factor eta mode samples 
     jobs profile profile_json trace dump =
   check_jobs jobs;
   check_eta eta;
+  check_factor factor;
   if samples < 0 then bad_flag "--samples must be >= 0 (got %d)" samples;
   with_trace trace @@ fun () ->
   let s = make_setup circuit_spec lib_file sigma_scale size_idx in

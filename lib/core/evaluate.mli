@@ -27,7 +27,12 @@ val design :
   Setup.t -> tmax:float -> Sl_tech.Design.t -> metrics
 (** [mc_samples] defaults to 0 (no MC); [seed] defaults to 1.  [jobs]
     bounds the Monte-Carlo worker domains (default: all cores); the
-    metrics do not depend on it. *)
+    metrics do not depend on it.  With MC, the model-fidelity gauges are
+    set under a [circuit] label (the setup's name):
+    [statleak_fidelity_yield_gap] (|SSTA − MC| timing yield) and
+    [statleak_fidelity_leak_mean_rel_error] /
+    [statleak_fidelity_leak_p99_rel_error] (Wilkinson vs MC, relative
+    to MC). *)
 
 val improvement : float -> float -> float
 (** [improvement base opt] = percentage reduction of [opt] vs [base]. *)

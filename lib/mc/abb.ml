@@ -1,7 +1,6 @@
 module Design = Sl_tech.Design
 module Model = Sl_variation.Model
 module Rng = Sl_util.Rng
-module Fast = Sl_sta.Sta.Fast
 
 type config = { tmax : float; bias_min : float; bias_max : float; steps : int }
 
@@ -19,36 +18,34 @@ let tune ?(sampling = `Naive) ~seed ~samples cfg (d : Design.t) model =
   if samples < 1 then invalid_arg "Abb.tune: samples < 1";
   if cfg.bias_min >= cfg.bias_max then invalid_arg "Abb.tune: empty bias range";
   let rng = Rng.create seed in
-  let fast = Fast.create d in
-  let leak_of = Mc.make_leak_evaluator d in
-  let n = Array.length d.Design.vth_idx in
-  let draw =
+  let ev = Mc.Eval.create d model in
+  let table =
     match sampling with
-    | `Naive -> fun _ -> Model.Sample.draw model rng
-    | `Lhs ->
-      let table = Mc.lhs_z_table rng ~samples ~dims:(Model.num_pcs model) in
-      fun i -> Model.Sample.draw_with_z model rng table.(i)
+    | `Naive -> None
+    | `Lhs -> Some (Mc.lhs_z_table rng ~samples ~dims:(Model.num_pcs model))
   in
   let leak_before = Array.make samples 0.0 in
   let leak_after = Array.make samples 0.0 in
   let bias = Array.make samples 0.0 in
   let ok_before = ref 0 and ok_after = ref 0 in
+  let dvth = (Mc.Eval.die ev).Model.Sample.dvth in
+  let n = Array.length dvth in
   let shifted = Array.make n 0.0 in
+  let shift_by b =
+    for g = 0 to n - 1 do
+      shifted.(g) <- dvth.(g) +. b
+    done
+  in
+  let delay_at b =
+    shift_by b;
+    Mc.Eval.delay ev ~dvth:shifted
+  in
+  let leak_at b =
+    shift_by b;
+    Mc.Eval.leak ev ~dvth:shifted
+  in
   for i = 0 to samples - 1 do
-    let s = draw i in
-    let dvth = s.Model.Sample.dvth and dl = s.Model.Sample.dl in
-    let delay_at b =
-      for g = 0 to n - 1 do
-        shifted.(g) <- dvth.(g) +. b
-      done;
-      Fast.dmax fast ~dvth:shifted ~dl
-    in
-    let leak_at b =
-      for g = 0 to n - 1 do
-        shifted.(g) <- dvth.(g) +. b
-      done;
-      leak_of ~dvth:shifted ~dl
-    in
+    Mc.Eval.draw ?row:(Option.map (fun t -> t.(i)) table) ev rng;
     leak_before.(i) <- leak_at 0.0;
     if delay_at 0.0 <= cfg.tmax then incr ok_before;
     (* delay is monotone increasing in bias: pick the largest (most

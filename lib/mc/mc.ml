@@ -24,36 +24,7 @@ let m_throughput =
   Metrics.gauge ~help:"Dies per second of the last MC sweep"
     "statleak_mc_chunk_throughput_dies_per_second"
 
-let observed_sweep ~name ~jobs ~chunks ~dies f =
-  let jobs_str = match jobs with Some j -> string_of_int j | None -> "auto" in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Trace.span name
-      ~attrs:[ ("dies", string_of_int dies); ("jobs", jobs_str) ]
-      f
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  Metrics.add m_chunks chunks;
-  Metrics.add m_dies dies;
-  Metrics.set m_run_seconds dt;
-  if dt > 0.0 then Metrics.set m_throughput (float_of_int dies /. dt);
-  r
-
 type result = { delay : float array; leak : float array }
-
-let total_leak_of_sample (d : Design.t) (s : Model.Sample.t) =
-  let acc = ref 0.0 in
-  Array.iter
-    (fun (g : Circuit.gate) ->
-      if g.Circuit.kind <> Cell_kind.Pi then begin
-        let id = g.Circuit.id in
-        acc :=
-          !acc
-          +. Design.gate_leak d id ~dvth:s.Model.Sample.dvth.(id)
-               ~dl:s.Model.Sample.dl.(id)
-      end)
-    d.Design.circuit.Circuit.gates;
-  !acc
 
 (* Per-sample leakage without per-gate library lookups: precompute each
    gate's ln nominal; the variation enters through two constant
@@ -95,56 +66,91 @@ let lhs_z_table rng ~samples ~dims =
   done;
   table
 
+(* One domain's die evaluator: the die buffers, the STA scratch and the
+   compiled leakage evaluator, built once per domain and overwritten by
+   every die it evaluates. *)
+module Eval = struct
+  type t = {
+    model : Model.t;
+    die : Model.Sample.t;
+    cells : Model.Sample.scratch;
+    fast : Sl_sta.Sta.Fast.t;
+    leak_of : dvth:float array -> dl:float array -> float;
+  }
+
+  let create (d : Design.t) model =
+    {
+      model;
+      die = Model.Sample.zero model;
+      cells = Model.Sample.scratch model;
+      fast = Sl_sta.Sta.Fast.create d;
+      leak_of = make_leak_evaluator d;
+    }
+
+  let die t = t.die
+  let draw ?row ?shift t rng = Model.Sample.fill ?row ?shift t.model t.cells rng t.die
+  let delay t ~dvth = Sl_sta.Sta.Fast.dmax t.fast ~dvth ~dl:t.die.Model.Sample.dl
+  let leak t ~dvth = t.leak_of ~dvth ~dl:t.die.Model.Sample.dl
+end
+
 (* The sample space is split into fixed-size chunks; chunk [c] always
    draws from [Rng.stream ~seed c] and lands in slots
    [c*chunk_size .. c*chunk_size + chunk_size - 1].  Neither depends on
-   the worker count, so {delay; leak} is bit-identical for every [jobs]
+   the worker count, so every die is bit-identical for every [jobs]
    (stream 0 equals the pre-parallel sequential generator, which keeps
    short naive runs byte-compatible with historical results).  Each
-   domain builds its own STA scratch state and leak evaluator; the LHS
-   z-table is computed once up front (from dedicated stream -1) and read
-   shared. *)
+   domain builds its own {!Eval}; an LHS z-table is computed once up
+   front and read shared. *)
 let chunk_size = 256
 
-let num_chunks samples = (samples + chunk_size - 1) / chunk_size
-
-let sweep ~sampling ~jobs ~seed ~samples (d : Design.t) model ~consume =
+(* Evaluate dies [first, first+count) ([first] chunk-aligned) and hand
+   each to [consume chunk i z delay leak]; [z] is the evaluating domain's
+   buffer, valid only during the call. *)
+let sweep ~name ?z_of ?shift ~jobs ~seed ~first ~count (d : Design.t) model ~consume =
   let jobs = match jobs with Some j -> j | None -> Sl_util.Parallel.default_jobs () in
-  let table =
+  let last = first + count - 1 in
+  let c0 = first / chunk_size in
+  let chunks = (last / chunk_size) - c0 + 1 in
+  let work ev t =
+    let c = c0 + t in
+    let rng = Rng.stream ~seed c in
+    let lo = c * chunk_size in
+    let die = Eval.die ev in
+    for i = lo to Stdlib.min last (lo + chunk_size - 1) do
+      Eval.draw ?row:(Option.map (fun f -> f i) z_of) ?shift ev rng;
+      let dvth = die.Model.Sample.dvth in
+      consume c i die.Model.Sample.z (Eval.delay ev ~dvth) (Eval.leak ev ~dvth)
+    done
+  in
+  let t0 = Unix.gettimeofday () in
+  Trace.span name
+    ~attrs:[ ("dies", string_of_int count); ("jobs", string_of_int jobs) ]
+    (fun () ->
+      ignore
+        (Sl_util.Parallel.run ~jobs ~tasks:chunks ~init:(fun () -> Eval.create d model) work));
+  let dt = Unix.gettimeofday () -. t0 in
+  Metrics.add m_chunks chunks;
+  Metrics.add m_dies count;
+  Metrics.set m_run_seconds dt;
+  if dt > 0.0 then Metrics.set m_throughput (float_of_int count /. dt)
+
+(* [run] and [run_stats]: dies [0, samples), LHS rows from stream -1 *)
+let sweep_samples ~sampling ~jobs ~seed ~samples d model ~consume =
+  let z_of =
     match sampling with
     | `Naive -> None
     | `Lhs ->
-      let trng = Rng.stream ~seed (-1) in
-      Some (lhs_z_table trng ~samples ~dims:(Model.num_pcs model))
+      let table = lhs_z_table (Rng.stream ~seed (-1)) ~samples ~dims:(Model.num_pcs model) in
+      Some (fun i -> table.(i))
   in
-  let init () = (Sl_sta.Sta.Fast.create d, make_leak_evaluator d) in
-  let work (fast, leak_of) c =
-    let rng = Rng.stream ~seed c in
-    let lo = c * chunk_size in
-    let hi = Stdlib.min samples (lo + chunk_size) - 1 in
-    for i = lo to hi do
-      let s =
-        match table with
-        | None -> Model.Sample.draw model rng
-        | Some t -> Model.Sample.draw_with_z model rng t.(i)
-      in
-      let dm =
-        Sl_sta.Sta.Fast.dmax fast ~dvth:s.Model.Sample.dvth ~dl:s.Model.Sample.dl
-      in
-      let lk = leak_of ~dvth:s.Model.Sample.dvth ~dl:s.Model.Sample.dl in
-      consume c i dm lk
-    done
-  in
-  ignore (Sl_util.Parallel.run ~jobs ~tasks:(num_chunks samples) ~init work)
+  sweep ~name:"mc.run" ?z_of ~jobs ~seed ~first:0 ~count:samples d model ~consume
 
 let run ?(sampling = `Naive) ?jobs ~seed ~samples (d : Design.t) model =
   if samples < 1 then invalid_arg "Mc.run: samples < 1";
   let delay = Array.make samples 0.0 and leak = Array.make samples 0.0 in
-  observed_sweep ~name:"mc.run" ~jobs ~chunks:(num_chunks samples) ~dies:samples
-    (fun () ->
-      sweep ~sampling ~jobs ~seed ~samples d model ~consume:(fun _ i dm lk ->
-          delay.(i) <- dm;
-          leak.(i) <- lk));
+  sweep_samples ~sampling ~jobs ~seed ~samples d model ~consume:(fun _ i _ dm lk ->
+      delay.(i) <- dm;
+      leak.(i) <- lk);
   { delay; leak }
 
 let run_stats ?(sampling = `Naive) ?jobs ~seed ~samples (d : Design.t) model =
@@ -153,14 +159,14 @@ let run_stats ?(sampling = `Naive) ?jobs ~seed ~samples (d : Design.t) model =
      the reduction tree is fixed, so the result is as schedule-independent
      as the arrays from [run] — without materializing them *)
   let accs =
-    Array.init (num_chunks samples) (fun _ -> (Stats.Acc.create (), Stats.Acc.create ()))
+    Array.init
+      ((samples + chunk_size - 1) / chunk_size)
+      (fun _ -> (Stats.Acc.create (), Stats.Acc.create ()))
   in
-  observed_sweep ~name:"mc.run" ~jobs ~chunks:(num_chunks samples) ~dies:samples
-    (fun () ->
-      sweep ~sampling ~jobs ~seed ~samples d model ~consume:(fun c _ dm lk ->
-          let da, la = accs.(c) in
-          Stats.Acc.add da dm;
-          Stats.Acc.add la lk));
+  sweep_samples ~sampling ~jobs ~seed ~samples d model ~consume:(fun c _ _ dm lk ->
+      let da, la = accs.(c) in
+      Stats.Acc.add da dm;
+      Stats.Acc.add la lk);
   Array.fold_left
     (fun (da, la) (dc, lc) -> (Stats.Acc.merge da dc, Stats.Acc.merge la lc))
     (Stats.Acc.create (), Stats.Acc.create ())
@@ -193,46 +199,11 @@ let run_dies ?jobs ?z_of ?shift ~seed ~first ~count (d : Design.t) model =
   if count < 1 then invalid_arg "Mc.run_dies: count < 1";
   if first < 0 || first mod chunk_size <> 0 then
     invalid_arg "Mc.run_dies: first must be a non-negative multiple of chunk_size";
-  let num_pcs = Model.num_pcs model in
   (match shift with
-  | Some mu when Array.length mu <> num_pcs ->
+  | Some mu when Array.length mu <> Model.num_pcs model ->
     invalid_arg "Mc.run_dies: shift length mismatch"
   | _ -> ());
-  let jobs = match jobs with Some j -> j | None -> Sl_util.Parallel.default_jobs () in
   let out = Array.make count { z = [||]; delay = 0.0; leak = 0.0 } in
-  let last = first + count - 1 in
-  let c0 = first / chunk_size in
-  let chunks = (last / chunk_size) - c0 + 1 in
-  let init () = (Sl_sta.Sta.Fast.create d, make_leak_evaluator d) in
-  let work (fast, leak_of) t =
-    let c = c0 + t in
-    let rng = Rng.stream ~seed c in
-    let lo = c * chunk_size in
-    let hi = Stdlib.min (last + 1) (lo + chunk_size) - 1 in
-    for i = lo to hi do
-      let raw =
-        match z_of with
-        | None -> Rng.gaussian_vector rng num_pcs
-        | Some f ->
-          let z = f i in
-          if Array.length z <> num_pcs then
-            invalid_arg "Mc.run_dies: z_of length mismatch";
-          Array.copy z
-      in
-      (match shift with
-      | None -> ()
-      | Some mu ->
-        for k = 0 to num_pcs - 1 do
-          raw.(k) <- raw.(k) +. mu.(k)
-        done);
-      let s = Model.Sample.draw_with_z model rng raw in
-      let dm =
-        Sl_sta.Sta.Fast.dmax fast ~dvth:s.Model.Sample.dvth ~dl:s.Model.Sample.dl
-      in
-      let lk = leak_of ~dvth:s.Model.Sample.dvth ~dl:s.Model.Sample.dl in
-      out.(i - first) <- { z = raw; delay = dm; leak = lk }
-    done
-  in
-  observed_sweep ~name:"mc.run_dies" ~jobs:(Some jobs) ~chunks ~dies:count
-    (fun () -> ignore (Sl_util.Parallel.run ~jobs ~tasks:chunks ~init work));
+  sweep ~name:"mc.run_dies" ?z_of ?shift ~jobs ~seed ~first ~count d model
+    ~consume:(fun _ i z delay leak -> out.(i - first) <- { z = Array.copy z; delay; leak });
   out

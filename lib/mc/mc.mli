@@ -20,7 +20,7 @@ val run :
     so the [{delay; leak}] arrays are bit-identical for every [jobs]
     value (including [jobs:1]), no matter how chunks land on domains.
     [jobs] defaults to [Domain.recommended_domain_count ()]; each domain
-    gets private STA scratch state and a private leak evaluator.
+    evaluates its dies with its own {!Eval}.
 
     [`Lhs] (Latin-hypercube) stratifies the shared principal components —
     one stratum per die and dimension, with independently permuted strata
@@ -97,11 +97,6 @@ val leak_std : result -> float
 val delay_mean : result -> float
 val delay_std : result -> float
 
-val total_leak_of_sample :
-  Sl_tech.Design.t -> Sl_variation.Model.Sample.t -> float
-(** Total leakage of one materialized die (exported for tests that pin
-    down individual dies). *)
-
 val lhs_z_table :
   Sl_util.Rng.t -> samples:int -> dims:int -> float array array
 (** The Latin-hypercube PC table used by [`Lhs] sampling: [samples] rows
@@ -109,9 +104,30 @@ val lhs_z_table :
     permuted strata per dimension.  Exported so per-die post-processing
     ({!Abb}) can draw the same kind of population. *)
 
-val make_leak_evaluator :
-  Sl_tech.Design.t -> dvth:float array -> dl:float array -> float
-(** Pre-compiled per-die leakage evaluator (nominal log-leakages captured
-    once); agrees with {!total_leak_of_sample} and is what {!run} uses
-    internally.  Exported for per-die post-processing such as
-    {!Abb}. *)
+(** One domain's die evaluator: the die buffers, {!Sl_sta.Sta.Fast}
+    scratch and a compiled leakage evaluator, built once and overwritten
+    by every die, so a die allocates nothing that grows with the circuit.
+    {!run}, {!run_stats}, {!run_dies} and {!Abb.tune} all evaluate dies
+    through it.  Not shareable across domains. *)
+module Eval : sig
+  type t
+
+  val create : Sl_tech.Design.t -> Sl_variation.Model.t -> t
+
+  val die : t -> Sl_variation.Model.Sample.t
+  (** The current die; {!draw} overwrites it. *)
+
+  val draw : ?row:float array -> ?shift:float array -> t -> Sl_util.Rng.t -> unit
+  (** [draw ?row ?shift t rng] overwrites {!die} with the next die, drawn
+      by {!Sl_variation.Model.Sample.fill}: PC vector [row] (or [num_pcs]
+      Gaussians from [rng]) plus [shift], then the per-gate components
+      from [rng].
+      @raise Invalid_argument if [row] or [shift] is not [num_pcs] long. *)
+
+  val delay : t -> dvth:float array -> float
+  (** Circuit delay of the current die with ΔVth [dvth] (its own:
+      [(die t).dvth]). *)
+
+  val leak : t -> dvth:float array -> float
+  (** Total leakage, likewise. *)
+end

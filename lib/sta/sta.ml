@@ -33,13 +33,21 @@ let gate_arrival arrival delay (g : Circuit.gate) =
   done;
   !worst +. delay.(g.Circuit.id)
 
+let forward_gate arr delay (g : Circuit.gate) =
+  if g.Circuit.kind <> Cell_kind.Pi then arr.(g.Circuit.id) <- gate_arrival arr delay g
+
+(* Sequential forward sweep into [arr]; primary-input slots are never
+   written, so a reused array must hold 0 there. *)
+let forward_into circuit delay arr =
+  let gates = circuit.Circuit.gates in
+  for i = 0 to Array.length gates - 1 do
+    forward_gate arr delay gates.(i)
+  done
+
 let arrivals ?(jobs = 1) ?(par_threshold = default_par_threshold) circuit delay =
   let n = Circuit.num_gates circuit in
   let arr = Array.make n 0.0 in
-  let one (g : Circuit.gate) =
-    if g.Circuit.kind <> Cell_kind.Pi then arr.(g.Circuit.id) <- gate_arrival arr delay g
-  in
-  if jobs <= 1 then Array.iter one circuit.Circuit.gates
+  if jobs <= 1 then forward_into circuit delay arr
   else
     (* same level-parallel schedule as Ssta.analyze: within a level every
        gate reads only lower-level slots and writes its own — identical
@@ -50,15 +58,18 @@ let arrivals ?(jobs = 1) ?(par_threshold = default_par_threshold) circuit delay 
           ~n:(Array.length level) ~init:(fun () -> ())
           (fun () lo hi ->
             for k = lo to hi - 1 do
-              one circuit.Circuit.gates.(level.(k))
+              forward_gate arr delay circuit.Circuit.gates.(level.(k))
             done))
       (Circuit.levels circuit);
   arr
 
 let dmax_of_arrivals circuit arrival =
-  Array.fold_left
-    (fun acc id -> Float.max acc arrival.(id))
-    0.0 circuit.Circuit.outputs
+  let outputs = circuit.Circuit.outputs in
+  let acc = ref 0.0 in
+  for k = 0 to Array.length outputs - 1 do
+    acc := Float.max !acc arrival.(outputs.(k))
+  done;
+  !acc
 
 let required_times circuit delay ~tmax =
   let n = Circuit.num_gates circuit in
@@ -129,6 +140,9 @@ module Fast = struct
     vdd : float;
     alpha : float;
     k_rolloff : float;
+    (* one die's delays and arrivals, overwritten by every [dmax] *)
+    delay : float array;
+    arrival : float array;
   }
 
   let create (d : Design.t) =
@@ -155,22 +169,19 @@ module Fast = struct
       vdd = tech.Sl_tech.Tech.vdd;
       alpha = tech.Sl_tech.Tech.alpha;
       k_rolloff = tech.Sl_tech.Tech.k_rolloff;
+      delay = Array.make n 0.0;
+      arrival = Array.make n 0.0;
     }
 
-  let gate_delays t ~dvth ~dl =
-    let n = Array.length t.base in
-    let delay = Array.make n 0.0 in
-    for id = 0 to n - 1 do
+  let dmax t ~dvth ~dl =
+    let delay = t.delay in
+    for id = 0 to Array.length t.base - 1 do
       if t.base.(id) > 0.0 then begin
         let overdrive = t.vdd -. t.vth_nom.(id) -. dvth.(id) -. (t.k_rolloff *. dl.(id)) in
         let overdrive = Float.max 0.05 overdrive in
         delay.(id) <- t.base.(id) *. (1.0 +. dl.(id)) /. (overdrive ** t.alpha)
       end
     done;
-    delay
-
-  let dmax t ~dvth ~dl =
-    let delay = gate_delays t ~dvth ~dl in
-    let arrival = arrivals t.circuit delay in
-    dmax_of_arrivals t.circuit arrival
+    forward_into t.circuit delay t.arrival;
+    dmax_of_arrivals t.circuit t.arrival
 end

@@ -59,14 +59,16 @@ val worst_slack : result -> float
 
 (** Re-usable evaluator for Monte-Carlo: structure, loads and nominal cell
     parameters are captured once, so per-sample evaluation is a single
-    array sweep with no library lookups. *)
+    array sweep with no library lookups.  A [t] is per-domain scratch: it
+    owns one die's delay and arrival arrays, which every {!dmax}
+    overwrites, so a die allocates nothing that grows with the circuit —
+    and two domains must not share one [t]. *)
 module Fast : sig
   type t
 
   val create : Sl_tech.Design.t -> t
 
   val dmax : t -> dvth:float array -> dl:float array -> float
-  (** Circuit delay of one die. *)
-
-  val gate_delays : t -> dvth:float array -> dl:float array -> float array
+  (** Circuit delay of one die: its delays, then {!gate_arrival} per
+      gate and {!dmax_of_arrivals}, into [t]'s scratch. *)
 end

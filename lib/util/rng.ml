@@ -1,13 +1,16 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-  mutable spare : float;
-  mutable has_spare : bool;
-}
+(* The state is one unboxed buffer: the four xoshiro256++ words at byte
+   offsets 0, 8, 16 and 24, the polar method's spare deviate as its IEEE
+   bits at 32, and the has-spare flag at 40.  [Bytes] int64 loads and
+   stores compile to plain memory accesses, whereas every store to a
+   mutable [int64] record field boxes the word — so a draw allocates at
+   most the float it returns. *)
+type t = Bytes.t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let spare_off = 32
+let flag_off = 40
+
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64 is the recommended seeder for the xoshiro family: it
    decorrelates consecutive integer seeds and never yields the all-zero
@@ -19,43 +22,46 @@ let splitmix64_next state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* A generator seeded from the next four splitmix64 outputs of [state],
+   with no spare deviate pending. *)
+let of_splitmix state =
+  let t = Bytes.make (flag_off + 1) '\000' in
+  for k = 0 to 3 do
+    Bytes.set_int64_ne t (8 * k) (splitmix64_next state)
+  done;
+  t
+
 (* Stream k seeds xoshiro from splitmix64 outputs 4k+1 .. 4k+4 of the
    seed's splitmix sequence (splitmix64_next advances by the golden gamma
    before mixing, so offsetting the state by 4k gammas lands exactly
    there).  Streams therefore consume disjoint, non-overlapping blocks of
    one well-distributed sequence, and stream 0 coincides with [create]. *)
 let stream ~seed k =
-  let st =
-    ref (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (4 * k)) 0x9E3779B97F4A7C15L))
-  in
-  let s0 = splitmix64_next st in
-  let s1 = splitmix64_next st in
-  let s2 = splitmix64_next st in
-  let s3 = splitmix64_next st in
-  { s0; s1; s2; s3; spare = 0.0; has_spare = false }
+  of_splitmix
+    (ref (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (4 * k)) 0x9E3779B97F4A7C15L)))
 
 let create seed = stream ~seed 0
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] next t =
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (Int64.logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
-let split t =
-  let st = ref (bits64 t) in
-  let s0 = splitmix64_next st in
-  let s1 = splitmix64_next st in
-  let s2 = splitmix64_next st in
-  let s3 = splitmix64_next st in
-  { s0; s1; s2; s3; spare = 0.0; has_spare = false }
+let bits64 t = next t
 
-let copy t = { t with s0 = t.s0 }
+let split t = of_splitmix (ref (next t))
+
+let copy = Bytes.copy
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -73,38 +79,35 @@ let int t n =
   else loop ()
 
 (* 53 random mantissa bits mapped to [0,1). *)
-let unit_float t =
-  let r = Int64.shift_right_logical (bits64 t) 11 in
+let[@inline] unit_float t =
+  let r = Int64.shift_right_logical (next t) 11 in
   Int64.to_float r *. 0x1.0p-53
 
 let float t x = unit_float t *. x
 
-let uniform t =
-  let rec loop () =
-    let u = unit_float t in
-    if u > 0.0 then u else loop ()
-  in
-  loop ()
+let rec uniform t =
+  let u = unit_float t in
+  if u > 0.0 then u else uniform t
+
+(* Marsaglia's polar method: one accepted pair gives two deviates; the
+   second is parked in the state for the next call. *)
+let rec polar t =
+  let u = (2.0 *. unit_float t) -. 1.0 in
+  let v = (2.0 *. unit_float t) -. 1.0 in
+  let s = (u *. u) +. (v *. v) in
+  if s >= 1.0 || s = 0.0 then polar t
+  else begin
+    let m = sqrt (-2.0 *. log s /. s) in
+    Bytes.set_int64_ne t spare_off (Int64.bits_of_float (v *. m));
+    Bytes.set t flag_off '\001';
+    u *. m
+  end
 
 let gaussian t =
-  if t.has_spare then begin
-    t.has_spare <- false;
-    t.spare
-  end
+  if Bytes.get t flag_off = '\000' then polar t
   else begin
-    let rec loop () =
-      let u = (2.0 *. unit_float t) -. 1.0 in
-      let v = (2.0 *. unit_float t) -. 1.0 in
-      let s = (u *. u) +. (v *. v) in
-      if s >= 1.0 || s = 0.0 then loop ()
-      else begin
-        let m = sqrt (-2.0 *. log s /. s) in
-        t.spare <- v *. m;
-        t.has_spare <- true;
-        u *. m
-      end
-    in
-    loop ()
+    Bytes.set t flag_off '\000';
+    Int64.float_of_bits (Bytes.get_int64_ne t spare_off)
   end
 
 let gaussian_vector t n = Array.init n (fun _ -> gaussian t)

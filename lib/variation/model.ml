@@ -5,22 +5,20 @@ module Matrix = Sl_util.Matrix
 type t = {
   spec : Spec.t;
   num_pcs : int;
-  (* per-gate coefficient vectors, shared per grid cell *)
-  gate_vth : float array array;
-  gate_l : float array array;
+  (* one coefficient vector per grid cell; a gate reads its cell's *)
+  vth_rows : float array array;
+  l_rows : float array array;
   gate_cell : int array;
+  occupied : int array;  (* cells holding at least one gate, ascending *)
   vth_rnd : float;
   l_rnd : float;
 }
 
 let spec t = t.spec
 let num_pcs t = t.num_pcs
-let vth_coeffs t id = t.gate_vth.(id)
-let l_coeffs t id = t.gate_l.(id)
-let num_cells t =
-  match t.spec.Spec.spatial with
-  | Spec.Grid -> t.spec.Spec.grid * t.spec.Spec.grid
-  | Spec.Quadtree levels -> 1 lsl (2 * levels)
+let vth_coeffs t id = t.vth_rows.(t.gate_cell.(id))
+let l_coeffs t id = t.l_rows.(t.gate_cell.(id))
+let num_cells t = Array.length t.vth_rows
 let cell_index t id = t.gate_cell.(id)
 let vth_rnd_sigma t = t.vth_rnd
 let l_rnd_sigma t = t.l_rnd
@@ -82,6 +80,11 @@ let spatial_rows spec =
     in
     (side, !dims, rows)
 
+let occupied_cells cells gate_cell =
+  let used = Array.make cells false in
+  Array.iter (fun c -> used.(c) <- true) gate_cell;
+  Array.of_list (List.filter (fun c -> used.(c)) (List.init cells Fun.id))
+
 let build ?placement spec circuit =
   (match Spec.validate spec with
   | Ok () -> ()
@@ -104,40 +107,28 @@ let build ?placement spec circuit =
         done;
         v)
   in
-  let vth_rows = make_cell_rows ~sigma:spec.Spec.sigma_vth ~offset:0 in
-  let l_rows = make_cell_rows ~sigma:spec.Spec.sigma_l ~offset:(1 + sdims) in
-  let n = Circuit.num_gates circuit in
-  let gate_vth = Array.make n vth_rows.(0) in
-  let gate_l = Array.make n l_rows.(0) in
-  let gate_cell = Array.make n 0 in
-  for id = 0 to n - 1 do
-    let cell = Placement.cell_of placement ~grid:side id in
-    gate_cell.(id) <- cell;
-    gate_vth.(id) <- vth_rows.(cell);
-    gate_l.(id) <- l_rows.(cell)
-  done;
+  let gate_cell =
+    Array.init (Circuit.num_gates circuit) (Placement.cell_of placement ~grid:side)
+  in
   {
     spec;
     num_pcs;
-    gate_vth;
-    gate_l;
+    vth_rows = make_cell_rows ~sigma:spec.Spec.sigma_vth ~offset:0;
+    l_rows = make_cell_rows ~sigma:spec.Spec.sigma_l ~offset:(1 + sdims);
     gate_cell;
+    occupied = occupied_cells g2 gate_cell;
     vth_rnd = spec.Spec.sigma_vth *. sqrt spec.Spec.frac_random;
     l_rnd = spec.Spec.sigma_l *. sqrt spec.Spec.frac_random;
   }
 
-(* Re-index the per-gate arrays for a sub-circuit whose gate [ids] map
+(* Re-index the per-gate cell map for a sub-circuit whose gate [ids] map
    local id -> global id.  Coefficient rows are shared with the parent
    (they are read-only), and [num_pcs] is unchanged: the restricted view
    keeps every global PC, so correlation between gates of different
    restrictions is preserved exactly. *)
 let restrict t ids =
-  {
-    t with
-    gate_vth = Array.map (fun gid -> t.gate_vth.(gid)) ids;
-    gate_l = Array.map (fun gid -> t.gate_l.(gid)) ids;
-    gate_cell = Array.map (fun gid -> t.gate_cell.(gid)) ids;
-  }
+  let gate_cell = Array.map (fun gid -> t.gate_cell.(gid)) ids in
+  { t with gate_cell; occupied = occupied_cells (num_cells t) gate_cell }
 
 let dot a b =
   let acc = ref 0.0 in
@@ -163,21 +154,45 @@ module Sample = struct
 
   type t = { z : float array; dvth : float array; dl : float array }
 
-  let draw_with_z (m : model) rng z =
-    if Array.length z <> m.num_pcs then
-      invalid_arg "Model.Sample.draw_with_z: PC vector length mismatch";
-    let n = Array.length m.gate_vth in
-    let dvth = Array.make n 0.0 and dl = Array.make n 0.0 in
-    for id = 0 to n - 1 do
-      dvth.(id) <- dot m.gate_vth.(id) z +. (m.vth_rnd *. Rng.gaussian rng);
-      dl.(id) <- dot m.gate_l.(id) z +. (m.l_rnd *. Rng.gaussian rng)
-    done;
-    { z; dvth; dl }
-
-  let draw (m : model) rng =
-    draw_with_z m rng (Rng.gaussian_vector rng m.num_pcs)
+  (* one die's shared-PC part of ΔVth and ΔL, per grid cell *)
+  type scratch = { cell_vth : float array; cell_l : float array }
 
   let zero (m : model) =
-    let n = Array.length m.gate_vth in
+    let n = Array.length m.gate_cell in
     { z = Array.make m.num_pcs 0.0; dvth = Array.make n 0.0; dl = Array.make n 0.0 }
+
+  let scratch (m : model) =
+    { cell_vth = Array.make (num_cells m) 0.0; cell_l = Array.make (num_cells m) 0.0 }
+
+  let length_is n = function None -> true | Some v -> Array.length v = n
+
+  (* Every gate of a cell shares its coefficient row, so [dot row z] is
+     one float per cell: project each occupied cell once, then add each
+     gate's independent deviates, ΔVth's then ΔL's, in gate-id order. *)
+  let fill ?row ?shift (m : model) sc rng s =
+    let n = Array.length m.gate_cell and pcs = m.num_pcs in
+    if Array.length s.z <> pcs || Array.length s.dvth <> n || Array.length s.dl <> n
+       || Array.length sc.cell_vth <> num_cells m || Array.length sc.cell_l <> num_cells m
+    then invalid_arg "Model.Sample.fill: buffers do not match the model";
+    if not (length_is pcs row && length_is pcs shift) then
+      invalid_arg "Model.Sample.fill: PC vector length mismatch";
+    for k = 0 to pcs - 1 do
+      let x = match row with None -> Rng.gaussian rng | Some r -> r.(k) in
+      s.z.(k) <- (match shift with None -> x | Some mu -> x +. mu.(k))
+    done;
+    for k = 0 to Array.length m.occupied - 1 do
+      let cell = m.occupied.(k) in
+      sc.cell_vth.(cell) <- dot m.vth_rows.(cell) s.z;
+      sc.cell_l.(cell) <- dot m.l_rows.(cell) s.z
+    done;
+    for id = 0 to n - 1 do
+      let cell = m.gate_cell.(id) in
+      s.dvth.(id) <- sc.cell_vth.(cell) +. (m.vth_rnd *. Rng.gaussian rng);
+      s.dl.(id) <- sc.cell_l.(cell) +. (m.l_rnd *. Rng.gaussian rng)
+    done
+
+  let draw (m : model) rng =
+    let s = zero m in
+    fill m (scratch m) rng s;
+    s
 end

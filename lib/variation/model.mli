@@ -58,23 +58,45 @@ val correlation : t -> int -> int -> [ `Vth | `L ] -> float
     tests; the analyses use the coefficient vectors directly). *)
 
 (** One die drawn from the model: the shared PC vector and the fully
-    materialized per-gate parameter deviations. *)
+    materialized per-gate parameter deviations.  A [t] doubles as the
+    die buffer of a Monte-Carlo evaluator: {!fill} overwrites it in
+    place, so a sweep allocates its buffers once per domain, not once per
+    die. *)
 module Sample : sig
   type model := t
 
   type t = {
-    z : float array;      (** PC values, length [num_pcs] *)
-    dvth : float array;   (** per-gate ΔVth, V *)
-    dl : float array;     (** per-gate ΔL/L *)
+    z : float array;     (** PC values, length [num_pcs] *)
+    dvth : float array;  (** per-gate ΔVth, V *)
+    dl : float array;    (** per-gate ΔL/L *)
   }
 
-  val draw : model -> Sl_util.Rng.t -> t
-
-  val draw_with_z : model -> Sl_util.Rng.t -> float array -> t
-  (** Materialize a die from a given PC vector (fresh independent
-      components from the generator) — used by stratified samplers.
-      @raise Invalid_argument on a PC-vector length mismatch. *)
+  type scratch
+  (** {!fill}'s per-cell projection buffers, one pair of floats per grid
+      cell; like a [t], built once per evaluator and reused. *)
 
   val zero : model -> t
-  (** The nominal die (all deviations zero). *)
+  (** The nominal die (all deviations zero); also a fresh buffer for
+      {!fill}. *)
+
+  val scratch : model -> scratch
+
+  val fill :
+    ?row:float array -> ?shift:float array ->
+    model -> scratch -> Sl_util.Rng.t -> t -> unit
+  (** [fill ?row ?shift m sc rng s] draws the next die into [s]: its PC
+      vector [s.z] is [row] — or [num_pcs] Gaussians from [rng] when
+      absent — plus [shift]; then each gate's independent components
+      from [rng], ΔVth's deviate then ΔL's, in gate-id order.  Gates of
+      one cell share their coefficient row (see {!cell_index}), so the PC
+      projection is computed once per occupied cell into [sc] — the same
+      floats a per-gate projection gives, in the same generator order.
+      This is the one die draw: {!draw} and every Monte-Carlo evaluator
+      run it.
+      @raise Invalid_argument if [s] or [sc] was not built for a model of
+      [m]'s PC, gate and cell counts, or [row] / [shift] is not
+      [num_pcs] long. *)
+
+  val draw : model -> Sl_util.Rng.t -> t
+  (** A fresh die: {!zero}, then {!fill} with the PC vector from [rng]. *)
 end

@@ -33,13 +33,20 @@ type state =
   | Controlled of Cv.Biacc.t                      (* (y, c) pairs *)
   | Weighted_controlled of Cv.Biacc.t * Stats.Wacc.t
 
+(* LHS runs whole batches only, and its CI needs two of them *)
+let min_samples ?(batch_chunks = 4) = function
+  | Lhs -> 2 * batch_chunks * Mc.chunk_size
+  | Naive | Is | Cv | Is_cv -> 1
+
 let estimate ?(ci = 0.95) ?jobs ?(method_ = Is_cv) ?(quantity = Yield)
     ?(batch_chunks = 4) ?(max_samples = 1_000_000)
     ?(progress = fun ~samples:_ ~value:_ ~halfwidth:_ -> ()) ~target_halfwidth
     ~seed ~tmax (d : Sl_tech.Design.t) model =
   if target_halfwidth < 0.0 then invalid_arg "Seq.estimate: negative target_halfwidth";
   if batch_chunks < 1 then invalid_arg "Seq.estimate: batch_chunks < 1";
-  if max_samples < 1 then invalid_arg "Seq.estimate: max_samples < 1";
+  let least = min_samples ~batch_chunks method_ in
+  if max_samples < least then
+    invalid_arg (Printf.sprintf "Seq.estimate: max_samples < %d" least);
   if not (ci > 0.0 && ci < 1.0) then invalid_arg "Seq.estimate: ci outside (0,1)";
   (match (quantity, method_) with
   | Leak_mean, (Is | Cv | Is_cv) ->

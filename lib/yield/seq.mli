@@ -29,6 +29,11 @@ val method_of_string : string -> method_ option
 
 val method_to_string : method_ -> string
 
+val min_samples : ?batch_chunks:int -> method_ -> int
+(** The least [max_samples] {!estimate} accepts: two whole batches of
+    [batch_chunks · 256] dies (default 4 chunks) for [Lhs], whose CI
+    comes from the spread of batch means; 1 otherwise. *)
+
 val estimate :
   ?ci:float ->            (* CI level, default 0.95 *)
   ?jobs:int ->            (* MC worker domains; never changes a number *)
@@ -48,7 +53,9 @@ val estimate :
     The estimator never stops on a zero standard error (e.g. no failure
     observed yet in a high-yield tail) before the cap, so a too-loose
     target cannot return a degenerate interval.
+    [Lhs] runs whole batches of [batch_chunks · 256] dies and never
+    more than [max_samples] dies in all.
     @raise Invalid_argument on a negative [target_halfwidth],
-    [batch_chunks] < 1, [max_samples] < 1, [ci] ∉ (0,1), or
+    [batch_chunks] < 1, [max_samples] below {!min_samples}, [ci] ∉ (0,1), or
     [Leak_mean] combined with an importance-sampled method (the shift
     targets the timing tail, not the leakage mean). *)

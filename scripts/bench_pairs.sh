@@ -10,9 +10,13 @@
 # (the side that goes first swaps every pair).  Prints, for each end-to-end
 # metric of BENCHMARK.json, each side's median and quartiles, the median
 # change against the base's interquartile range, and how many pairs the
-# working tree won; then the `correct` and `failed` totals.  Raw result lines
-# stay in DIR/{base,change}.jsonl.  Run-to-run noise on a shared host is far
-# above what CI could gate on; this is a local measurement tool.
+# working tree won; then, for information only (no won/lost verdict), each
+# side's median and quartiles of the workload-table figures (mc_verify_s,
+# det_optimize_s, ...), which show where the time went; then the `correct`
+# and `failed` totals.  Each run's full stdout stays in
+# DIR/runs/{base,change}-N.txt and its result line in DIR/{base,change}.jsonl.
+# Run-to-run noise on a shared host is far above what CI could gate on; this
+# is a local measurement tool.
 set -euo pipefail
 
 workload="" seed=1 seconds=30 pairs=10 base=HEAD dir=""
@@ -35,8 +39,8 @@ fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
 base_rev="$(git -C "$root" rev-parse --short "$base")"
 dir="${dir:-$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")}"
-rm -rf "$dir/base" "$dir/change"
-mkdir -p "$dir/base" "$dir/change"
+rm -rf "$dir/base" "$dir/change" "$dir/runs"
+mkdir -p "$dir/base" "$dir/change" "$dir/runs"
 : > "$dir/base.jsonl"
 : > "$dir/change.jsonl"
 
@@ -51,19 +55,21 @@ for side in base change; do
 done
 
 run() {
+  local out="$dir/runs/$1-$2.txt"
   bash "$dir/$1/perfbench/run.sh" --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" --trace 0 2>>"$dir/$1.stderr.log" | tail -n 1 >>"$dir/$1.jsonl"
+    --seconds "$seconds" --trace 0 2>>"$dir/$1.stderr.log" >"$out"
+  tail -n 1 "$out" >>"$dir/$1.jsonl"
 }
 
 for i in $(seq 1 "$pairs"); do
-  if [ $((i % 2)) -eq 1 ]; then run base; run change; else run change; run base; fi
+  if [ $((i % 2)) -eq 1 ]; then run base "$i"; run change "$i"; else run change "$i"; run base "$i"; fi
   echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$dir" "$root/BENCHMARK.json" "$workload" "$seed" "$seconds" "$base_rev" <<'EOF'
+python3 - "$dir" "$root/BENCHMARK.json" "$workload" "$seed" "$seconds" "$base_rev" "$pairs" <<'EOF'
 import json, statistics, sys
 
-d, bench, workload, seed, seconds, base_rev = sys.argv[1:]
+d, bench, workload, seed, seconds, base_rev, npairs = sys.argv[1:]
 spec = json.load(open(bench))["end_to_end"]
 runs = {s: [json.loads(l) for l in open(f"{d}/{s}.jsonl") if l.strip()]
         for s in ("base", "change")}
@@ -77,8 +83,8 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
-print(f"{'metric':<26}{'better':<8}{'base median [q1, q3]':<34}"
-      f"{'change median [q1, q3]':<34}{'delta/IQR':>10}{'won':>8}{'ties':>6}")
+print(f"{'metric':<26}{'better':<8}{'base median [q1, q3]':<38}"
+      f"{'change median [q1, q3]':<38}{'delta/IQR':>10}{'won':>8}{'ties':>6}")
 for m in spec:
     name, lower = m["name"], m["better"] == "lower"
     vals = {s: [r["metrics"][name]["value"] for r in runs[s][:pairs]
@@ -93,8 +99,36 @@ for m in spec:
     iqr = b3 - b1
     ratio = f"{abs(cm - bm) / iqr:.1f}" if iqr > 0 else ("0.0" if cm == bm else "inf")
     fmt = lambda a, b, c: f"{b:.6g} [{a:.6g}, {c:.6g}]"
-    print(f"{name:<26}{m['better']:<8}{fmt(b1, bm, b3):<34}{fmt(c1, cm, c3):<34}"
+    print(f"{name:<26}{m['better']:<8}{fmt(b1, bm, b3):<38}{fmt(c1, cm, c3):<38}"
           f"{ratio:>10}{won:>5}/{pairs}{ties:>6}")
+
+def workload_table(path):
+    """The `== workload` table of one run's stdout: {figure: value}."""
+    figures, inside = {}, False
+    for line in open(path):
+        if line.startswith("=="):
+            inside = line.strip() == "== workload"
+        elif inside and line.startswith("  "):
+            parts = line.split()
+            try:
+                figures[parts[0]] = float(parts[1])
+            except (IndexError, ValueError):
+                pass
+    return figures
+
+tables = {s: [workload_table(f"{d}/runs/{s}-{i}.txt") for i in range(1, int(npairs) + 1)]
+          for s in ("base", "change")}
+names = [k for k in tables["base"][0]] if tables["base"] and tables["base"][0] else []
+if names:
+    print("workload figures (informational, no verdict)")
+    print(f"{'figure':<26}{'base median [q1, q3]':<38}{'change median [q1, q3]':<38}")
+for name in names:
+    vals = {s: [t[name] for t in tables[s] if name in t] for s in tables}
+    if not vals["base"] or not vals["change"]:
+        continue
+    (b1, bm, b3), (c1, cm, c3) = quartiles(vals["base"]), quartiles(vals["change"])
+    fmt = lambda a, b, c: f"{b:.6g} [{a:.6g}, {c:.6g}]"
+    print(f"{name:<26}{fmt(b1, bm, b3):<38}{fmt(c1, cm, c3):<38}")
 for s in ("base", "change"):
     rs = runs[s]
     print(f"{s}: correct {sum(1 for r in rs if r.get('correct'))}/{len(rs)} runs, "

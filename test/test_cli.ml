@@ -130,6 +130,16 @@ let test_rejects_bad_flag_values () =
       ("yield c17 --max-samples 0", "--max-samples");
       ("optimize c17 --mode batch --eta 1.5", "--eta");
       ("optimize c17 --eta 0", "--eta");
+      ("yield c17 --ci 1.5", "--ci");
+      ("yield c17 --ci nan", "--ci");
+      ("yield c17 --halfwidth=-0.01", "--halfwidth");
+      ("yield c17 --halfwidth inf", "--halfwidth");
+      ("mc c17 --sigma-scale=-1", "--sigma-scale");
+      ("sta c17 --size-idx 99", "--size-idx");
+      ("leakage c17 --size-idx=-1", "--size-idx");
+      ("mc c17 --tmax-factor=nan", "--tmax-factor");
+      ("optimize c17 --tmax-factor 0 --samples 0", "--tmax-factor");
+      ("yield c17 --method lhs --max-samples 100", "--max-samples");
     ]
 
 let test_profile_json () =

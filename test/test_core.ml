@@ -58,6 +58,41 @@ let test_evaluate_no_mc_by_default () =
   let m = Evaluate.design s ~tmax:(Setup.tmax s ~factor:1.2) (Setup.fresh_design s) in
   Alcotest.(check bool) "no mc" true (m.Evaluate.yield_mc = None)
 
+let test_evaluate_fidelity_gauges () =
+  (* an MC-verified evaluation publishes how far SSTA and Wilkinson sit
+     from MC, readable back from the registry snapshot *)
+  let module Metrics = Sl_obs.Metrics in
+  let s = Setup.of_benchmark "c17" in
+  let m =
+    Evaluate.design ~mc_samples:600 s ~tmax:(Setup.tmax s ~factor:1.2)
+      (Setup.fresh_design s)
+  in
+  let read name =
+    match
+      List.find_opt
+        (fun (x : Metrics.sample) ->
+          x.Metrics.name = name && x.Metrics.labels = [ ("circuit", "c17") ])
+        (Metrics.snapshot ())
+    with
+    | Some x -> x.Metrics.value
+    | None -> Alcotest.failf "%s{circuit=c17} not in the snapshot" name
+  in
+  let mc = Option.get in
+  check_float "yield gap"
+    (Float.abs (m.Evaluate.yield_ssta -. mc m.Evaluate.yield_mc))
+    (read "statleak_fidelity_yield_gap");
+  check_float "leak mean error"
+    (Float.abs (m.Evaluate.leak_mean -. mc m.Evaluate.leak_mc_mean)
+    /. mc m.Evaluate.leak_mc_mean)
+    (read "statleak_fidelity_leak_mean_rel_error");
+  check_float "leak p99 error"
+    (Float.abs (m.Evaluate.leak_p99 -. mc m.Evaluate.leak_mc_p99)
+    /. mc m.Evaluate.leak_mc_p99)
+    (read "statleak_fidelity_leak_p99_rel_error");
+  (* the Wilkinson fit tracks MC on c17 to well within 10% *)
+  Alcotest.(check bool) "mean error small" true
+    (read "statleak_fidelity_leak_mean_rel_error" < 0.1)
+
 let test_improvement () =
   check_float "half is 50%" 50.0 (Evaluate.improvement 10.0 5.0);
   check_float "worse is negative" (-50.0) (Evaluate.improvement 10.0 15.0)
@@ -155,6 +190,7 @@ let suite =
       [
         Alcotest.test_case "consistency" `Quick test_evaluate_consistency;
         Alcotest.test_case "no mc by default" `Quick test_evaluate_no_mc_by_default;
+        Alcotest.test_case "fidelity gauges" `Quick test_evaluate_fidelity_gauges;
         Alcotest.test_case "improvement" `Quick test_improvement;
       ] );
     ( "core.report",

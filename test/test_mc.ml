@@ -7,6 +7,8 @@ module Generators = Sl_netlist.Generators
 module Spec = Sl_variation.Spec
 module Model = Sl_variation.Model
 module Sta = Sl_sta.Sta
+module Abb = Sl_mc.Abb
+module Rng = Sl_util.Rng
 
 let setup circuit =
   let d = Design.create (Cell_lib.default ()) circuit in
@@ -42,22 +44,28 @@ let test_yield_interpolates () =
   Alcotest.(check bool) "yield at median ~ 0.5" true (y > 0.45 && y < 0.55)
 
 let test_sample_leak_matches_evaluator () =
-  (* the fast per-sample evaluator inside run must agree with the direct
-     per-gate model evaluation *)
+  (* the compiled per-die leak evaluator must agree with the direct
+     per-gate model evaluation, on the die and on a shifted ΔVth *)
   let d, m = setup (Benchmarks.c17 ()) in
   let rng = Sl_util.Rng.create 13 in
+  let ev = Mc.Eval.create d m in
+  let s = Mc.Eval.die ev in
   for _ = 1 to 20 do
-    let s = Model.Sample.draw m rng in
-    let direct = Mc.total_leak_of_sample d s in
-    (* reproduce via a 1-sample run? Instead compare against manual sum *)
-    let manual = ref 0.0 in
-    for id = 0 to Circuit.num_gates d.Design.circuit - 1 do
-      manual :=
-        !manual
-        +. Design.gate_leak d id ~dvth:s.Model.Sample.dvth.(id) ~dl:s.Model.Sample.dl.(id)
-    done;
-    if Float.abs (direct -. !manual) > 1e-9 *. !manual then
-      Alcotest.failf "sample leak %.6g vs manual %.6g" direct !manual
+    Mc.Eval.draw ev rng;
+    List.iter
+      (fun bias ->
+        let dvth = Array.map (fun x -> x +. bias) s.Model.Sample.dvth in
+        let manual = ref 0.0 in
+        for id = 0 to Circuit.num_gates d.Design.circuit - 1 do
+          if (Circuit.gate d.Design.circuit id).Circuit.kind <> Sl_netlist.Cell_kind.Pi
+          then
+            manual :=
+              !manual +. Design.gate_leak d id ~dvth:dvth.(id) ~dl:s.Model.Sample.dl.(id)
+        done;
+        let fast = Mc.Eval.leak ev ~dvth in
+        if Float.abs (fast -. !manual) > 1e-9 *. !manual then
+          Alcotest.failf "evaluator leak %.6g vs manual %.6g" fast !manual)
+      [ 0.0; 0.03 ]
   done
 
 let test_delay_sample_consistency () =
@@ -169,6 +177,111 @@ let test_run_stats_matches_run () =
       close "leak var" (Stats.variance r.Mc.leak) (Stats.Acc.variance la))
     [ 1; 3 ]
 
+(* ---------- bit pins ---------- *)
+
+(* Digest of every word of the given arrays.  A die must draw the same
+   RNG words and run the same float operations in the same order, so
+   these digests never move when the die kernel is reworked. *)
+let bits_digest arrays =
+  let b = Buffer.create 4096 in
+  List.iter (Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x))) arrays;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let bench_setup ?(spec = Spec.default) name =
+  match Benchmarks.by_name name with
+  | Some c -> (Design.create (Cell_lib.default ()) c, Model.build spec c)
+  | None -> Alcotest.failf "unknown benchmark %s" name
+
+let test_run_bit_pins () =
+  (* 600 dies: two full chunks and a partial third; the 3-level quadtree
+     leaves 35 of its 64 cells without an add32 gate *)
+  let quadtree = Spec.quadtree ~levels:3 () in
+  List.iter
+    (fun (name, spec, (tag, sampling), expected) ->
+      let d, m = bench_setup ~spec name in
+      let r = Mc.run ~sampling ~jobs:2 ~seed:42 ~samples:600 d m in
+      Alcotest.(check string) (name ^ " " ^ tag) expected
+        (bits_digest [ r.Mc.delay; r.Mc.leak ]))
+    [
+      ("c17", Spec.default, ("naive", `Naive), "d6d91cebb0ed09cf40bd8535de8f22ff");
+      ("c17", Spec.default, ("lhs", `Lhs), "e019803a324ed22e10b68661f429066f");
+      ("add32", Spec.default, ("naive", `Naive), "d4211d82afd056a5963be93879f4e3d1");
+      ("add32", Spec.default, ("lhs", `Lhs), "84e2ed5bc917adee95a8eed30fd4ae28");
+      ("mult8", Spec.default, ("naive", `Naive), "dc504807430281462af98a17c79e65c2");
+      ("mult8", Spec.default, ("lhs", `Lhs), "8f6cf9190e6bf9baa353182fd1efd257");
+      ("add32", quadtree, ("quadtree naive", `Naive), "b113f52cbc4e82c9cb8831f63602a4ac");
+      ("add32", quadtree, ("quadtree lhs", `Lhs), "64ca017743b8314a7cbdab63936d7bb6");
+    ]
+
+let test_run_dies_bit_pins () =
+  let d, m = bench_setup "add32" in
+  let dims = Model.num_pcs m in
+  let digest dies =
+    bits_digest
+      (List.concat_map
+         (fun (x : Mc.die) -> [ x.Mc.z; [| x.Mc.delay; x.Mc.leak |] ])
+         (Array.to_list dies))
+  in
+  let shift = Array.init dims (fun k -> 0.05 *. float_of_int ((k mod 7) - 3)) in
+  let table = Mc.lhs_z_table (Rng.create 7) ~samples:600 ~dims in
+  Alcotest.(check string) "shift" "eea9fb920f8c9e89a94fe5af207089d4"
+    (digest (Mc.run_dies ~jobs:2 ~shift ~seed:42 ~first:256 ~count:600 d m));
+  Alcotest.(check string) "z_of" "fa2a4413affa95709d023933c0c9a9d4"
+    (digest
+       (Mc.run_dies ~jobs:2
+          ~z_of:(fun i -> table.(i - 256))
+          ~seed:42 ~first:256 ~count:600 d m))
+
+let test_abb_bit_pins () =
+  let d, m = bench_setup "add32" in
+  let cfg = Abb.default_config ~tmax:(1.08 *. Sta.dmax d) in
+  List.iter
+    (fun (tag, sampling, expected) ->
+      let r = Abb.tune ~sampling ~seed:42 ~samples:200 cfg d m in
+      Alcotest.(check string) tag expected
+        (bits_digest
+           [
+             [| r.Abb.yield_before; r.Abb.yield_after |];
+             r.Abb.leak_before;
+             r.Abb.leak_after;
+             r.Abb.bias;
+           ]))
+    [
+      ("naive", `Naive, "8cebb3928234e15544fe9e8dcbf18506");
+      ("lhs", `Lhs, "410d8fb70a7247796fae237804d1840e");
+    ]
+
+(* Machine-independent guard on the die kernel: at jobs=1 a die may
+   allocate a few words per gate (floats boxed at call boundaries), never
+   its own per-gate arrays or a box per generator word.  Counted with
+   [Gc.allocated_bytes], which includes the direct major-heap allocations
+   that per-gate arrays over 256 words are. *)
+let test_die_allocation_budget () =
+  let words_of f =
+    let a0 = Gc.allocated_bytes () in
+    let r = f () in
+    (r, (Gc.allocated_bytes () -. a0) /. 8.0)
+  in
+  List.iter
+    (fun name ->
+      let d, m = bench_setup name in
+      let gates = float_of_int (Circuit.num_gates d.Design.circuit) in
+      let check tag dies words =
+        let per = words /. (gates *. float_of_int dies) in
+        if per > 8.0 then
+          Alcotest.failf "%s %s: %.1f words per gate per die (budget 8)" name tag per
+      in
+      let _, w = words_of (fun () -> Mc.run ~jobs:1 ~seed:3 ~samples:1024 d m) in
+      check "Mc.run" 1024 w;
+      let tmax = Sl_ssta.Ssta.tmax_for_yield (Sl_ssta.Ssta.analyze d m) ~p:0.95 in
+      let e, w =
+        words_of (fun () ->
+            Sl_yield.Seq.estimate ~jobs:1 ~method_:Sl_yield.Seq.Is_cv ~max_samples:2048
+              ~target_halfwidth:0.0 ~seed:3 ~tmax d m)
+      in
+      check "IS+CV Seq.estimate" e.Sl_yield.Estimate.samples_used w)
+    [ "add32"; "mult8"; "alu32" ]
+
 let suite =
   [
     ( "mc",
@@ -186,5 +299,10 @@ let suite =
         Alcotest.test_case "rejects zero jobs" `Quick test_rejects_zero_jobs;
         Alcotest.test_case "bit-identical across jobs" `Quick test_jobs_invariant;
         Alcotest.test_case "run_stats matches run" `Quick test_run_stats_matches_run;
+        Alcotest.test_case "run bit pins" `Quick test_run_bit_pins;
+        Alcotest.test_case "run_dies bit pins" `Quick test_run_dies_bit_pins;
+        Alcotest.test_case "abb bit pins" `Quick test_abb_bit_pins;
+        Alcotest.test_case "allocation per gate per die" `Quick
+          test_die_allocation_budget;
       ] );
   ]

@@ -307,6 +307,39 @@ let test_serve_optimize_parity mode () =
 
 let counters_of t = Server.counters t
 
+(* The daemon's yield request must return the in-process estimate bit for
+   bit: same design, same tmax, same seed, same estimator. *)
+let test_serve_yield_parity () =
+  with_server (fun sock _ ->
+      Client.with_connection ~socket:sock (fun c ->
+          ignore (load c ~session:"y" ~bench:"add32");
+          let progressed = ref 0 in
+          let resp =
+            rpc c
+              ~on_progress:(fun _ -> incr progressed)
+              [
+                ("type", s "yield");
+                ("session", s "y");
+                ("method", s "is+cv");
+                ("halfwidth", n 0.003);
+                ("max_samples", n 4096.0);
+                ("seed", n 42.0);
+              ]
+          in
+          Alcotest.(check bool) "progress streamed" true (!progressed > 0);
+          let setup = Setup.of_benchmark ~spec:(Sl_variation.Spec.scaled 1.0) "add32" in
+          let e =
+            Sl_yield.Seq.estimate ~jobs:1 ~method_:Sl_yield.Seq.Is_cv ~max_samples:4096
+              ~target_halfwidth:0.003 ~seed:42
+              ~tmax:(Setup.tmax setup ~factor:1.25)
+              (Setup.fresh_design setup) setup.Setup.model
+          in
+          Alcotest.(check string) "value bits"
+            (Protocol.bits_of_float e.Sl_yield.Estimate.value)
+            (get_str "value_bits" resp);
+          Alcotest.(check int) "samples" e.Sl_yield.Estimate.samples_used
+            (get_int "samples" resp)))
+
 let test_serve_eviction_restore () =
   with_server ~max_sessions:1 (fun sock t ->
       Client.with_connection ~socket:sock (fun c ->
@@ -468,6 +501,7 @@ let suite =
         Alcotest.test_case "optimize parity" `Quick (test_serve_optimize_parity "stat");
         Alcotest.test_case "optimize parity (batch)" `Quick
           (test_serve_optimize_parity "batch");
+        Alcotest.test_case "yield parity" `Quick test_serve_yield_parity;
         Alcotest.test_case "eviction and restore" `Quick test_serve_eviction_restore;
         Alcotest.test_case "concurrent sessions" `Quick test_serve_concurrent_sessions;
         Alcotest.test_case "error paths" `Quick test_serve_error_paths;

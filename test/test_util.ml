@@ -96,6 +96,55 @@ let test_rng_streams_independent () =
   let rho = Stats.correlation xs ys in
   if Float.abs rho > 0.08 then Alcotest.failf "streams correlate: %g" rho
 
+(* Bit pins of the generator: the first 8 raw words and then 8 Gaussian
+   bit patterns.  Every Monte-Carlo, yield and ABB number is a function
+   of these streams, so a change to the state layout must leave them
+   exactly as they are. *)
+let rng_words rng =
+  let bits = Array.init 8 (fun _ -> Rng.bits64 rng) in
+  let gauss = Array.init 8 (fun _ -> Int64.bits_of_float (Rng.gaussian rng)) in
+  Array.to_list (Array.append bits gauss)
+
+let words_digest ws =
+  Digest.to_hex (Digest.string (String.concat "," (List.map Int64.to_string ws)))
+
+let test_rng_bit_pins () =
+  Alcotest.(check (list int64))
+    "create 42"
+    [
+      0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL; 0xb37d9f600cd835b8L;
+      0xcb231c3874846a73L; 0x968d9f004e50de7dL; 0x201718ff221a3556L; 0x9ae94e070ed8cb46L;
+      0x3fc91df36fc7a31dL; 0x3ff2752c5c480a10L; 0x3fc9f8e83e100ac6L; 0xbfdf0e22e3f6478bL;
+      0xc001eea5740e03d7L; 0x3ff105abe3544717L; 0x4003a5fb48b98253L; 0xbff0fce56bfd47b4L;
+    ]
+    (rng_words (Rng.create 42));
+  Alcotest.(check (list int64))
+    "stream 42 3"
+    [
+      0xaad44ac6eb9a0806L; 0x62dd5b2c705e3012L; 0x31899b2a9d2e97f8L; 0x79a9cb16e5740569L;
+      0x194fc04d3052c2eaL; 0x91c493c360573884L; 0x60fde130cf16017bL; 0x2559e0ffdb28aae3L;
+      0xbfb4395c405b08ecL; 0x3ff4f411a3fa6bd8L; 0xbfe33e4a08a33d1aL; 0x3fec7cce51e8ea92L;
+      0x3ff33c5ac5c151d5L; 0xbfd13c7d3648569fL; 0x400072ee6382bf79L; 0x3ff607868fa38e65L;
+    ]
+    (rng_words (Rng.stream ~seed:42 3));
+  (* a copy taken with a spare deviate pending continues exactly as the
+     original *)
+  let r = Rng.create 42 in
+  for _ = 1 to 3 do
+    ignore (Rng.gaussian r)
+  done;
+  let c = Rng.copy r in
+  let wc = rng_words c in
+  Alcotest.(check (list int64)) "copy = original" (rng_words r) wc;
+  Alcotest.(check string) "after copy" "966daeee2e97e4039a1757da31dd2220" (words_digest wc);
+  (* split draws one raw word from the parent; the parent's pending
+     spare survives, the child starts without one *)
+  let r = Rng.create 42 in
+  ignore (Rng.gaussian r);
+  let child = Rng.split r in
+  Alcotest.(check string) "split child" "3a102a77f8c3ffe4af7cf23fce7e8973" (words_digest (rng_words child));
+  Alcotest.(check string) "split parent" "66f56a7ad7fe16b3bfca7ac024a85d61" (words_digest (rng_words r))
+
 let test_rng_shuffle_permutes () =
   let r = Rng.create 21 in
   let a = Array.init 50 Fun.id in
@@ -706,6 +755,7 @@ let suite =
         Alcotest.test_case "stream 0 is create" `Quick test_rng_stream_zero_is_create;
         Alcotest.test_case "streams independent" `Quick test_rng_streams_independent;
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+        Alcotest.test_case "bit pins" `Quick test_rng_bit_pins;
       ] );
     ( "util.special",
       [

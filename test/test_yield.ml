@@ -194,10 +194,46 @@ let test_leak_mean_quantity () =
   | _ -> Alcotest.fail "Leak_mean + Is accepted"
   | exception Invalid_argument _ -> ()
 
+let test_lhs_respects_cap () =
+  (* LHS grows in whole 1024-die replicates: below two of them there is
+     no CI to report, and the cap is never overrun *)
+  let d, m = setup "c17" in
+  let tmax = tmax_at (d, m) 0.95 in
+  let run max_samples =
+    Seq.estimate ~jobs:1 ~method_:Seq.Lhs ~max_samples ~target_halfwidth:0.0 ~seed:3
+      ~tmax d m
+  in
+  (match run 100 with
+  | _ -> Alcotest.fail "LHS with a 100-die cap accepted"
+  | exception Invalid_argument _ -> ());
+  let e = run 3000 in
+  Alcotest.(check int) "two whole replicates" 2048 e.Estimate.samples_used;
+  Alcotest.(check bool) "non-degenerate interval" true (e.Estimate.ci_hi > e.Estimate.ci_lo)
+
 let test_naive_samples_formula () =
   (* z = 1.96: n for p=0.5, hw=0.01 is ~9604 *)
   let n = Estimate.naive_samples ~ci:0.95 ~p:0.5 ~halfwidth:0.01 in
   Alcotest.(check bool) "textbook value" true (n >= 9600 && n <= 9610)
+
+(* Bit pins of the sequential estimator: the die kernel may not move a
+   single bit of an estimate. *)
+let test_seq_bit_pins () =
+  let d, m = setup "add32" in
+  let tmax = tmax_at (d, m) 0.95 in
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun (tag, method_, expected) ->
+      let e =
+        Seq.estimate ~jobs:2 ~method_ ~max_samples:4096 ~target_halfwidth:0.003
+          ~seed:42 ~tmax d m
+      in
+      Alcotest.(check string) tag expected
+        (Printf.sprintf "%Lx %Lx %d %Lx" (bits e.Estimate.value)
+           (bits e.Estimate.stderr) e.Estimate.samples_used (bits e.Estimate.ess)))
+    [
+      ("is+cv", Seq.Is_cv, "3fee3d452716a183 3f53df5466eaef19 1024 4055d7745d8b89db");
+      ("lhs", Seq.Lhs, "3fee560000000000 3f5b3a39520fb6fb 4096 40b0000000000000");
+    ]
 
 let suite =
   [
@@ -221,6 +257,8 @@ let suite =
         Alcotest.test_case "seq bit-identical across jobs" `Quick
           test_seq_bit_identical_across_jobs;
         Alcotest.test_case "leak-mean quantity" `Quick test_leak_mean_quantity;
+        Alcotest.test_case "lhs respects the sample cap" `Quick test_lhs_respects_cap;
         Alcotest.test_case "naive-samples formula" `Quick test_naive_samples_formula;
+        Alcotest.test_case "seq bit pins" `Quick test_seq_bit_pins;
       ] );
   ]

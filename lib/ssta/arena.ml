@@ -1,137 +1,37 @@
-module Special = Sl_util.Special
+(* Slot [i] is the Canonical row at data.[i*w .. (i+1)*w), w = num_pcs + 2.
+   The array is a plain unboxed float array, so a timing pass touches one
+   flat buffer instead of one heap record per gate — and a level's gates
+   can be written by concurrent domains because every slot is disjoint. *)
 
-(* Structure-of-arrays store for canonical forms: slot [i] is
-   (mean.(i), coeffs.[i*num_pcs .. (i+1)*num_pcs), rnd.(i)).  The arrays
-   are plain unboxed float arrays, so a timing pass touches three flat
-   buffers instead of one heap record per gate — and a level's gates can
-   be written by concurrent domains because every slot is disjoint.
-
-   Bit-identity contract: every kernel below replays the float operations
-   of the corresponding [Canonical] function in the same order on the
-   same operands, so a value computed through the arena is the same IEEE
-   word a [Canonical.t] pipeline would produce.  When editing, keep each
-   kernel aligned with its [Canonical] twin (named in its comment). *)
-
-type t = {
-  n : int;
-  num_pcs : int;
-  mean : float array;
-  rnd : float array;
-  coeffs : float array; (* n * num_pcs, row-major *)
-}
+type t = { n : int; num_pcs : int; data : float array }
 
 let create ~n ~num_pcs =
-  {
-    n;
-    num_pcs;
-    mean = Array.make n 0.0;
-    rnd = Array.make n 0.0;
-    coeffs = Array.make (n * num_pcs) 0.0;
-  }
+  { n; num_pcs; data = Array.make (n * Canonical.row_width num_pcs) 0.0 }
 
-let get t i =
-  Canonical.make ~mean:t.mean.(i)
-    ~coeffs:(Array.sub t.coeffs (i * t.num_pcs) t.num_pcs)
-    ~rnd:t.rnd.(i)
+let width t = Canonical.row_width t.num_pcs
+let row t i = i * width t
+let get t i = Canonical.of_row ~np:t.num_pcs t.data (row t i)
+let set t i c = Canonical.to_row c t.data (row t i)
+let zero t i = Array.fill t.data (row t i) (width t) 0.0
+let blit src i dst j = Array.blit src.data (row src i) dst.data (row dst j) (width src)
 
-let set t i (c : Canonical.t) =
-  t.mean.(i) <- c.Canonical.mean;
-  t.rnd.(i) <- c.Canonical.rnd;
-  Array.blit c.Canonical.coeffs 0 t.coeffs (i * t.num_pcs) t.num_pcs
+let add a i b j ~dst k =
+  Canonical.add_rows ~np:a.num_pcs a.data (row a i) b.data (row b j) dst.data (row dst k)
 
-(* One canonical form owned by a single worker: the accumulator of a
-   fold over a gate's fanin (or fanout terms).  Mutated in place, so a
-   level pass allocates nothing per gate. *)
-type scratch = {
-  mutable s_mean : float;
-  mutable s_rnd : float;
-  s_co : float array; (* num_pcs *)
-}
+let max2 f a i b j ~dst k =
+  Canonical.max2_rows f ~np:a.num_pcs a.data (row a i) b.data (row b j) dst.data
+    (row dst k)
 
-let scratch ~num_pcs = { s_mean = 0.0; s_rnd = 0.0; s_co = Array.make num_pcs 0.0 }
+let sigma t i = Canonical.sigma_row ~np:t.num_pcs t.data (row t i)
 
-let load_zero sc =
-  sc.s_mean <- 0.0;
-  sc.s_rnd <- 0.0;
-  Array.fill sc.s_co 0 (Array.length sc.s_co) 0.0
+(* [=] at type int64 compiles to an unboxed comparison *)
+let bits_equal (x : float) (y : float) = Int64.bits_of_float x = Int64.bits_of_float y
 
-let load sc t j =
-  sc.s_mean <- t.mean.(j);
-  sc.s_rnd <- t.rnd.(j);
-  Array.blit t.coeffs (j * t.num_pcs) sc.s_co 0 t.num_pcs
-
-let store t i sc =
-  t.mean.(i) <- sc.s_mean;
-  t.rnd.(i) <- sc.s_rnd;
-  Array.blit sc.s_co 0 t.coeffs (i * t.num_pcs) t.num_pcs
-
-let to_canonical sc =
-  Canonical.make ~mean:sc.s_mean ~coeffs:(Array.copy sc.s_co) ~rnd:sc.s_rnd
-
-(* sc <- Canonical.add sc b *)
-let add_canonical sc (b : Canonical.t) =
-  let bc = b.Canonical.coeffs in
-  sc.s_mean <- sc.s_mean +. b.Canonical.mean;
-  for k = 0 to Array.length sc.s_co - 1 do
-    sc.s_co.(k) <- sc.s_co.(k) +. bc.(k)
+let equal a i b j =
+  let w = width a and da = a.data and db = b.data in
+  let oa = row a i and ob = row b j in
+  let k = ref 0 in
+  while !k < w && bits_equal da.(oa + !k) db.(ob + !k) do
+    incr k
   done;
-  sc.s_rnd <- sqrt ((sc.s_rnd *. sc.s_rnd) +. (b.Canonical.rnd *. b.Canonical.rnd))
-
-(* sc <- Canonical.add a (slot j of t) *)
-let load_add_canonical_slot sc (a : Canonical.t) t j =
-  let ac = a.Canonical.coeffs in
-  let off = j * t.num_pcs in
-  sc.s_mean <- a.Canonical.mean +. t.mean.(j);
-  for k = 0 to t.num_pcs - 1 do
-    sc.s_co.(k) <- ac.(k) +. t.coeffs.(off + k)
-  done;
-  sc.s_rnd <- sqrt ((a.Canonical.rnd *. a.Canonical.rnd) +. (t.rnd.(j) *. t.rnd.(j)))
-
-(* sc <- Canonical.max2 sc b, with b given as raw (mean, rnd, coeff view).
-   Mirrors Canonical.max2 operation for operation: sigma a then sigma b
-   (variance starts at rnd² and adds the squared coefficients in index
-   order — Canonical.variance), covariance accumulated in index order,
-   Clark moments, tightness-blended coefficients, then the unexplained
-   remainder from the post-blend variance deficit. *)
-let max2_raw sc ~bmean ~brnd ~bco ~boff =
-  let np = Array.length sc.s_co in
-  let va = ref (sc.s_rnd *. sc.s_rnd) in
-  for k = 0 to np - 1 do
-    let c = sc.s_co.(k) in
-    va := !va +. (c *. c)
-  done;
-  let sa = sqrt !va in
-  let vb = ref (brnd *. brnd) in
-  for k = 0 to np - 1 do
-    let c = bco.(boff + k) in
-    vb := !vb +. (c *. c)
-  done;
-  let sb = sqrt !vb in
-  let rho =
-    if sa > 0.0 && sb > 0.0 then begin
-      let cov = ref 0.0 in
-      for k = 0 to np - 1 do
-        cov := !cov +. (sc.s_co.(k) *. bco.(boff + k))
-      done;
-      !cov /. (sa *. sb)
-    end
-    else 0.0
-  in
-  let mean, var, tt =
-    Special.clark_max_moments ~mu1:sc.s_mean ~sigma1:sa ~mu2:bmean ~sigma2:sb ~rho
-  in
-  for k = 0 to np - 1 do
-    sc.s_co.(k) <- (tt *. sc.s_co.(k)) +. ((1.0 -. tt) *. bco.(boff + k))
-  done;
-  let explained = ref 0.0 in
-  for k = 0 to np - 1 do
-    let c = sc.s_co.(k) in
-    explained := !explained +. (c *. c)
-  done;
-  sc.s_mean <- mean;
-  sc.s_rnd <- sqrt (Float.max 0.0 (var -. !explained))
-
-let max2_slot sc t j =
-  max2_raw sc ~bmean:t.mean.(j) ~brnd:t.rnd.(j) ~bco:t.coeffs ~boff:(j * t.num_pcs)
-
-let max2_scratch sc b = max2_raw sc ~bmean:b.s_mean ~brnd:b.s_rnd ~bco:b.s_co ~boff:0
+  !k = w

@@ -1,59 +1,58 @@
-(** Flat structure-of-arrays storage for canonical timing state.
+(** Flat storage for canonical timing state.
 
-    An arena holds [n] canonical forms as three unboxed float arrays
-    (means, independent remainders, and an [n × num_pcs] row-major
-    coefficient matrix) instead of [n] heap records.  Timing passes walk
-    contiguous memory, and — because every slot is disjoint — the gates
-    of one topological level can be filled by concurrent domains without
-    synchronization.
+    An arena holds [n] canonical forms as {!Canonical} rows — [mean; rnd;
+    c_0 … c_{num_pcs-1}] — at a fixed stride in one unboxed float array,
+    instead of [n] heap records.  Timing passes walk contiguous memory
+    and allocate nothing per gate, and — because every slot is disjoint —
+    the gates of one topological level can be filled by concurrent
+    domains without synchronization.
 
-    {b Bit-identity contract.}  Every kernel replays the float operations
-    of its {!Canonical} twin in the same order on the same operands, so a
-    forward/backward sweep through the arena produces IEEE words
-    identical to the per-record pipeline it replaces (and therefore
-    identical for every [jobs] value — the schedule only decides {e who}
-    computes a slot, never {e what}). *)
+    The slot operations run {!Canonical}'s row kernels, the same code as
+    the record operations, so a value computed through an arena is the
+    IEEE word a [Canonical.t] pipeline produces. *)
 
-type t = {
+type t = private {
   n : int;
   num_pcs : int;
-  mean : float array;
-  rnd : float array;
-  coeffs : float array;  (** [n * num_pcs], row-major *)
+  data : float array;  (** [n * Canonical.row_width num_pcs] *)
 }
 
 val create : n:int -> num_pcs:int -> t
 (** All slots start as the canonical constant 0. *)
+
+val row : t -> int -> int
+(** Offset of slot [i]'s row in [data]. *)
+
+val width : t -> int
+(** Words per slot: [Canonical.row_width num_pcs]. *)
 
 val get : t -> int -> Canonical.t
 (** Materialize slot [i] as a fresh canonical record. *)
 
 val set : t -> int -> Canonical.t -> unit
 
-(** A single worker-owned canonical accumulator — the fold state of one
-    gate's arrival (or required-time) computation.  Mutating it allocates
-    nothing, so a level pass is allocation-flat. *)
-type scratch = {
-  mutable s_mean : float;
-  mutable s_rnd : float;
-  s_co : float array;
-}
+val zero : t -> int -> unit
+(** Slot [i] ← the canonical constant 0. *)
 
-val scratch : num_pcs:int -> scratch
-val load_zero : scratch -> unit
-val load : scratch -> t -> int -> unit
-val store : t -> int -> scratch -> unit
-val to_canonical : scratch -> Canonical.t
+val blit : t -> int -> t -> int -> unit
+(** [blit src i dst j]: slot [j] of [dst] ← slot [i] of [src]. *)
 
-val add_canonical : scratch -> Canonical.t -> unit
-(** [sc ← Canonical.add sc b]. *)
+val add : t -> int -> t -> int -> dst:t -> int -> unit
+(** [add a i b j ~dst k]: slot [k] ← [Canonical.add (a.i) (b.j)].  The
+    destination may be either operand. *)
 
-val load_add_canonical_slot : scratch -> Canonical.t -> t -> int -> unit
-(** [sc ← Canonical.add a (slot j)] — the backward-pass term
-    [delay(fo) + S(fo)] without materializing either operand. *)
+val max2 : Canonical.frame -> t -> int -> t -> int -> dst:t -> int -> unit
+(** [max2 f a i b j ~dst k]: slot [k] ← [Canonical.max2 (a.i) (b.j)], with
+    [f] the calling domain's Clark frame.  The destination may be the
+    first operand. *)
 
-val max2_slot : scratch -> t -> int -> unit
-(** [sc ← Canonical.max2 sc (slot j)]. *)
+val sigma : t -> int -> float
+(** [Canonical.sigma] of slot [i]. *)
 
-val max2_scratch : scratch -> scratch -> unit
-(** [sc ← Canonical.max2 sc b] for two scratches ([b] unchanged). *)
+val bits_equal : float -> float -> bool
+(** IEEE-bit equality: [nan] equals a [nan] with the same payload, and
+    [0.0] differs from [-0.0].  "Unchanged" in an incremental engine means
+    exactly "a from-scratch analysis would produce this word". *)
+
+val equal : t -> int -> t -> int -> bool
+(** [equal a i b j]: every word of the two slots is {!bits_equal}. *)

@@ -9,11 +9,100 @@ let make ~mean ~coeffs ~rnd =
 let constant ~num_pcs x = { mean = x; coeffs = Array.make num_pcs 0.0; rnd = 0.0 }
 let num_pcs t = Array.length t.coeffs
 
-let variance t =
-  let acc = ref (t.rnd *. t.rnd) in
-  Array.iter (fun c -> acc := !acc +. (c *. c)) t.coeffs;
+(* ---------------- the kernel ----------------
+
+   An operand is raw: its mean, its independent remainder, and its PC
+   coefficients at [co.(off) .. co.(off + np - 1)] — a record passes its
+   fields, a row its words.  A result is written as a row of [d] at [r]:
+   d.(r) = mean, d.(r + 1) = rnd, coefficients from d.(r + 2).  The sum,
+   the variance and the Clark max below are the only implementations:
+   the record operations and every SSTA engine run them, so a form
+   computed through either path is the same IEEE word.  The kernels are
+   inlined into their two callers each, so no float crosses a call
+   boundary boxed.  Results are stored last, so the destination row may
+   be the first operand's. *)
+
+let row_width np = np + 2
+
+let[@inline] variance_raw ~np rnd (co : float array) off =
+  let acc = ref (rnd *. rnd) in
+  for k = off to off + np - 1 do
+    let c = co.(k) in
+    acc := !acc +. (c *. c)
+  done;
   !acc
 
+let[@inline] add_raw ~np am ar (ac : float array) ao bm br (bc : float array) bo
+    (d : float array) r =
+  for k = 0 to np - 1 do
+    d.(r + 2 + k) <- ac.(ao + k) +. bc.(bo + k)
+  done;
+  d.(r) <- am +. bm;
+  d.(r + 1) <- sqrt ((ar *. ar) +. (br *. br))
+
+type frame = float array
+
+let frame () = Array.make 8 0.0
+
+(* Clark's max re-linearized onto the shared basis: sigma of each operand
+   (rnd² then the squared coefficients in index order), the covariance in
+   index order, Clark's moments, the tightness-weighted blend of the
+   coefficients, and the remainder from the variance the blend leaves
+   unexplained. *)
+let[@inline] max2_raw (f : frame) ~np am ar (ac : float array) ao bm br
+    (bc : float array) bo (d : float array) r =
+  let sa = sqrt (variance_raw ~np ar ac ao) in
+  let sb = sqrt (variance_raw ~np br bc bo) in
+  let rho =
+    if sa > 0.0 && sb > 0.0 then begin
+      let cov = ref 0.0 in
+      for k = 0 to np - 1 do
+        cov := !cov +. (ac.(ao + k) *. bc.(bo + k))
+      done;
+      !cov /. (sa *. sb)
+    end
+    else 0.0
+  in
+  f.(0) <- am;
+  f.(1) <- sa;
+  f.(2) <- bm;
+  f.(3) <- sb;
+  f.(4) <- rho;
+  Special.clark_max_into f;
+  let t = f.(7) in
+  let u = 1.0 -. t in
+  let explained = ref 0.0 in
+  for k = 0 to np - 1 do
+    let c = (t *. ac.(ao + k)) +. (u *. bc.(bo + k)) in
+    d.(r + 2 + k) <- c;
+    explained := !explained +. (c *. c)
+  done;
+  d.(r) <- f.(5);
+  d.(r + 1) <- sqrt (Float.max 0.0 (f.(6) -. !explained))
+
+(* ---------------- rows ---------------- *)
+
+let of_row ~np (d : float array) r =
+  { mean = d.(r); coeffs = Array.sub d (r + 2) np; rnd = d.(r + 1) }
+
+let to_row t (d : float array) r =
+  d.(r) <- t.mean;
+  d.(r + 1) <- t.rnd;
+  Array.blit t.coeffs 0 d (r + 2) (Array.length t.coeffs)
+
+let add_rows ~np (a : float array) ao (b : float array) bo d r =
+  let am = a.(ao) and ar = a.(ao + 1) and bm = b.(bo) and br = b.(bo + 1) in
+  add_raw ~np am ar a (ao + 2) bm br b (bo + 2) d r
+
+let max2_rows f ~np (a : float array) ao (b : float array) bo d r =
+  let am = a.(ao) and ar = a.(ao + 1) and bm = b.(bo) and br = b.(bo + 1) in
+  max2_raw f ~np am ar a (ao + 2) bm br b (bo + 2) d r
+
+let sigma_row ~np (a : float array) ao = sqrt (variance_raw ~np a.(ao + 1) a (ao + 2))
+
+(* ---------------- records ---------------- *)
+
+let variance t = variance_raw ~np:(Array.length t.coeffs) t.rnd t.coeffs 0
 let sigma t = sqrt (variance t)
 
 let check_basis a b =
@@ -22,11 +111,10 @@ let check_basis a b =
 
 let add a b =
   check_basis a b;
-  {
-    mean = a.mean +. b.mean;
-    coeffs = Array.mapi (fun i c -> c +. b.coeffs.(i)) a.coeffs;
-    rnd = sqrt ((a.rnd *. a.rnd) +. (b.rnd *. b.rnd));
-  }
+  let np = num_pcs a in
+  let d = Array.make (row_width np) 0.0 in
+  add_raw ~np a.mean a.rnd a.coeffs 0 b.mean b.rnd b.coeffs 0 d 0;
+  of_row ~np d 0
 
 let add_const a x = { a with mean = a.mean +. x }
 
@@ -57,17 +145,10 @@ let tightness a b =
 
 let max2 a b =
   check_basis a b;
-  let sa = sigma a and sb = sigma b in
-  let rho = if sa > 0.0 && sb > 0.0 then covariance a b /. (sa *. sb) else 0.0 in
-  let mean, var, t =
-    Special.clark_max_moments ~mu1:a.mean ~sigma1:sa ~mu2:b.mean ~sigma2:sb ~rho
-  in
-  let coeffs =
-    Array.mapi (fun i c -> (t *. c) +. ((1.0 -. t) *. b.coeffs.(i))) a.coeffs
-  in
-  let explained = Array.fold_left (fun acc c -> acc +. (c *. c)) 0.0 coeffs in
-  let rnd = sqrt (Float.max 0.0 (var -. explained)) in
-  { mean; coeffs; rnd }
+  let np = num_pcs a in
+  let d = Array.make (row_width np) 0.0 in
+  max2_raw (frame ()) ~np a.mean a.rnd a.coeffs 0 b.mean b.rnd b.coeffs 0 d 0;
+  of_row ~np d 0
 
 let max_list = function
   | [] -> invalid_arg "Canonical.max_list: empty list"

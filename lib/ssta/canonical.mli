@@ -58,3 +58,40 @@ val eval : t -> z:float array -> r:float -> float
     compare SSTA against Monte Carlo on identical dies. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Rows}
+
+    A canonical form also lives flat in a float array as a {e row} of
+    [row_width num_pcs] words: [mean; rnd; c_0 … c_{num_pcs-1}].  The
+    row kernels below and the record operations above run one
+    implementation of the sum, the variance and the Clark max, written
+    over raw (mean, rnd, coefficient row) operands, so a form computed
+    through either is the same IEEE word.  The row kernels allocate
+    nothing; {!Arena} stores its slots as rows. *)
+
+val row_width : int -> int
+(** [num_pcs + 2]. *)
+
+val of_row : np:int -> float array -> int -> t
+val to_row : t -> float array -> int -> unit
+
+type frame
+(** Work space of one Clark step ({!Sl_util.Special.clark_max_into}).  A
+    row kernel call mutates it: one per domain. *)
+
+val frame : unit -> frame
+
+val add_rows :
+  np:int -> float array -> int -> float array -> int -> float array -> int -> unit
+(** [add_rows ~np a ao b bo d r]: the row of [d] at [r] ← [add] of the
+    rows at [a.(ao)] and [b.(bo)].  [d]'s row may be either operand. *)
+
+val max2_rows :
+  frame -> np:int -> float array -> int -> float array -> int -> float array -> int ->
+  unit
+(** [max2_rows f ~np a ao b bo d r]: the row of [d] at [r] ← [max2] of
+    the rows at [a.(ao)] and [b.(bo)].  [d]'s row may be the first
+    operand. *)
+
+val sigma_row : np:int -> float array -> int -> float
+(** [sigma] of the row at the offset. *)

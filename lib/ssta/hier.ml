@@ -20,20 +20,6 @@ let m_part_sync =
   Metrics.histogram ~help:"Per-partition sync latency, seconds" ~bins:20
     ~lo:0.0 ~hi:0.1 "statleak_hier_part_sync_seconds"
 
-let feq (a : float) (b : float) =
-  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let ceq (a : Canonical.t) (b : Canonical.t) =
-  feq a.Canonical.mean b.Canonical.mean
-  && feq a.Canonical.rnd b.Canonical.rnd
-  && Array.length a.Canonical.coeffs = Array.length b.Canonical.coeffs
-  &&
-  let ok = ref true in
-  for k = 0 to Array.length a.Canonical.coeffs - 1 do
-    if not (feq a.Canonical.coeffs.(k) b.Canonical.coeffs.(k)) then ok := false
-  done;
-  !ok
-
 (* One register-boundary cone: its ascending global gate ids, a
    sub-design mirroring the global assignment, and a sequential
    incremental engine over it.  [fwd_dirty] marks updates not yet
@@ -59,7 +45,6 @@ type t = {
   design : Design.t;
   tmax : float;
   jobs : int;
-  zero : Canonical.t;
   parts : part array;
   part_of : int array;
   local_of : int array;
@@ -67,14 +52,15 @@ type t = {
      optimizer aliases these arrays exactly like the flat engine's *)
   path_mu : float array;
   path_sigma : float array;
-  mutable circuit_delay : Canonical.t;
+  cd : Arena.t; (* one slot: the stitched circuit delay *)
+  frame : Canonical.frame;
   mutable yield_ : float;
   mutable cp : checkpoint option;
 }
 
 let design t = t.design
 let yield t = t.yield_
-let circuit_delay t = t.circuit_delay
+let circuit_delay t = Arena.get t.cd 0
 let num_partitions t = Array.length t.parts
 let path_mu t = t.path_mu
 let path_sigma t = t.path_sigma
@@ -95,17 +81,24 @@ let scatter_paths t (p : part) =
 
 (* The boundary macromodels ARE the per-part arrival forms at the cut
    nets; stitching replays the exact circuit-delay fold of the flat
-   engine — same global output order, bit-identical operands — so the
-   stitched delay and yield match the flat words. *)
+   engine — same global output order, bit-identical operands read
+   straight from each cone's arrival slots — so the stitched delay and
+   yield match the flat words. *)
+let fold_outputs t f (dst : Arena.t) =
+  let outs = t.design.Design.circuit.Circuit.outputs in
+  let slots o = Incremental.arrival_slots t.parts.(t.part_of.(o)).inc in
+  if Array.length outs = 0 then Arena.zero dst 0
+  else begin
+    Arena.blit (slots outs.(0)) t.local_of.(outs.(0)) dst 0;
+    for k = 1 to Array.length outs - 1 do
+      let o = outs.(k) in
+      Arena.max2 f dst 0 (slots o) t.local_of.(o) ~dst 0
+    done
+  end
+
 let stitch t =
-  (match Array.to_list t.design.Design.circuit.Circuit.outputs with
-  | [] -> t.circuit_delay <- t.zero
-  | o :: rest ->
-    t.circuit_delay <-
-      List.fold_left
-        (fun acc o' -> Canonical.max2 acc (arrival t o'))
-        (arrival t o) rest);
-  t.yield_ <- Canonical.cdf t.circuit_delay t.tmax
+  fold_outputs t t.frame t.cd;
+  t.yield_ <- Canonical.cdf (circuit_delay t) t.tmax
 
 let boundary t =
   let c = t.design.Design.circuit in
@@ -174,20 +167,18 @@ let create ?memo ?(jobs = 1) (d : Design.t) model ~tmax =
                   bwd_deferred = false;
                 })
           in
-          let num_pcs = Model.num_pcs model in
-          let zero = Canonical.constant ~num_pcs 0.0 in
           let t =
             {
               design = d;
               tmax;
               jobs;
-              zero;
               parts;
               part_of = pt.Circuit.part_of;
               local_of = pt.Circuit.local_of;
               path_mu = Array.make n 0.0;
               path_sigma = Array.make n 0.0;
-              circuit_delay = zero;
+              cd = Arena.create ~n:1 ~num_pcs:(Model.num_pcs model);
+              frame = Canonical.frame ();
               yield_ = 0.0;
               cp = None;
             }
@@ -237,10 +228,9 @@ let sync ?(paths = true) t =
             else if p.fwd_dirty then p.bwd_deferred <- true;
             p.fwd_dirty <- false)
           sel;
+        (* the yield is a function of the stitched delay alone *)
         if any_fwd then stitch t
-        else t.yield_ <- Canonical.cdf t.circuit_delay t.tmax
-      end
-      else t.yield_ <- Canonical.cdf t.circuit_delay t.tmax)
+      end)
 
 let rebuild t =
   (match t.cp with
@@ -279,7 +269,7 @@ let checkpoint t =
   let cp =
     {
       cps = Array.map (fun p -> Incremental.checkpoint p.inc) t.parts;
-      sv_cd = t.circuit_delay;
+      sv_cd = circuit_delay t;
       sv_yield = t.yield_;
       sv_bwd_deferred = Array.map (fun p -> p.bwd_deferred) t.parts;
       touched = [];
@@ -318,22 +308,17 @@ let rollback t cp =
       p.bwd_deferred <- cp.sv_bwd_deferred.(i);
       scatter_paths t p)
     t.parts;
-  t.circuit_delay <- cp.sv_cd;
+  Arena.set t.cd 0 cp.sv_cd;
   t.yield_ <- cp.sv_yield;
   t.cp <- None
 
 let audit t =
   Array.for_all (fun p -> Incremental.audit p.inc) t.parts
   &&
-  let cd =
-    match Array.to_list t.design.Design.circuit.Circuit.outputs with
-    | [] -> t.zero
-    | o :: rest ->
-      List.fold_left
-        (fun acc o' -> Canonical.max2 acc (arrival t o'))
-        (arrival t o) rest
-  in
-  ceq cd t.circuit_delay && feq (Canonical.cdf cd t.tmax) t.yield_
+  let cd = Arena.create ~n:1 ~num_pcs:t.cd.Arena.num_pcs in
+  fold_outputs t (Canonical.frame ()) cd;
+  Arena.equal cd 0 t.cd 0
+  && Arena.bits_equal (Canonical.cdf (Arena.get cd 0) t.tmax) t.yield_
 
 let stats t =
   Array.fold_left

@@ -34,26 +34,6 @@ let m_cutoffs =
   Metrics.counter ~help:"Propagations cut off by bit-identical recomputes"
     "statleak_incr_cutoffs_total"
 
-(* Bitwise float/canonical equality: the early-termination test.  Plain
-   (=) would call NaN <> NaN and -0.0 = 0.0; comparing the IEEE bits makes
-   "unchanged" mean exactly "a from-scratch analysis would have produced
-   this word". *)
-let feq (a : float) (b : float) =
-  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let ceq (a : Canonical.t) (b : Canonical.t) =
-  feq a.Canonical.mean b.Canonical.mean
-  && feq a.Canonical.rnd b.Canonical.rnd
-  &&
-  let ca = a.Canonical.coeffs and cb = b.Canonical.coeffs in
-  Array.length ca = Array.length cb
-  &&
-  let ok = ref true in
-  for k = 0 to Array.length ca - 1 do
-    if not (feq ca.(k) cb.(k)) then ok := false
-  done;
-  !ok
-
 type stats = {
   updates : int;
   syncs : int;
@@ -67,20 +47,22 @@ type stats = {
   max_level_width : int;
 }
 
-(* Copy-on-write snapshot of everything a move batch may touch.  Canonical
-   forms are immutable, so saving the array slot is enough. *)
+(* What a checkpoint keeps besides the undo log: the scalars and the
+   deferred backward/path dirt carried into it — a rollback must re-arm
+   that dirt, or the pre-checkpoint repairs would be lost.  The lists are
+   immutable, so keeping them is O(1). *)
 type checkpoint = {
-  sv_delay : (int, Canonical.t) Hashtbl.t;
-  sv_arrival : (int, Canonical.t) Hashtbl.t;
-  sv_bwd : (int, Canonical.t) Hashtbl.t;
-  sv_path : (int, float * float) Hashtbl.t;
-  sv_circuit_delay : Canonical.t;
   sv_yield : float;
-  (* deferred backward/path dirt carried into the checkpoint: a rollback
-     must re-arm it, or the pre-checkpoint repairs would be lost *)
   sv_pending_bwd : int list;
   sv_path_dirty : int list;
 }
+
+(* Kinds of logged state; a log key is [kind * n + id]. *)
+let k_delay = 0
+let k_arr = 1
+let k_bwd = 2
+let k_path = 3 (* two words: path mu, path sigma *)
+let k_cd = 4 (* the circuit-delay slot, id 0 *)
 
 type t = {
   design : Design.t;
@@ -91,13 +73,13 @@ type t = {
   jobs : int;
   par_threshold : int;
   levels : int array array;
-  zero : Canonical.t;
-  gate_delay : Canonical.t array;
-  arrival : Canonical.t array;
-  bwd : Canonical.t array;
+  (* the timing state, one Canonical row per gate *)
+  delay : Arena.t;
+  arr : Arena.t;
+  bwd : Arena.t;
+  cd : Arena.t; (* one slot: the circuit delay *)
   path_mu : float array;
   path_sigma : float array;
-  mutable circuit_delay : Canonical.t;
   mutable yield_ : float;
   (* dirt accumulated between update_gate calls and the next sync *)
   mutable pending_delay : int list;
@@ -109,16 +91,27 @@ type t = {
   mutable out_dirty : bool;
   mutable path_dirty : int list;
   path_dirty_flag : bool array;
-  (* per-propagation scratch, always cleared before returning *)
+  (* per-propagation scratch, always cleared before returning: the gates
+     whose slot changed in this pass *)
   arr_dirty : bool array;
   s_dirty : bool array;
-  (* level-batch scratch for the two-phase sync scans: the gates of the
-     current level that must recompute, and their freshly computed forms
-     (buf_ok false marks a dead gate's None) *)
+  touched : int array;
+  (* level-batch staging for the two-phase sync scans: the gates of the
+     current level that must recompute, their fresh slots and (backward)
+     whether each is live; one level wide *)
   work : int array;
-  buf : Canonical.t array;
-  buf_ok : bool array;
+  stage : Arena.t;
+  stage_live : bool array;
+  sc : Ssta.scratch; (* the calling domain's kernel scratch *)
   mutable cp : checkpoint option;
+  (* undo log of the active checkpoint: one key per first-touched slot,
+     its saved words appended to [log_words] in the same order *)
+  mutable log_keys : int array;
+  mutable log_nkeys : int;
+  mutable log_words : float array;
+  mutable log_nwords : int;
+  logged : int array; (* per key: the epoch that logged it *)
+  mutable epoch : int;
   (* counters *)
   mutable n_updates : int;
   mutable n_syncs : int;
@@ -134,9 +127,10 @@ type t = {
 
 let design t = t.design
 let yield t = t.yield_
-let circuit_delay t = t.circuit_delay
-let arrival t id = t.arrival.(id)
-let required t id = t.bwd.(id)
+let circuit_delay t = Arena.get t.cd 0
+let arrival t id = Arena.get t.arr id
+let required t id = Arena.get t.bwd id
+let arrival_slots t = t.arr
 let path_mu t = t.path_mu
 let path_sigma t = t.path_sigma
 
@@ -154,65 +148,64 @@ let stats t =
     max_level_width = t.n_max_level_width;
   }
 
-(* ---------------- exact recomputation kernels ----------------
+(* ---------------- undo log ---------------- *)
 
-   These replay, expression for expression, the folds of Ssta.analyze and
-   Ssta.backward.  Because Canonical.add/max2 are pure, recomputing a gate
-   whose inputs are unchanged yields the identical words — which is what
-   makes skipping unchanged gates sound. *)
+let arena_of t kind =
+  if kind = k_delay then t.delay
+  else if kind = k_arr then t.arr
+  else if kind = k_bwd then t.bwd
+  else t.cd
 
-let recompute_arrival t (g : Circuit.gate) =
-  let worst =
-    match Array.to_list g.Circuit.fanin with
-    | [] -> t.zero
-    | f :: rest ->
-      List.fold_left (fun acc f' -> Canonical.max2 acc t.arrival.(f')) t.arrival.(f) rest
-  in
-  Canonical.add worst t.gate_delay.(g.Circuit.id)
+(* Append the first write under the active checkpoint of each (kind, id):
+   its current words, read before the caller overwrites them. *)
+let save t kind id =
+  let key = (kind * t.n) + id in
+  if Option.is_some t.cp && t.logged.(key) <> t.epoch then begin
+    t.logged.(key) <- t.epoch;
+    if t.log_nkeys = Array.length t.log_keys then begin
+      let k = Array.make (2 * t.log_nkeys) 0 in
+      Array.blit t.log_keys 0 k 0 t.log_nkeys;
+      t.log_keys <- k
+    end;
+    t.log_keys.(t.log_nkeys) <- key;
+    t.log_nkeys <- t.log_nkeys + 1;
+    let w = Arena.width t.arr in
+    if t.log_nwords + w > Array.length t.log_words then begin
+      let ws = Array.make (2 * (t.log_nwords + w)) 0.0 in
+      Array.blit t.log_words 0 ws 0 t.log_nwords;
+      t.log_words <- ws
+    end;
+    let nw = t.log_nwords in
+    if kind = k_path then begin
+      t.log_words.(nw) <- t.path_mu.(id);
+      t.log_words.(nw + 1) <- t.path_sigma.(id);
+      t.log_nwords <- nw + 2
+    end
+    else begin
+      let a = arena_of t kind in
+      Array.blit a.Arena.data (Arena.row a id) t.log_words nw w;
+      t.log_nwords <- nw + w
+    end
+  end
 
-let recompute_bwd t (g : Circuit.gate) =
-  let terms =
-    Array.to_list g.Circuit.fanout
-    |> List.map (fun fo -> Canonical.add t.gate_delay.(fo) t.bwd.(fo))
-  in
-  let terms =
-    if Circuit.is_po t.design.Design.circuit g.Circuit.id then t.zero :: terms
-    else terms
-  in
-  match terms with
-  | [] -> None (* dead gate: backward stays zero forever *)
-  | tm :: rest -> Some (List.fold_left Canonical.max2 tm rest)
-
-let recompute_circuit_delay t =
-  let c = t.design.Design.circuit in
-  match Array.to_list c.Circuit.outputs with
-  | [] -> t.zero
-  | o :: rest ->
-    List.fold_left (fun acc o' -> Canonical.max2 acc t.arrival.(o')) t.arrival.(o) rest
-
-(* ---------------- checkpoint plumbing ---------------- *)
-
-let save_delay t id =
-  match t.cp with
-  | None -> ()
-  | Some s -> if not (Hashtbl.mem s.sv_delay id) then Hashtbl.add s.sv_delay id t.gate_delay.(id)
-
-let save_arrival t id =
-  match t.cp with
-  | None -> ()
-  | Some s -> if not (Hashtbl.mem s.sv_arrival id) then Hashtbl.add s.sv_arrival id t.arrival.(id)
-
-let save_bwd t id =
-  match t.cp with
-  | None -> ()
-  | Some s -> if not (Hashtbl.mem s.sv_bwd id) then Hashtbl.add s.sv_bwd id t.bwd.(id)
-
-let save_path t id =
-  match t.cp with
-  | None -> ()
-  | Some s ->
-    if not (Hashtbl.mem s.sv_path id) then
-      Hashtbl.add s.sv_path id (t.path_mu.(id), t.path_sigma.(id))
+(* Restore every logged slot, newest entry first, and empty the log. *)
+let replay_log t =
+  let w = Arena.width t.arr in
+  for e = t.log_nkeys - 1 downto 0 do
+    let key = t.log_keys.(e) in
+    let kind = key / t.n and id = key mod t.n in
+    if kind = k_path then begin
+      t.log_nwords <- t.log_nwords - 2;
+      t.path_mu.(id) <- t.log_words.(t.log_nwords);
+      t.path_sigma.(id) <- t.log_words.(t.log_nwords + 1)
+    end
+    else begin
+      let a = arena_of t kind in
+      t.log_nwords <- t.log_nwords - w;
+      Array.blit t.log_words t.log_nwords a.Arena.data (Arena.row a id) w
+    end
+  done;
+  t.log_nkeys <- 0
 
 let mark_path_dirty t id =
   if not t.path_dirty_flag.(id) then begin
@@ -231,38 +224,36 @@ let clear_pending t =
   t.path_dirty <- [];
   t.out_dirty <- false
 
+(* The from-scratch sweeps, straight into the engine's slots. *)
 let recompute_all t =
-  let res =
-    Ssta.analyze ~memo:t.memo ~jobs:t.jobs ~par_threshold:t.par_threshold
-      t.design t.model
-  in
-  Array.blit res.Ssta.gate_delay 0 t.gate_delay 0 t.n;
-  Array.blit res.Ssta.arrival 0 t.arrival 0 t.n;
-  t.circuit_delay <- res.Ssta.circuit_delay;
-  let bwd =
-    Ssta.backward ~jobs:t.jobs ~par_threshold:t.par_threshold
-      t.design.Design.circuit res
-  in
-  Array.blit bwd 0 t.bwd 0 t.n;
+  let c = t.design.Design.circuit in
+  Ssta.forward_into ~memo:t.memo ~jobs:t.jobs ~par_threshold:t.par_threshold
+    t.design t.model ~delay:t.delay ~arr:t.arr;
+  Ssta.circuit_delay_into c ~arr:t.arr t.sc ~dst:t.cd 0;
+  Ssta.backward_into ~jobs:t.jobs ~par_threshold:t.par_threshold c ~delay:t.delay
+    ~bwd:t.bwd;
   (* per-gate path moments are independent, and float-array slots are
      written at most once per index: safe to chunk across domains *)
+  let num_pcs = t.arr.Arena.num_pcs in
   Parallel.run_chunks ~jobs:t.jobs ~threshold:t.par_threshold ~n:t.n
-    ~init:(fun () -> ())
-    (fun () lo hi ->
+    ~init:(fun () -> Ssta.scratch ~num_pcs)
+    (fun sc lo hi ->
       for id = lo to hi - 1 do
-        let p = Ssta.path_through res ~backward:bwd id in
-        t.path_mu.(id) <- p.Canonical.mean;
-        t.path_sigma.(id) <- Canonical.sigma p
+        Ssta.path_into sc ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma
       done);
-  t.yield_ <- Ssta.timing_yield res ~tmax:t.tmax;
+  t.yield_ <- Canonical.cdf (circuit_delay t) t.tmax;
   clear_pending t
 
 let create ?memo ?(jobs = 1) ?(par_threshold = Ssta.default_par_threshold)
     (d : Design.t) model ~tmax =
+  if jobs < 1 then invalid_arg "Incremental.create: jobs < 1";
   let memo = match memo with Some m -> m | None -> Memo.create d.Design.lib in
-  let n = Circuit.num_gates d.Design.circuit in
+  let c = d.Design.circuit in
+  let n = Circuit.num_gates c in
   let num_pcs = Model.num_pcs model in
-  let zero = Canonical.constant ~num_pcs 0.0 in
+  let levels = Circuit.levels c in
+  let wmax = Array.fold_left (fun acc l -> Stdlib.max acc (Array.length l)) 0 levels in
+  let slots () = Arena.create ~n ~num_pcs in
   let t =
     {
       design = d;
@@ -270,16 +261,15 @@ let create ?memo ?(jobs = 1) ?(par_threshold = Ssta.default_par_threshold)
       memo;
       tmax;
       n;
-      jobs = (if jobs < 1 then invalid_arg "Incremental.create: jobs < 1" else jobs);
+      jobs;
       par_threshold;
-      levels = Circuit.levels d.Design.circuit;
-      zero;
-      gate_delay = Array.make n zero;
-      arrival = Array.make n zero;
-      bwd = Array.make n zero;
+      levels;
+      delay = slots ();
+      arr = slots ();
+      bwd = slots ();
+      cd = Arena.create ~n:1 ~num_pcs;
       path_mu = Array.make n 0.0;
       path_sigma = Array.make n 0.0;
-      circuit_delay = zero;
       yield_ = 0.0;
       pending_delay = [];
       delay_pending = Array.make n false;
@@ -290,10 +280,18 @@ let create ?memo ?(jobs = 1) ?(par_threshold = Ssta.default_par_threshold)
       path_dirty_flag = Array.make n false;
       arr_dirty = Array.make n false;
       s_dirty = Array.make n false;
-      work = Array.make n 0;
-      buf = Array.make n zero;
-      buf_ok = Array.make n false;
+      touched = Array.make n 0;
+      work = Array.make wmax 0;
+      stage = Arena.create ~n:wmax ~num_pcs;
+      stage_live = Array.make wmax false;
+      sc = Ssta.scratch ~num_pcs;
       cp = None;
+      log_keys = Array.make 16 0;
+      log_nkeys = 0;
+      log_words = Array.make (16 * Canonical.row_width num_pcs) 0.0;
+      log_nwords = 0;
+      logged = Array.make ((4 * n) + 1) 0;
+      epoch = 0;
       n_updates = 0;
       n_syncs = 0;
       n_rebuilds = 0;
@@ -323,7 +321,6 @@ let update_gate t id =
   t.n_updates <- t.n_updates + 1;
   Metrics.incr m_updates;
   let c = t.design.Design.circuit in
-  let g = Circuit.gate c id in
   (* A threshold move changes only this gate's delay; a size move also
      changes its drive, its self-load, and the load seen by each fanin.
      Re-deriving the canonical delay of the gate plus its fanins covers
@@ -334,12 +331,12 @@ let update_gate t id =
      the union cone of every pending gate — an applied-then-undone move
      costs one cheap delay re-derivation here, not a cone walk. *)
   let refresh_delay gid =
-    let gg = Circuit.gate c gid in
-    if gg.Circuit.kind <> Cell_kind.Pi then begin
-      let nd = Ssta.gate_delay_canonical ~memo:t.memo t.design t.model gid in
-      if not (ceq nd t.gate_delay.(gid)) then begin
-        save_delay t gid;
-        t.gate_delay.(gid) <- nd;
+    if (Circuit.gate c gid).Circuit.kind <> Cell_kind.Pi then begin
+      (* stage slot 0 is free between syncs *)
+      Ssta.gate_delay_into ~memo:t.memo t.design t.model t.stage 0 gid;
+      if not (Arena.equal t.stage 0 t.delay gid) then begin
+        save t k_delay gid;
+        Arena.blit t.stage 0 t.delay gid;
         if not t.delay_pending.(gid) then begin
           t.delay_pending.(gid) <- true;
           t.pending_delay <- gid :: t.pending_delay
@@ -348,7 +345,7 @@ let update_gate t id =
     end
   in
   refresh_delay id;
-  Array.iter refresh_delay g.Circuit.fanin
+  Array.iter refresh_delay (Circuit.gate c id).Circuit.fanin
 
 (* ---------------- lazy forward / backward / path / yield repair ------ *)
 
@@ -370,179 +367,193 @@ let upper_bound (a : int array) x =
   done;
   !lo
 
-(* Run the compute phase of one level batch: [t.buf.(i)] (and for the
-   backward pass [t.buf_ok.(i)]) for the [wn] gates staged in [t.work].
-   Every staged gate reads only slots finalized by earlier levels and
-   writes only its own [buf] slot, so the chunked parallel schedule
-   produces the same words as the inline loop — the commit phase that
-   follows is sequential either way. *)
-let run_level_batch t ~wn compute =
+(* The frontier tests: does any id in [ids] carry a flag (in either
+   array)? *)
+let any_flagged (flags : bool array) (ids : int array) =
+  let k = ref 0 and len = Array.length ids in
+  while !k < len && not flags.(ids.(!k)) do
+    incr k
+  done;
+  !k < len
+
+let any_flagged2 (f1 : bool array) (f2 : bool array) (ids : int array) =
+  let k = ref 0 and len = Array.length ids in
+  while !k < len && not (f1.(ids.(!k)) || f2.(ids.(!k))) do
+    incr k
+  done;
+  !k < len
+
+(* Count a level batch of [wn] staged gates; [true] when it runs on
+   domains. *)
+let note_batch t wn =
   if wn > t.n_max_level_width then t.n_max_level_width <- wn;
-  if t.jobs > 1 && wn >= t.par_threshold then begin
-    t.n_par_levels <- t.n_par_levels + 1;
+  let par = t.jobs > 1 && wn >= t.par_threshold in
+  if par then t.n_par_levels <- t.n_par_levels + 1
+  else t.n_seq_levels <- t.n_seq_levels + 1;
+  par
+
+(* Compute phase of one level batch: slot i of [t.stage] (and, backward,
+   [t.stage_live.(i)]) for the [wn] gates staged in [t.work].  Every
+   staged gate reads only slots finalized by earlier levels and writes
+   only its own stage slot, so the chunked parallel schedule produces the
+   same words as the inline loop — the commit phase that follows is
+   sequential either way. *)
+let stage_forward t wn =
+  let c = t.design.Design.circuit in
+  if note_batch t wn then
     Parallel.run_chunks ~jobs:t.jobs ~threshold:t.par_threshold ~n:wn
-      ~init:(fun () -> ())
-      (fun () lo hi ->
+      ~init:(fun () -> Ssta.scratch ~num_pcs:t.arr.Arena.num_pcs)
+      (fun sc lo hi ->
         for i = lo to hi - 1 do
-          compute i
+          Ssta.forward_gate c ~delay:t.delay ~arr:t.arr sc ~dst:t.stage i t.work.(i)
         done)
-  end
-  else begin
-    t.n_seq_levels <- t.n_seq_levels + 1;
+  else
     for i = 0 to wn - 1 do
-      compute i
+      Ssta.forward_gate c ~delay:t.delay ~arr:t.arr t.sc ~dst:t.stage i t.work.(i)
     done
-  end
+
+let stage_backward t wn =
+  let c = t.design.Design.circuit in
+  if note_batch t wn then
+    Parallel.run_chunks ~jobs:t.jobs ~threshold:t.par_threshold ~n:wn
+      ~init:(fun () -> Ssta.scratch ~num_pcs:t.bwd.Arena.num_pcs)
+      (fun sc lo hi ->
+        for i = lo to hi - 1 do
+          t.stage_live.(i) <-
+            Ssta.bwd_gate c ~delay:t.delay ~bwd:t.bwd sc ~dst:t.stage i t.work.(i)
+        done)
+  else
+    for i = 0 to wn - 1 do
+      t.stage_live.(i) <-
+        Ssta.bwd_gate c ~delay:t.delay ~bwd:t.bwd t.sc ~dst:t.stage i t.work.(i)
+    done
+
+(* Arrival view: dirt spreads downstream from every delay-changed gate,
+   repaired level by level over the union of their fanout cones.  A gate
+   recomputes iff its own delay is pending or a fanin's arrival moved; a
+   recompute that comes back bit-identical cuts the cone off right
+   there.  Gate ids are a topological order, so dirt can only reach ids
+   at or above the lowest pending gate, and the frontier test exactly
+   delimits the union fanout cone without materializing it. *)
+let sync_forward t pending =
+  let c = t.design.Design.circuit in
+  let lo = List.fold_left (fun acc (g : int) -> if g < acc then g else acc) (t.n - 1) pending in
+  let nt = ref 0 and recomputed = ref 0 in
+  (* stage the level's must-recompute gates (their fanins sit at strictly
+     lower levels, already committed), compute the new arrivals — on
+     domains when the batch is wide — then commit sequentially in
+     ascending id order *)
+  for li = 0 to Array.length t.levels - 1 do
+    let level = t.levels.(li) in
+    let wn = ref 0 in
+    for k = lower_bound level lo to Array.length level - 1 do
+      let gid = level.(k) in
+      let g = c.Circuit.gates.(gid) in
+      if
+        g.Circuit.kind <> Cell_kind.Pi
+        && (t.delay_pending.(gid) || any_flagged t.arr_dirty g.Circuit.fanin)
+      then begin
+        t.work.(!wn) <- gid;
+        incr wn
+      end
+    done;
+    let wn = !wn in
+    if wn > 0 then begin
+      stage_forward t wn;
+      for i = 0 to wn - 1 do
+        let gid = t.work.(i) in
+        incr recomputed;
+        if Arena.equal t.stage i t.arr gid then t.n_cutoffs <- t.n_cutoffs + 1
+        else begin
+          save t k_arr gid;
+          Arena.blit t.stage i t.arr gid;
+          t.arr_dirty.(gid) <- true;
+          t.touched.(!nt) <- gid;
+          incr nt;
+          mark_path_dirty t gid;
+          if Circuit.is_po c gid then t.out_dirty <- true
+        end
+      done
+    end
+  done;
+  t.n_propagated <- t.n_propagated + !recomputed;
+  if !recomputed > t.n_max_cone then t.n_max_cone <- !recomputed;
+  for k = 0 to !nt - 1 do
+    t.arr_dirty.(t.touched.(k)) <- false
+  done;
+  (* hand the consumed delay dirt to the deferred backward/path queue *)
+  List.iter
+    (fun gid ->
+      t.delay_pending.(gid) <- false;
+      if not t.bwd_pending.(gid) then begin
+        t.bwd_pending.(gid) <- true;
+        t.pending_bwd <- gid :: t.pending_bwd
+      end)
+    pending;
+  t.pending_delay <- []
+
+(* Required-time view: S_g depends only on fanout delays and fanout S, so
+   dirt spreads through the transitive fanin cones of the delay-changed
+   gates — the mirror of [sync_forward], by decreasing level, below the
+   highest pending gate.  Deferring this until path data is read lets a
+   run of yield-only syncs (the optimizer's trial moves) skip the
+   upstream half entirely. *)
+let sync_backward t pending =
+  let c = t.design.Design.circuit in
+  let hi = List.fold_left (fun acc (g : int) -> if g > acc then g else acc) 0 pending in
+  let nt = ref 0 and recomputed = ref 0 in
+  for li = Array.length t.levels - 1 downto 0 do
+    let level = t.levels.(li) in
+    let wn = ref 0 in
+    for k = 0 to upper_bound level hi - 1 do
+      let gid = level.(k) in
+      if any_flagged2 t.bwd_pending t.s_dirty c.Circuit.gates.(gid).Circuit.fanout then begin
+        t.work.(!wn) <- gid;
+        incr wn
+      end
+    done;
+    let wn = !wn in
+    if wn > 0 then begin
+      stage_backward t wn;
+      for i = 0 to wn - 1 do
+        let gid = t.work.(i) in
+        incr recomputed;
+        if t.stage_live.(i) then begin
+          if Arena.equal t.stage i t.bwd gid then t.n_cutoffs <- t.n_cutoffs + 1
+          else begin
+            save t k_bwd gid;
+            Arena.blit t.stage i t.bwd gid;
+            t.s_dirty.(gid) <- true;
+            t.touched.(!nt) <- gid;
+            incr nt;
+            mark_path_dirty t gid
+          end
+        end
+      done
+    end
+  done;
+  t.n_bwd_propagated <- t.n_bwd_propagated + !recomputed;
+  for k = 0 to !nt - 1 do
+    t.s_dirty.(t.touched.(k)) <- false
+  done;
+  List.iter (fun gid -> t.bwd_pending.(gid) <- false) pending;
+  t.pending_bwd <- []
 
 let sync_impl ~paths t =
   t.n_syncs <- t.n_syncs + 1;
-  (match t.pending_delay with
-  | [] -> ()
-  | pending ->
-    let c = t.design.Design.circuit in
-    (* arrival view: dirt spreads downstream from every delay-changed gate,
-       repaired in one increasing-id pass over the union of their fanout
-       cones.  A gate recomputes iff its own delay is pending or a fanin's
-       arrival moved; a recompute that comes back bit-identical cuts the
-       cone off right there. *)
-    (* gate ids are a topological order, so dirt can only spread to ids
-       above the lowest pending gate; the dirty-frontier test below exactly
-       delimits the union fanout cone without materializing it *)
-    let lo = List.fold_left (fun acc gid -> if gid < acc then gid else acc)
-        (t.n - 1) pending in
-    let touched = ref [] in
-    let recomputed = ref 0 in
-    (* level-by-level two-phase repair: stage the level's must-recompute
-       gates (their fanins sit at strictly lower levels, already
-       committed), compute the new arrivals — on domains when the batch
-       is wide — then commit sequentially in ascending id order, exactly
-       the order the flat id sweep used to visit them *)
-    Array.iter
-      (fun level ->
-        let len = Array.length level in
-        let wn = ref 0 in
-        for k = lower_bound level lo to len - 1 do
-          let gid = level.(k) in
-          let gg = Circuit.gate c gid in
-          if gg.Circuit.kind <> Cell_kind.Pi then begin
-            let must =
-              t.delay_pending.(gid)
-              || Array.exists (fun f -> t.arr_dirty.(f)) gg.Circuit.fanin
-            in
-            if must then begin
-              t.work.(!wn) <- gid;
-              incr wn
-            end
-          end
-        done;
-        let wn = !wn in
-        if wn > 0 then begin
-          run_level_batch t ~wn (fun i ->
-              t.buf.(i) <- recompute_arrival t (Circuit.gate c t.work.(i)));
-          for i = 0 to wn - 1 do
-            let gid = t.work.(i) in
-            incr recomputed;
-            let na = t.buf.(i) in
-            if ceq na t.arrival.(gid) then t.n_cutoffs <- t.n_cutoffs + 1
-            else begin
-              save_arrival t gid;
-              t.arrival.(gid) <- na;
-              t.arr_dirty.(gid) <- true;
-              touched := gid :: !touched;
-              mark_path_dirty t gid;
-              if Circuit.is_po c gid then t.out_dirty <- true
-            end
-          done
-        end)
-      t.levels;
-    t.n_propagated <- t.n_propagated + !recomputed;
-    if !recomputed > t.n_max_cone then t.n_max_cone <- !recomputed;
-    List.iter (fun gid -> t.arr_dirty.(gid) <- false) !touched;
-    (* hand the consumed delay dirt to the deferred backward/path queue *)
-    List.iter
-      (fun gid ->
-        t.delay_pending.(gid) <- false;
-        if not t.bwd_pending.(gid) then begin
-          t.bwd_pending.(gid) <- true;
-          t.pending_bwd <- gid :: t.pending_bwd
-        end)
-      pending;
-    t.pending_delay <- []);
+  (match t.pending_delay with [] -> () | pending -> sync_forward t pending);
   if t.out_dirty then begin
-    t.circuit_delay <- recompute_circuit_delay t;
+    save t k_cd 0;
+    Ssta.circuit_delay_into t.design.Design.circuit ~arr:t.arr t.sc ~dst:t.cd 0;
+    t.yield_ <- Canonical.cdf (circuit_delay t) t.tmax;
     t.out_dirty <- false
   end;
-  t.yield_ <- Canonical.cdf t.circuit_delay t.tmax;
   if paths then begin
-    (match t.pending_bwd with
-    | [] -> ()
-    | pending ->
-      (* required-time view: S_g depends only on fanout delays and fanout
-         S, so dirt spreads through transitive fanin cones of the
-         delay-changed gates, repaired in decreasing id order.  Deferring
-         this until path data is read lets a run of yield-only syncs (the
-         optimizer's trial moves) skip the upstream half entirely. *)
-      let c = t.design.Design.circuit in
-      (* dirt spreads upstream only: every recompute sits below the highest
-         pending gate, and the frontier test delimits the union fanin cone *)
-      let hi = List.fold_left (fun acc gid -> if gid > acc then gid else acc)
-          0 pending in
-      let touched = ref [] in
-      let recomputed = ref 0 in
-      (* mirror of the forward repair, by decreasing level: a gate's
-         fanouts sit at strictly higher levels, committed in earlier
-         iterations, so each staged batch reads only finalized slots *)
-      for li = Array.length t.levels - 1 downto 0 do
-        let level = t.levels.(li) in
-        let wn = ref 0 in
-        for k = 0 to upper_bound level hi - 1 do
-          let gid = level.(k) in
-          let gg = Circuit.gate c gid in
-          let must =
-            Array.exists
-              (fun fo -> t.bwd_pending.(fo) || t.s_dirty.(fo))
-              gg.Circuit.fanout
-          in
-          if must then begin
-            t.work.(!wn) <- gid;
-            incr wn
-          end
-        done;
-        let wn = !wn in
-        if wn > 0 then begin
-          run_level_batch t ~wn (fun i ->
-              match recompute_bwd t (Circuit.gate c t.work.(i)) with
-              | None -> t.buf_ok.(i) <- false
-              | Some ns ->
-                t.buf.(i) <- ns;
-                t.buf_ok.(i) <- true);
-          for i = 0 to wn - 1 do
-            let gid = t.work.(i) in
-            incr recomputed;
-            if t.buf_ok.(i) then begin
-              let ns = t.buf.(i) in
-              if ceq ns t.bwd.(gid) then t.n_cutoffs <- t.n_cutoffs + 1
-              else begin
-                save_bwd t gid;
-                t.bwd.(gid) <- ns;
-                t.s_dirty.(gid) <- true;
-                touched := gid :: !touched;
-                mark_path_dirty t gid
-              end
-            end
-          done
-        end
-      done;
-      t.n_bwd_propagated <- t.n_bwd_propagated + !recomputed;
-      List.iter (fun gid -> t.s_dirty.(gid) <- false) !touched;
-      List.iter (fun gid -> t.bwd_pending.(gid) <- false) pending;
-      t.pending_bwd <- []);
+    (match t.pending_bwd with [] -> () | pending -> sync_backward t pending);
     List.iter
       (fun id ->
-        save_path t id;
-        let p = Canonical.add t.arrival.(id) t.bwd.(id) in
-        t.path_mu.(id) <- p.Canonical.mean;
-        t.path_sigma.(id) <- Canonical.sigma p;
+        save t k_path id;
+        Ssta.path_into t.sc ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma;
         t.path_dirty_flag.(id) <- false)
       t.path_dirty;
     t.path_dirty <- []
@@ -569,17 +580,10 @@ let checkpoint t =
   if t.pending_delay <> [] || t.out_dirty then
     invalid_arg "Incremental.checkpoint: state not synced";
   let s =
-    {
-      sv_delay = Hashtbl.create 16;
-      sv_arrival = Hashtbl.create 16;
-      sv_bwd = Hashtbl.create 16;
-      sv_path = Hashtbl.create 16;
-      sv_circuit_delay = t.circuit_delay;
-      sv_yield = t.yield_;
-      sv_pending_bwd = t.pending_bwd;
-      sv_path_dirty = t.path_dirty;
-    }
+    { sv_yield = t.yield_; sv_pending_bwd = t.pending_bwd; sv_path_dirty = t.path_dirty }
   in
+  (* a fresh epoch makes every earlier log mark stale *)
+  t.epoch <- t.epoch + 1;
   t.cp <- Some s;
   s
 
@@ -590,6 +594,8 @@ let check_active t cp =
 
 let commit t cp =
   check_active t cp;
+  t.log_nkeys <- 0;
+  t.log_nwords <- 0;
   t.cp <- None
 
 let rollback t cp =
@@ -597,15 +603,7 @@ let rollback t cp =
   (* the caller must already have restored the design assignment; we
      restore the timing view and drop any dirt accumulated since the
      checkpoint — the restored state was synced when it was taken *)
-  Hashtbl.iter (fun id v -> t.gate_delay.(id) <- v) cp.sv_delay;
-  Hashtbl.iter (fun id v -> t.arrival.(id) <- v) cp.sv_arrival;
-  Hashtbl.iter (fun id v -> t.bwd.(id) <- v) cp.sv_bwd;
-  Hashtbl.iter
-    (fun id (m, s) ->
-      t.path_mu.(id) <- m;
-      t.path_sigma.(id) <- s)
-    cp.sv_path;
-  t.circuit_delay <- cp.sv_circuit_delay;
+  replay_log t;
   t.yield_ <- cp.sv_yield;
   (* drop dirt accumulated since the checkpoint, then re-arm the deferred
      backward/path dirt that was already outstanding when it was taken *)
@@ -619,22 +617,25 @@ let rollback t cp =
 (* ---------------- audit ---------------- *)
 
 let audit t =
-  let res =
-    Ssta.analyze ~memo:t.memo ~jobs:t.jobs ~par_threshold:t.par_threshold
-      t.design t.model
-  in
-  let bwd =
-    Ssta.backward ~jobs:t.jobs ~par_threshold:t.par_threshold
-      t.design.Design.circuit res
-  in
-  let ok = ref (ceq res.Ssta.circuit_delay t.circuit_delay) in
-  if not (feq (Ssta.timing_yield res ~tmax:t.tmax) t.yield_) then ok := false;
+  let c = t.design.Design.circuit in
+  let num_pcs = t.arr.Arena.num_pcs in
+  let slots () = Arena.create ~n:t.n ~num_pcs in
+  let delay = slots () and arr = slots () and bwd = slots () in
+  let cd = Arena.create ~n:1 ~num_pcs and sc = Ssta.scratch ~num_pcs in
+  Ssta.forward_into ~memo:t.memo ~jobs:t.jobs ~par_threshold:t.par_threshold t.design
+    t.model ~delay ~arr;
+  Ssta.circuit_delay_into c ~arr sc ~dst:cd 0;
+  Ssta.backward_into ~jobs:t.jobs ~par_threshold:t.par_threshold c ~delay ~bwd;
+  let mu = Array.make t.n 0.0 and sigma = Array.make t.n 0.0 in
+  let ok = ref (Arena.equal cd 0 t.cd 0) in
+  if not (Arena.bits_equal (Canonical.cdf (Arena.get cd 0) t.tmax) t.yield_) then
+    ok := false;
   for id = 0 to t.n - 1 do
-    if not (ceq res.Ssta.gate_delay.(id) t.gate_delay.(id)) then ok := false;
-    if not (ceq res.Ssta.arrival.(id) t.arrival.(id)) then ok := false;
-    if not (ceq bwd.(id) t.bwd.(id)) then ok := false;
-    let p = Ssta.path_through res ~backward:bwd id in
-    if not (feq p.Canonical.mean t.path_mu.(id)) then ok := false;
-    if not (feq (Canonical.sigma p) t.path_sigma.(id)) then ok := false
+    Ssta.path_into sc ~arr ~bwd id ~mu ~sigma;
+    if not (Arena.equal delay id t.delay id) then ok := false;
+    if not (Arena.equal arr id t.arr id) then ok := false;
+    if not (Arena.equal bwd id t.bwd id) then ok := false;
+    if not (Arena.bits_equal mu.(id) t.path_mu.(id)) then ok := false;
+    if not (Arena.bits_equal sigma.(id) t.path_sigma.(id)) then ok := false
   done;
   !ok

@@ -5,6 +5,17 @@
     mean/sigma and the circuit-delay yield — kept consistent under
     single-gate Vth/size moves without re-running {!Ssta.analyze}.
 
+    {2 State}
+
+    Gate delays, arrivals, required times and the circuit delay live in
+    {!Arena} slots.  {!create} and {!rebuild} run {!Ssta}'s level sweeps
+    straight into them; {!sync} recomputes a gate with the same
+    {!Ssta.forward_gate} / {!Ssta.bwd_gate} kernels into a staging buffer
+    one level wide, then copies a slot only when a word changed.
+    {!arrival}, {!required} and {!circuit_delay} materialize a
+    {!Canonical.t} only when read.  A re-timing step allocates nothing
+    per recomputed gate.
+
     {2 Algorithm}
 
     {!update_gate} re-derives the canonical delay of the touched gate and
@@ -20,14 +31,13 @@
 
     {2 Bit-identity invariant}
 
-    Every recomputation replays the exact fold expressions of
-    {!Ssta.analyze} / {!Ssta.backward} on inputs that are themselves
-    bit-identical to a from-scratch analysis, so after every {!sync} the
-    whole state equals what [Ssta.analyze] + [Ssta.backward] +
-    [Ssta.path_through] would produce from scratch — to the last IEEE
-    bit.  {!audit} checks exactly that; optimizers driven by this engine
-    therefore make the same decisions, in the same order, as ones doing
-    full refreshes. *)
+    Every recomputation runs the kernels of {!Ssta.analyze} /
+    {!Ssta.backward} on inputs that are themselves bit-identical to a
+    from-scratch analysis, so after every {!sync} the whole state equals
+    what [Ssta.analyze] + [Ssta.backward] + [Ssta.path_through] would
+    produce from scratch — to the last IEEE bit.  {!audit} checks exactly
+    that; optimizers driven by this engine therefore make the same
+    decisions, in the same order, as ones doing full refreshes. *)
 
 type t
 
@@ -79,6 +89,11 @@ val arrival : t -> int -> Canonical.t
 val required : t -> int -> Canonical.t
 (** [S_g] of the backward view, valid as of the last {!sync}. *)
 
+val arrival_slots : t -> Arena.t
+(** The live arrival slots, updated in place by {!sync} — for readers
+    that fold arrivals without materializing them; must not be
+    written. *)
+
 val path_mu : t -> float array
 val path_sigma : t -> float array
 (** Live per-gate worst-path mean/sigma arrays, updated in place by
@@ -86,13 +101,15 @@ val path_sigma : t -> float array
 
 (** {2 Move-batch undo}
 
-    A checkpoint snapshots only what later updates actually touch
-    (copy-on-write over dirty-cone slots).  Take one on forward-synced
-    state (deferred backward/path dirt is snapshotted and survives a
-    rollback), apply/sync trial moves, then either {!commit} (keep, drop
-    snapshot) or {!rollback} (restore the timing view; the caller must
-    restore the design assignment itself first).  One checkpoint may be
-    active at a time. *)
+    A checkpoint keeps an undo log of what later updates actually touch:
+    the first write to each slot (delay, arrival, required time, the
+    circuit delay) or path mean/sigma pair appends its old words to one
+    flat buffer, and a rollback replays the buffer newest-first.  Take
+    one on forward-synced state (deferred backward/path dirt is
+    snapshotted and survives a rollback), apply/sync trial moves, then
+    either {!commit} (keep, drop the log) or {!rollback} (restore the
+    timing view; the caller must restore the design assignment itself
+    first).  One checkpoint may be active at a time. *)
 
 type checkpoint
 

@@ -39,10 +39,12 @@ let par_stats () = { par_levels = 0; seq_levels = 0; max_level_width = 0 }
 
 let default_par_threshold = 192
 
-let gate_delay_canonical ?memo (d : Design.t) model id =
+(* Linearized delay of gate [id] into slot [i] of [dst]: the nominal
+   delay, the sensitivity-weighted Vth and L patterns, and the
+   root-sum-square of the two independent remainders. *)
+let gate_delay_into ?memo (d : Design.t) model (dst : Arena.t) i id =
   let g = Circuit.gate d.Design.circuit id in
-  let num_pcs = Model.num_pcs model in
-  if g.Circuit.kind = Cell_kind.Pi then Canonical.constant ~num_pcs 0.0
+  if g.Circuit.kind = Cell_kind.Pi then Arena.zero dst i
   else begin
     (* the memoized path returns bit-identical values (see Sl_tech.Memo) *)
     let d0, (sv, sl) =
@@ -52,10 +54,19 @@ let gate_delay_canonical ?memo (d : Design.t) model id =
       | Some m -> (Sl_tech.Memo.gate_delay m d id, Sl_tech.Memo.gate_delay_sens m d id)
     in
     let cv = Model.vth_coeffs model id and cl = Model.l_coeffs model id in
-    let coeffs = Array.init num_pcs (fun k -> (sv *. cv.(k)) +. (sl *. cl.(k))) in
     let rv = sv *. Model.vth_rnd_sigma model and rl = sl *. Model.l_rnd_sigma model in
-    Canonical.make ~mean:d0 ~coeffs ~rnd:(sqrt ((rv *. rv) +. (rl *. rl)))
+    let data = dst.Arena.data and r = Arena.row dst i in
+    data.(r) <- d0;
+    for k = 0 to dst.Arena.num_pcs - 1 do
+      data.(r + 2 + k) <- (sv *. cv.(k)) +. (sl *. cl.(k))
+    done;
+    data.(r + 1) <- sqrt ((rv *. rv) +. (rl *. rl))
   end
+
+let gate_delay_canonical ?memo (d : Design.t) model id =
+  let a = Arena.create ~n:1 ~num_pcs:(Model.num_pcs model) in
+  gate_delay_into ?memo d model a 0 id;
+  Arena.get a 0
 
 (* Count whether a level batch of [width] gates will run on domains or
    inline, mirroring the Parallel.run_chunks decision. *)
@@ -69,151 +80,195 @@ let tally stats ~jobs ~threshold width =
     if par then st.par_levels <- st.par_levels + 1
     else st.seq_levels <- st.seq_levels + 1
 
-(* Levelized forward propagation through a flat arena.  Gates of one
-   level have all fanins at strictly lower levels (Circuit invariant:
-   level = 1 + max fanin level), so within a level every gate reads only
-   finalized slots and writes only its own — the parallel schedule cannot
-   change any operand, and the result is bit-identical to the sequential
-   sweep for every [jobs] value. *)
-let analyze ?memo ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats
-    (d : Design.t) model =
-  let circuit = d.Design.circuit in
-  let n = Circuit.num_gates circuit in
-  Metrics.incr m_analyses;
-  Trace.span "ssta.forward"
-    ~attrs:[ ("gates", string_of_int n); ("jobs", string_of_int jobs) ]
-  @@ fun () ->
-  let num_pcs = Model.num_pcs model in
-  let zero = Canonical.constant ~num_pcs 0.0 in
-  (* Canonical per-gate delays are pure per id, so chunked domains fill
-     disjoint slots.  An unfrozen memo fills its hash table lazily and is
-     not domain-safe (Sl_tech.Memo), so it forces the sequential path;
-     the values are the same either way. *)
-  let gate_delay = Array.make n zero in
+(* ---------------- the gate kernels ----------------
+
+   One forward and one backward gate step, shared by the from-scratch
+   sweeps below and by Incremental's level batches.  Each writes one
+   destination slot from slots finalized by earlier levels, through the
+   calling domain's scratch. *)
+
+type scratch = { frame : Canonical.frame; term : Arena.t }
+
+let scratch ~num_pcs = { frame = Canonical.frame (); term = Arena.create ~n:1 ~num_pcs }
+
+let forward_gate (c : Circuit.t) ~delay ~arr sc ~dst i gid =
+  let fanin = c.Circuit.gates.(gid).Circuit.fanin in
+  (* the fold runs in the scratch slot, so [dst] may be [gid]'s delay slot *)
+  let acc = sc.term in
+  (match Array.length fanin with
+  | 0 -> Arena.zero acc 0
+  | len ->
+    Arena.blit arr fanin.(0) acc 0;
+    for k = 1 to len - 1 do
+      Arena.max2 sc.frame acc 0 arr fanin.(k) ~dst:acc 0
+    done);
+  Arena.add acc 0 delay gid ~dst i
+
+let bwd_gate (c : Circuit.t) ~delay ~bwd sc ~dst i gid =
+  let fanout = c.Circuit.gates.(gid).Circuit.fanout in
+  let len = Array.length fanout in
+  let po = Circuit.is_po c gid in
+  let live = po || len > 0 in
+  if live then begin
+    (* fold max over the terms delay(fo) + S(fo); a PO driver's fold is
+       headed by the zero term *)
+    let first =
+      if po then begin
+        Arena.zero dst i;
+        0
+      end
+      else begin
+        Arena.add delay fanout.(0) bwd fanout.(0) ~dst i;
+        1
+      end
+    in
+    for k = first to len - 1 do
+      let fo = fanout.(k) in
+      Arena.add delay fo bwd fo ~dst:sc.term 0;
+      Arena.max2 sc.frame dst i sc.term 0 ~dst i
+    done
+  end;
+  live
+
+let circuit_delay_into (c : Circuit.t) ~arr sc ~dst i =
+  let outs = c.Circuit.outputs in
+  if Array.length outs = 0 then Arena.zero dst i
+  else begin
+    Arena.blit arr outs.(0) dst i;
+    for k = 1 to Array.length outs - 1 do
+      Arena.max2 sc.frame dst i arr outs.(k) ~dst i
+    done
+  end
+
+let path_into sc ~arr ~bwd id ~mu ~sigma =
+  Arena.add arr id bwd id ~dst:sc.term 0;
+  mu.(id) <- sc.term.Arena.data.(0);
+  sigma.(id) <- Arena.sigma sc.term 0
+
+(* ---------------- from-scratch sweeps ---------------- *)
+
+(* Every gate's linearized delay into its slot.  Canonical per-gate
+   delays are pure per id, so chunked domains fill disjoint slots.  An
+   unfrozen memo fills its hash table lazily and is not domain-safe
+   (Sl_tech.Memo), so it forces the sequential path; the values are the
+   same either way. *)
+let fill_delays ?memo ~jobs ~par_threshold (d : Design.t) model ~delay =
+  let n = Circuit.num_gates d.Design.circuit in
   let delay_par =
     jobs > 1
     && (match memo with None -> true | Some m -> Sl_tech.Memo.frozen m)
   in
-  let fill_delays lo hi =
+  let fill lo hi =
     for id = lo to hi - 1 do
-      gate_delay.(id) <- gate_delay_canonical ?memo d model id
+      gate_delay_into ?memo d model delay id id
     done
   in
   if delay_par then
     Parallel.run_chunks ~jobs ~threshold:par_threshold ~n ~init:(fun () -> ())
-      (fun () lo hi -> fill_delays lo hi)
-  else fill_delays 0 n;
-  let arr = Arena.create ~n ~num_pcs in
-  let forward_gate sc gid =
-    let g = circuit.Circuit.gates.(gid) in
-    if g.Circuit.kind <> Cell_kind.Pi then begin
-      let fanin = g.Circuit.fanin in
-      (match Array.length fanin with
-      | 0 -> Arena.load_zero sc
-      | len ->
-        Arena.load sc arr fanin.(0);
-        for k = 1 to len - 1 do
-          Arena.max2_slot sc arr fanin.(k)
-        done);
-      Arena.add_canonical sc gate_delay.(gid);
-      Arena.store arr gid sc
-    end
-  in
+      (fun () lo hi -> fill lo hi)
+  else fill 0 n
+
+(* Levelized forward propagation of arrivals.  Gates of one level have
+   all fanins at strictly lower levels (Circuit invariant: level = 1 +
+   max fanin level), so within a level every gate reads only finalized
+   slots and writes only its own — the parallel schedule cannot change
+   any operand, and the result is bit-identical to the sequential sweep
+   for every [jobs] value.  [delay] may be [arr] itself: a gate's slot
+   holds its delay until the gate's own step replaces it. *)
+let arrival_sweep ~jobs ~par_threshold ?stats circuit ~delay ~arr =
+  let num_pcs = arr.Arena.num_pcs in
   Array.iter
     (fun level ->
       let width = Array.length level in
       tally stats ~jobs ~threshold:par_threshold width;
       Parallel.run_chunks ~jobs ~threshold:par_threshold ~n:width
-        ~init:(fun () -> Arena.scratch ~num_pcs)
+        ~init:(fun () -> scratch ~num_pcs)
         (fun sc lo hi ->
           for k = lo to hi - 1 do
-            forward_gate sc level.(k)
+            let gid = level.(k) in
+            if circuit.Circuit.gates.(gid).Circuit.kind <> Cell_kind.Pi then
+              forward_gate circuit ~delay ~arr sc ~dst:arr gid gid
           done))
-    (Circuit.levels circuit);
-  let circuit_delay =
-    let outs = circuit.Circuit.outputs in
-    if Array.length outs = 0 then zero
-    else begin
-      let sc = Arena.scratch ~num_pcs in
-      Arena.load sc arr outs.(0);
-      for k = 1 to Array.length outs - 1 do
-        Arena.max2_slot sc arr outs.(k)
-      done;
-      Arena.to_canonical sc
-    end
-  in
-  let arrival = Array.make n zero in
-  Parallel.run_chunks ~jobs ~threshold:par_threshold ~n ~init:(fun () -> ())
-    (fun () lo hi ->
-      for i = lo to hi - 1 do
-        arrival.(i) <- Arena.get arr i
-      done);
-  { gate_delay; arrival; circuit_delay }
+    (Circuit.levels circuit)
 
-let pc_sensitivity res = Array.copy res.circuit_delay.Canonical.coeffs
-
-let timing_yield res ~tmax = Canonical.cdf res.circuit_delay tmax
-let tmax_for_yield res ~p = Canonical.quantile res.circuit_delay p
-
-(* Backward (required-time) sweep through the same arena, by decreasing
+(* Backward (required-time) sweep into caller-owned slots, by decreasing
    level: a gate's fanouts all sit at strictly higher levels, so within a
    level every gate reads only finalized slots.  Same bit-identity-by-
-   construction argument as [analyze]. *)
-let backward ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats circuit
-    res =
-  let n = Circuit.num_gates circuit in
-  Metrics.incr m_backwards;
-  Trace.span "ssta.backward"
-    ~attrs:[ ("gates", string_of_int n); ("jobs", string_of_int jobs) ]
-  @@ fun () ->
-  let num_pcs = Canonical.num_pcs res.circuit_delay in
-  let zero = Canonical.constant ~num_pcs 0.0 in
-  let sa = Arena.create ~n ~num_pcs in
-  let bwd_gate sc tm gid =
-    let g = circuit.Circuit.gates.(gid) in
-    let fanout = g.Circuit.fanout in
-    let len = Array.length fanout in
-    if Circuit.is_po circuit gid then begin
-      (* PO driver: the zero term heads the fold *)
-      Arena.load_zero sc;
-      for k = 0 to len - 1 do
-        let fo = fanout.(k) in
-        Arena.load_add_canonical_slot tm res.gate_delay.(fo) sa fo;
-        Arena.max2_scratch sc tm
-      done;
-      Arena.store sa gid sc
-    end
-    else if len > 0 then begin
-      let fo0 = fanout.(0) in
-      Arena.load_add_canonical_slot sc res.gate_delay.(fo0) sa fo0;
-      for k = 1 to len - 1 do
-        let fo = fanout.(k) in
-        Arena.load_add_canonical_slot tm res.gate_delay.(fo) sa fo;
-        Arena.max2_scratch sc tm
-      done;
-      Arena.store sa gid sc
-    end
-    (* dead gate (no fanout, not a PO): slot keeps zero *)
-  in
+   construction argument as [arrival_sweep].  A dead gate (no fanout, not
+   a PO) keeps its slot. *)
+let backward_sweep ~jobs ~par_threshold ?stats circuit ~delay ~bwd =
+  let num_pcs = bwd.Arena.num_pcs in
   let levels = Circuit.levels circuit in
   for li = Array.length levels - 1 downto 0 do
     let level = levels.(li) in
     let width = Array.length level in
     tally stats ~jobs ~threshold:par_threshold width;
     Parallel.run_chunks ~jobs ~threshold:par_threshold ~n:width
-      ~init:(fun () -> (Arena.scratch ~num_pcs, Arena.scratch ~num_pcs))
-      (fun (sc, tm) lo hi ->
+      ~init:(fun () -> scratch ~num_pcs)
+      (fun sc lo hi ->
         for k = lo to hi - 1 do
-          bwd_gate sc tm level.(k)
+          let gid = level.(k) in
+          ignore (bwd_gate circuit ~delay ~bwd sc ~dst:bwd gid gid)
         done)
-  done;
-  let s = Array.make n zero in
-  Parallel.run_chunks ~jobs ~threshold:par_threshold ~n ~init:(fun () -> ())
+  done
+
+(* Every full sweep is counted and traced as one analysis or one
+   backward pass, whether it fills records or an engine's slots. *)
+let traced name counter ~jobs n f =
+  Metrics.incr counter;
+  Trace.span name ~attrs:[ ("gates", string_of_int n); ("jobs", string_of_int jobs) ] f
+
+let forward_into ?memo ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats
+    (d : Design.t) model ~delay ~arr =
+  traced "ssta.forward" m_analyses ~jobs (Circuit.num_gates d.Design.circuit) (fun () ->
+      fill_delays ?memo ~jobs ~par_threshold d model ~delay;
+      arrival_sweep ~jobs ~par_threshold ?stats d.Design.circuit ~delay ~arr)
+
+let backward_into ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats circuit
+    ~delay ~bwd =
+  traced "ssta.backward" m_backwards ~jobs (Circuit.num_gates circuit) (fun () ->
+      backward_sweep ~jobs ~par_threshold ?stats circuit ~delay ~bwd)
+
+(* Materialize every slot as a record, chunked across domains. *)
+let to_array ~jobs ~par_threshold (a : Arena.t) =
+  let out = Array.make a.Arena.n (Canonical.constant ~num_pcs:a.Arena.num_pcs 0.0) in
+  Parallel.run_chunks ~jobs ~threshold:par_threshold ~n:a.Arena.n ~init:(fun () -> ())
     (fun () lo hi ->
       for i = lo to hi - 1 do
-        s.(i) <- Arena.get sa i
+        out.(i) <- Arena.get a i
       done);
-  s
+  out
+
+let analyze ?memo ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats
+    (d : Design.t) model =
+  let circuit = d.Design.circuit in
+  let n = Circuit.num_gates circuit in
+  traced "ssta.forward" m_analyses ~jobs n @@ fun () ->
+  let num_pcs = Model.num_pcs model in
+  (* one arena: each slot holds the gate's delay, materialized, until the
+     sweep replaces it with the arrival *)
+  let slots = Arena.create ~n ~num_pcs in
+  fill_delays ?memo ~jobs ~par_threshold d model ~delay:slots;
+  let gate_delay = to_array ~jobs ~par_threshold slots in
+  arrival_sweep ~jobs ~par_threshold ?stats circuit ~delay:slots ~arr:slots;
+  let cd = Arena.create ~n:1 ~num_pcs in
+  circuit_delay_into circuit ~arr:slots (scratch ~num_pcs) ~dst:cd 0;
+  { gate_delay; arrival = to_array ~jobs ~par_threshold slots; circuit_delay = Arena.get cd 0 }
+
+let pc_sensitivity res = Array.copy res.circuit_delay.Canonical.coeffs
+
+let timing_yield res ~tmax = Canonical.cdf res.circuit_delay tmax
+let tmax_for_yield res ~p = Canonical.quantile res.circuit_delay p
+
+let backward ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats circuit
+    res =
+  let n = Circuit.num_gates circuit in
+  traced "ssta.backward" m_backwards ~jobs n @@ fun () ->
+  let num_pcs = Canonical.num_pcs res.circuit_delay in
+  let delay = Arena.create ~n ~num_pcs and bwd = Arena.create ~n ~num_pcs in
+  Array.iteri (Arena.set delay) res.gate_delay;
+  backward_sweep ~jobs ~par_threshold ?stats circuit ~delay ~bwd;
+  to_array ~jobs ~par_threshold bwd
 
 let path_through res ~backward id = Canonical.add res.arrival.(id) backward.(id)
 

@@ -36,6 +36,65 @@ val default_par_threshold : int
 (** Default minimum level width for spawning domains: below it, the
     spawn overhead of {!Sl_util.Parallel.run} exceeds the level's work. *)
 
+(** {2 Gate kernels over arena slots}
+
+    One forward and one backward gate step, run by the from-scratch
+    sweeps ({!analyze}, {!backward}) and by {!Incremental}'s level
+    batches alike.  Each writes slot [i] of [dst] from slots finalized by
+    earlier levels and allocates nothing. *)
+
+type scratch
+(** Per-domain work space of the kernels (a Clark frame and one term
+    slot).  Never shared between domains. *)
+
+val scratch : num_pcs:int -> scratch
+
+val gate_delay_into :
+  ?memo:Sl_tech.Memo.t -> Sl_tech.Design.t -> Sl_variation.Model.t -> Arena.t ->
+  int -> int -> unit
+(** [gate_delay_into d model dst i id]: slot [i] ← the linearized delay
+    of gate [id] (zero for a PI), as {!gate_delay_canonical}. *)
+
+val forward_gate :
+  Sl_netlist.Circuit.t -> delay:Arena.t -> arr:Arena.t -> scratch -> dst:Arena.t ->
+  int -> int -> unit
+(** [forward_gate c ~delay ~arr sc ~dst i gid]: slot [i] ← the max of
+    [gid]'s fanin arrivals plus its delay.  The destination may be
+    [gid]'s delay slot.  Call only for a non-PI. *)
+
+val bwd_gate :
+  Sl_netlist.Circuit.t -> delay:Arena.t -> bwd:Arena.t -> scratch -> dst:Arena.t ->
+  int -> int -> bool
+(** [bwd_gate c ~delay ~bwd sc ~dst i gid]: slot [i] ← [S_gid], the max
+    over fanouts of delay + required time, headed by zero at a PO driver.
+    [false] (slot untouched) for a dead gate: no fanout, not a PO. *)
+
+val circuit_delay_into :
+  Sl_netlist.Circuit.t -> arr:Arena.t -> scratch -> dst:Arena.t -> int -> unit
+(** Slot [i] ← the max over primary outputs, folded in output order. *)
+
+val path_into :
+  scratch -> arr:Arena.t -> bwd:Arena.t -> int -> mu:float array ->
+  sigma:float array -> unit
+(** [path_into sc ~arr ~bwd id ~mu ~sigma]: [mu.(id)] and [sigma.(id)] ←
+    mean and sigma of [A_id + S_id], as {!path_through}. *)
+
+val forward_into :
+  ?memo:Sl_tech.Memo.t -> ?jobs:int -> ?par_threshold:int -> ?stats:par_stats ->
+  Sl_tech.Design.t -> Sl_variation.Model.t -> delay:Arena.t -> arr:Arena.t -> unit
+(** The forward sweep of {!analyze} into caller-owned slots: every gate
+    delay, then every arrival level by level.  PI arrivals are left as
+    they are (zero in a fresh arena).  Counted and traced as one forward
+    analysis. *)
+
+val backward_into :
+  ?jobs:int -> ?par_threshold:int -> ?stats:par_stats -> Sl_netlist.Circuit.t ->
+  delay:Arena.t -> bwd:Arena.t -> unit
+(** The sweep of {!backward} into caller-owned slots; a dead gate's slot
+    is left as it is.  Counted and traced as one backward sweep. *)
+
+(** {2 From-scratch analysis} *)
+
 val analyze :
   ?memo:Sl_tech.Memo.t -> ?jobs:int -> ?par_threshold:int -> ?stats:par_stats ->
   Sl_tech.Design.t -> Sl_variation.Model.t -> result

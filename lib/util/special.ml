@@ -14,7 +14,7 @@ let erfc_cof =
      -6.886027e-12; 8.94487e-13; 3.13092e-13;
      -1.12708e-13; 3.81e-16; 7.106e-15 |]
 
-let erfc x =
+let[@inline] erfc x =
   let z = Float.abs x in
   let t = 2.0 /. (2.0 +. z) in
   let ty = (4.0 *. t) -. 2.0 in
@@ -28,8 +28,8 @@ let erfc x =
   if x >= 0.0 then ans else 2.0 -. ans
 
 let erf x = 1.0 -. erfc x
-let normal_pdf x = inv_sqrt_2pi *. exp (-0.5 *. x *. x)
-let normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)
+let[@inline] normal_pdf x = inv_sqrt_2pi *. exp (-0.5 *. x *. x)
+let[@inline] normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)
 
 (* Acklam's rational approximation for the probit function, followed by a
    single Halley step against [normal_cdf] that brings the absolute error
@@ -84,15 +84,27 @@ let log_normal_cdf_tail x =
     (-0.5 *. x2) -. log (x /. inv_sqrt_2pi) +. log series
   end
 
-let clark_max_moments ~mu1 ~sigma1 ~mu2 ~sigma2 ~rho =
+(* The frame form is the one implementation: its operands and results
+   stay in a float array, so a caller in another module passes no boxed
+   float and receives no tuple. *)
+let clark_max_into (f : float array) =
+  let mu1 = f.(0) and sigma1 = f.(1) and mu2 = f.(2) and sigma2 = f.(3) and rho = f.(4) in
   let a2 =
     (sigma1 *. sigma1) +. (sigma2 *. sigma2) -. (2.0 *. rho *. sigma1 *. sigma2)
   in
   if a2 <= 1e-24 then begin
     (* The two operands are (numerically) the same Gaussian shifted by a
        constant: the max is exactly the larger one. *)
-    if mu1 >= mu2 then (mu1, sigma1 *. sigma1, 1.0)
-    else (mu2, sigma2 *. sigma2, 0.0)
+    if mu1 >= mu2 then begin
+      f.(5) <- mu1;
+      f.(6) <- sigma1 *. sigma1;
+      f.(7) <- 1.0
+    end
+    else begin
+      f.(5) <- mu2;
+      f.(6) <- sigma2 *. sigma2;
+      f.(7) <- 0.0
+    end
   end
   else begin
     let a = sqrt a2 in
@@ -106,6 +118,12 @@ let clark_max_moments ~mu1 ~sigma1 ~mu2 ~sigma2 ~rho =
       +. (((mu2 *. mu2) +. (sigma2 *. sigma2)) *. t')
       +. ((mu1 +. mu2) *. a *. pdf)
     in
-    let variance = Float.max 0.0 (second -. (mean *. mean)) in
-    (mean, variance, t)
+    f.(5) <- mean;
+    f.(6) <- Float.max 0.0 (second -. (mean *. mean));
+    f.(7) <- t
   end
+
+let clark_max_moments ~mu1 ~sigma1 ~mu2 ~sigma2 ~rho =
+  let f = [| mu1; sigma1; mu2; sigma2; rho; 0.0; 0.0; 0.0 |] in
+  clark_max_into f;
+  (f.(5), f.(6), f.(7))

@@ -33,3 +33,9 @@ val clark_max_moments :
     [(mean, variance, tightness)] of [max(X1, X2)] for jointly Gaussian
     X1, X2 with correlation [rho].  [tightness] is P(X1 ≥ X2) — the weight
     given to X1's sensitivities when re-linearizing the max. *)
+
+val clark_max_into : float array -> unit
+(** Allocation-free form of {!clark_max_moments}: reads
+    [(mu1, sigma1, mu2, sigma2, rho)] from slots 0–4 of the frame and
+    writes [(mean, variance, tightness)] to slots 5–7, the same words.
+    @raise Invalid_argument if the frame is shorter than 8. *)

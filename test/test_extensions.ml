@@ -2,7 +2,6 @@
    Path_ssta. *)
 
 module Heap = Sl_util.Heap
-module Ks = Sl_util.Ks
 module Rng = Sl_util.Rng
 module Special = Sl_util.Special
 module Paths = Sl_sta.Paths

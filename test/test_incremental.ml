@@ -16,6 +16,9 @@ module Model = Sl_variation.Model
 module Ssta = Sl_ssta.Ssta
 module Canonical = Sl_ssta.Canonical
 module Incremental = Sl_ssta.Incremental
+module Engine = Sl_ssta.Engine
+module Bench_format = Sl_netlist.Bench_format
+module Generators = Sl_netlist.Generators
 module Rng = Sl_util.Rng
 module Leak_ssta = Sl_leakage.Leak_ssta
 module Stat_opt = Sl_opt.Stat_opt
@@ -68,15 +71,38 @@ let assert_matches ~what d model ~tmax inc =
   if not (feq y (Incremental.yield inc)) then
     Alcotest.failf "%s: yield diverged (%.17g vs %.17g)" what y (Incremental.yield inc)
 
+(* Both engines expose the same state, word for word. *)
+let assert_same ~what n a b =
+  for id = 0 to n - 1 do
+    if not (ceq (Incremental.arrival a id) (Incremental.arrival b id)) then
+      Alcotest.failf "%s: arrival(%d) differs from jobs=1" what id;
+    if not (ceq (Incremental.required a id) (Incremental.required b id)) then
+      Alcotest.failf "%s: required(%d) differs from jobs=1" what id;
+    if not (feq (Incremental.path_mu a).(id) (Incremental.path_mu b).(id)) then
+      Alcotest.failf "%s: path_mu(%d) differs from jobs=1" what id;
+    if not (feq (Incremental.path_sigma a).(id) (Incremental.path_sigma b).(id)) then
+      Alcotest.failf "%s: path_sigma(%d) differs from jobs=1" what id
+  done;
+  if not (ceq (Incremental.circuit_delay a) (Incremental.circuit_delay b)) then
+    Alcotest.failf "%s: circuit_delay differs from jobs=1" what;
+  if not (feq (Incremental.yield a) (Incremental.yield b)) then
+    Alcotest.failf "%s: yield differs from jobs=1" what
+
 (* 200 random Vth/size moves with an apply/abort mix; bit-compare against
-   a fresh full analysis after every sync. *)
-let random_moves_test name () =
+   a fresh full analysis after every tenth sync.  With [jobs] > 1 and a
+   threshold of 2, every staged level of two or more gates is computed on
+   domains, and a jobs=1 twin over the same design must hold the same
+   words after every sync. *)
+let random_moves_test ?(jobs = 1) ?par_threshold name () =
   let c = Option.get (Benchmarks.by_name name) in
   let d = design c in
   let model = Model.build Spec.default c in
   let res0 = Ssta.analyze d model in
   let tmax = 1.25 *. res0.Ssta.circuit_delay.Canonical.mean in
-  let inc = Incremental.create d model ~tmax in
+  let inc = Incremental.create ~jobs ?par_threshold d model ~tmax in
+  let twin = if jobs > 1 then Some (Incremental.create d model ~tmax) else None in
+  let engines = inc :: Option.to_list twin in
+  let n = Circuit.num_gates c in
   let ids = cells d in
   let num_vth = Cell_lib.num_vth d.Design.lib in
   let num_sizes = Cell_lib.num_sizes d.Design.lib in
@@ -100,28 +126,35 @@ let random_moves_test name () =
          analysis bit-for-bit *)
       let saved_vth = Array.copy d.Design.vth_idx in
       let saved_size = Array.copy d.Design.size_idx in
-      let cp = Incremental.checkpoint inc in
+      let cps = List.map Incremental.checkpoint engines in
       for _ = 1 to 1 + Rng.int rng 3 do
         let id = random_move () in
-        Incremental.update_gate inc id
+        List.iter (fun e -> Incremental.update_gate e id) engines
       done;
-      Incremental.sync inc;
+      List.iter (fun e -> Incremental.sync e) engines;
+      Option.iter (assert_same ~what:(Printf.sprintf "%s step %d trial" name step) n inc) twin;
       Array.blit saved_vth 0 d.Design.vth_idx 0 (Array.length saved_vth);
       Array.blit saved_size 0 d.Design.size_idx 0 (Array.length saved_size);
-      Incremental.rollback inc cp
+      List.iter2 Incremental.rollback engines cps
     end
     else begin
       let id = random_move () in
-      Incremental.update_gate inc id;
-      Incremental.sync inc
+      List.iter
+        (fun e ->
+          Incremental.update_gate e id;
+          Incremental.sync e)
+        engines
     end;
+    Option.iter (assert_same ~what:(Printf.sprintf "%s step %d" name step) n inc) twin;
     if step mod 10 = 0 || step = 200 then
       assert_matches ~what:(Printf.sprintf "%s step %d" name step) d model ~tmax inc
   done;
   if not (Incremental.audit inc) then Alcotest.failf "%s: final audit failed" name;
   let st = Incremental.stats inc in
   if st.Incremental.updates = 0 || st.Incremental.propagated = 0 then
-    Alcotest.fail "no incremental work recorded"
+    Alcotest.fail "no incremental work recorded";
+  if jobs > 1 && st.Incremental.par_levels = 0 then
+    Alcotest.fail "no level batch ran on domains"
 
 (* Unsynced checkpoints and double checkpoints must be rejected. *)
 let test_checkpoint_discipline () =
@@ -270,6 +303,200 @@ let test_optimize_with_audit () =
   let st = Stat_opt.optimize cfg d s.Setup.model in
   if not st.Stat_opt.feasible then Alcotest.fail "audited run infeasible"
 
+(* ---------- engine pins: state digests and counters ----------
+
+   A seeded 300-step sequence through the engine front: single moves with
+   a full sync or a yield-only ([~paths:false]) sync, checkpointed batches
+   that are rolled back or committed, and one bulk edit followed by a
+   rebuild.  After every step the whole readable state — each arrival,
+   required time, path mu/sigma, the circuit delay and the yield — is
+   hashed word for word into a running digest.  The digests and the
+   counters were recorded before the engine moved to slot state and the
+   shared gate kernels; the counters hold the cutoff semantics that the
+   benchmark's propagation counts rely on. *)
+
+let state_digest e n =
+  let b = Buffer.create (n * 640) in
+  let word x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let form (c : Canonical.t) =
+    word c.Canonical.mean;
+    word c.Canonical.rnd;
+    Array.iter word c.Canonical.coeffs
+  in
+  let mu = Engine.path_mu e and sg = Engine.path_sigma e in
+  for id = 0 to n - 1 do
+    form (Engine.arrival e id);
+    form (Engine.required e id);
+    word mu.(id);
+    word sg.(id)
+  done;
+  form (Engine.circuit_delay e);
+  word (Engine.yield e);
+  Buffer.contents b
+
+let pin_sequence ~partition c =
+  let d = design c in
+  let model = Model.build Spec.default c in
+  let tmax = 1.25 *. (Ssta.analyze d model).Ssta.circuit_delay.Canonical.mean in
+  let e = Engine.create ~partition d model ~tmax in
+  if Engine.is_partitioned e <> partition then Alcotest.fail "engine kind";
+  let n = Circuit.num_gates c in
+  let ids = cells d in
+  let num_vth = Cell_lib.num_vth d.Design.lib in
+  let num_sizes = Cell_lib.num_sizes d.Design.lib in
+  let rng = Rng.create 2024 in
+  let pick () = ids.(Rng.int rng (Array.length ids)) in
+  let move () =
+    let id = pick () in
+    if Rng.int rng 2 = 0 then Design.set_vth d id (Rng.int rng num_vth)
+    else Design.set_size d id (Rng.int rng num_sizes);
+    Engine.update_gate e id
+  in
+  let h = ref (Digest.string (state_digest e n)) in
+  for step = 1 to 300 do
+    (if step = 150 then begin
+       (* bulk edit behind the engine's back, then a from-scratch rebuild *)
+       for _ = 1 to 8 do
+         d.Design.vth_idx.(pick ()) <- Rng.int rng num_vth
+       done;
+       Engine.rebuild e
+     end
+     else
+       match Rng.int rng 10 with
+       | 0 | 1 | 2 | 3 ->
+         move ();
+         Engine.sync e
+       | 4 | 5 ->
+         move ();
+         Engine.sync ~paths:false e
+       | _ ->
+         let saved_vth = Array.copy d.Design.vth_idx in
+         let saved_size = Array.copy d.Design.size_idx in
+         let cp = Engine.checkpoint e in
+         for _ = 1 to 1 + Rng.int rng 4 do
+           move ();
+           if Rng.int rng 2 = 0 then Engine.sync ~paths:false e
+         done;
+         Engine.sync ~paths:(Rng.int rng 2 = 0) e;
+         if Rng.int rng 2 = 0 then begin
+           Array.blit saved_vth 0 d.Design.vth_idx 0 (Array.length saved_vth);
+           Array.blit saved_size 0 d.Design.size_idx 0 (Array.length saved_size);
+           Engine.rollback e cp
+         end
+         else Engine.commit e cp);
+    h := Digest.string (Digest.to_hex !h ^ state_digest e n)
+  done;
+  (Digest.to_hex !h, Engine.stats e)
+
+type engine_pin = {
+  e_name : string;
+  e_digest : string;
+  e_counts : int * int * int * int * int * int;
+      (* updates, syncs, propagated, bwd_propagated, cutoffs, max_cone *)
+}
+
+let engine_pins =
+  [
+    {
+      e_name = "add32";
+      e_digest = "a94b50f3d3c01c19506b9476248f7fee";
+      e_counts = (490, 452, 8854, 12206, 278, 98);
+    };
+    {
+      e_name = "mult8";
+      e_digest = "f4c8bcc1f046a6e5d33ce44c1d379ad0";
+      e_counts = (490, 452, 14811, 14989, 859, 196);
+    };
+    {
+      (* partition mode: a 2-stage register pipeline, counters summed
+         over the cones *)
+      e_name = "pipe2";
+      e_digest = "4e4f9f874a3ef437ad03ae7436d41ba6";
+      e_counts = (490, 543, 2862, 2527, 434, 22);
+    };
+  ]
+
+let pin_circuit = function
+  | "pipe2" ->
+    ( true,
+      Bench_format.parse_string ~sequential:`Cut ~name:"pipe2"
+        (Generators.seq_pipeline_bench ~stages:2 ~width:8 ~layers:4) )
+  | name -> (false, Option.get (Benchmarks.by_name name))
+
+let engine_pin_test p () =
+  let partition, c = pin_circuit p.e_name in
+  let digest, st = pin_sequence ~partition c in
+  let counts =
+    Incremental.
+      (st.updates, st.syncs, st.propagated, st.bwd_propagated, st.cutoffs, st.max_cone)
+  in
+  let u, s, pr, b, cu, m = counts in
+  Alcotest.(check string) (p.e_name ^ " state digest") p.e_digest digest;
+  Alcotest.(check (list int))
+    (p.e_name ^ " counters")
+    (let u, s, pr, b, cu, m = p.e_counts in
+     [ u; s; pr; b; cu; m ])
+    [ u; s; pr; b; cu; m ]
+
+(* ---------- allocation guard ----------
+
+   Machine-independent bound on the re-timing kernel: 2,000 seeded
+   single-gate moves at jobs=1, each followed by [update_gate] and a full
+   [sync] — once bare, once under a checkpoint + commit — may allocate at
+   most 160 words per arrival or required-time recompute, measured with
+   [Gc.allocated_bytes] (which also counts direct major-heap allocations)
+   over the whole loop: moves, delay re-derivation, sync and checkpoint
+   bookkeeping.  Folding canonical records per recompute costs well over
+   a thousand words. *)
+
+let words_per_recompute ~checkpointed name =
+  let c = Option.get (Benchmarks.by_name name) in
+  let d = design c in
+  let model = Model.build Spec.default c in
+  let tmax = 1.25 *. (Ssta.analyze d model).Ssta.circuit_delay.Canonical.mean in
+  let inc = Incremental.create d model ~tmax in
+  let ids = cells d in
+  let num_vth = Cell_lib.num_vth d.Design.lib in
+  let num_sizes = Cell_lib.num_sizes d.Design.lib in
+  let rng = Rng.create 5 in
+  let st0 = Incremental.stats inc in
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to 2000 do
+    let id = ids.(Rng.int rng (Array.length ids)) in
+    if Rng.int rng 2 = 0 then Design.set_vth d id (Rng.int rng num_vth)
+    else Design.set_size d id (Rng.int rng num_sizes);
+    if checkpointed then begin
+      let cp = Incremental.checkpoint inc in
+      Incremental.update_gate inc id;
+      Incremental.sync inc;
+      Incremental.commit inc cp
+    end
+    else begin
+      Incremental.update_gate inc id;
+      Incremental.sync inc
+    end
+  done;
+  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+  let st1 = Incremental.stats inc in
+  let recomputes =
+    st1.Incremental.propagated - st0.Incremental.propagated
+    + (st1.Incremental.bwd_propagated - st0.Incremental.bwd_propagated)
+  in
+  words /. float_of_int recomputes
+
+let test_sync_allocation_budget () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun checkpointed ->
+          let per = words_per_recompute ~checkpointed name in
+          if per > 160.0 then
+            Alcotest.failf "%s%s: %.1f words per recompute (budget 160)" name
+              (if checkpointed then " under checkpoint + commit" else "")
+              per)
+        [ false; true ])
+    [ "add32"; "mult8"; "alu32" ]
+
 (* ---------- zero-sigma yield-cost guard ---------- *)
 
 let test_zero_sigma_cost () =
@@ -298,11 +525,21 @@ let suite =
           (random_moves_test "add32");
         Alcotest.test_case "200 random moves = full SSTA (mult8)" `Slow
           (random_moves_test "mult8");
+        Alcotest.test_case "200 random moves = full SSTA (add32, jobs=2)" `Slow
+          (random_moves_test ~jobs:2 ~par_threshold:2 "add32");
         Alcotest.test_case "checkpoint discipline" `Quick test_checkpoint_discipline;
         Alcotest.test_case "optimizer outputs = seed (incremental)" `Slow
           optimizer_regression;
         Alcotest.test_case "optimize with audit asserts agreement" `Slow
           test_optimize_with_audit;
         Alcotest.test_case "zero-sigma yield cost" `Quick test_zero_sigma_cost;
-      ] );
+        Alcotest.test_case "allocation per recompute" `Slow
+          test_sync_allocation_budget;
+      ]
+      @ List.map
+          (fun p ->
+            Alcotest.test_case
+              (Printf.sprintf "engine pins (%s)" p.e_name)
+              `Quick (engine_pin_test p))
+          engine_pins );
   ]

@@ -9,9 +9,11 @@ type t = {
   model : Model.t;
   r2 : float;                (* independent log-variance per gate (constant) *)
   m : float array;           (* per-gate ln nominal leakage; 0 unused for PIs *)
+  xm : float array;          (* per gate: E X = exp(m + r²/2) *)
   is_cell : bool array;
   cell : int array;          (* grid cell per gate *)
   q : float array;           (* per grid cell: |u_c|² *)
+  eq : float array;          (* per grid cell: exp(q/2) *)
   uu : float array array;    (* pairwise u_c·u_d *)
   a : float array;           (* per cell: Σ_g exp(m_g + r²/2) *)
   w : float array;           (* per cell: Σ_g Var X_g *)
@@ -64,8 +66,9 @@ let rebuild t =
   for id = 0 to n - 1 do
     if t.is_cell.(id) then begin
       t.m.(id) <- ln_nominal t.design id;
+      t.xm.(id) <- ex t.m.(id) t.r2;
       let c = t.cell.(id) in
-      t.a.(c) <- t.a.(c) +. ex t.m.(id) t.r2;
+      t.a.(c) <- t.a.(c) +. t.xm.(id);
       t.w.(c) <- t.w.(c) +. varx t.m.(id) t.r2;
       t.nom <- t.nom +. exp t.m.(id)
     end
@@ -92,9 +95,11 @@ let create design model =
       model;
       r2;
       m = Array.make n 0.0;
+      xm = Array.make n 0.0;
       is_cell;
       cell = Array.init n (fun id -> Model.cell_index model id);
       q;
+      eq = Array.map (fun q -> exp (q /. 2.0)) q;
       uu;
       a = Array.make ncells 0.0;
       w = Array.make ncells 0.0;
@@ -108,7 +113,7 @@ let refresh = rebuild
 
 let mean_of t a =
   let acc = ref 0.0 in
-  Array.iteri (fun c ac -> acc := !acc +. (exp (t.q.(c) /. 2.0) *. ac)) a;
+  Array.iteri (fun c ac -> acc := !acc +. (t.eq.(c) *. ac)) a;
   !acc
 
 let variance_of t a w =
@@ -123,8 +128,8 @@ let variance_of t a w =
       +. (a.(c) *. a.(c) *. (exp (2.0 *. q) -. exp q));
     (* Cov(S_c, S_d) = E S_c · E S_d · (e^{u_c·u_d} − 1) *)
     for d = c + 1 to ncells - 1 do
-      let esc = exp (q /. 2.0) *. a.(c) in
-      let esd = exp (t.q.(d) /. 2.0) *. a.(d) in
+      let esc = t.eq.(c) *. a.(c) in
+      let esd = t.eq.(d) *. a.(d) in
       acc := !acc +. (2.0 *. esc *. esd *. (exp t.uu.(c).(d) -. 1.0))
     done
   done;
@@ -141,15 +146,17 @@ let quantile t p = Lognormal.quantile (distribution t) p
 
 let gate_mean t id =
   if not t.is_cell.(id) then 0.0
-  else ex t.m.(id) t.r2 *. exp (t.q.(t.cell.(id)) /. 2.0)
+  else t.xm.(id) *. t.eq.(t.cell.(id))
 
 let update_gate t id =
   if t.is_cell.(id) then begin
     let c = t.cell.(id) in
-    let m_old = t.m.(id) in
+    let m_old = t.m.(id) and x_old = t.xm.(id) in
     let m_new = ln_nominal t.design id in
+    let x_new = ex m_new t.r2 in
     t.m.(id) <- m_new;
-    t.a.(c) <- t.a.(c) +. ex m_new t.r2 -. ex m_old t.r2;
+    t.xm.(id) <- x_new;
+    t.a.(c) <- t.a.(c) +. x_new -. x_old;
     t.w.(c) <- t.w.(c) +. varx m_new t.r2 -. varx m_old t.r2;
     t.nom <- t.nom +. exp m_new -. exp m_old
   end
@@ -163,8 +170,7 @@ let mean_shift_if t id ~vth_idx ~size_idx =
   if not t.is_cell.(id) then 0.0
   else begin
     let m_new = ln_if t id ~vth_idx ~size_idx in
-    let c = t.cell.(id) in
-    exp (t.q.(c) /. 2.0) *. (ex m_new t.r2 -. ex t.m.(id) t.r2)
+    t.eq.(t.cell.(id)) *. (ex m_new t.r2 -. t.xm.(id))
   end
 
 let quantile_if t id ~vth_idx ~size_idx ~p =
@@ -173,7 +179,7 @@ let quantile_if t id ~vth_idx ~size_idx ~p =
     let m_new = ln_if t id ~vth_idx ~size_idx in
     let c = t.cell.(id) in
     let a' = Array.copy t.a and w' = Array.copy t.w in
-    a'.(c) <- a'.(c) +. ex m_new t.r2 -. ex t.m.(id) t.r2;
+    a'.(c) <- a'.(c) +. ex m_new t.r2 -. t.xm.(id);
     w'.(c) <- w'.(c) +. varx m_new t.r2 -. varx t.m.(id) t.r2;
     let mean' = mean_of t a' and var' = variance_of t a' w' in
     Lognormal.quantile (Lognormal.of_moments ~mean:mean' ~variance:var') p

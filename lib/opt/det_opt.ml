@@ -113,7 +113,7 @@ let fix_timing cfg (d : Design.t) inc trials size_moves =
             if path_after < path_before -. 1e-9 && dmax_after <= dmax_before +. 1e-9
             then best := Some (id, score));
           Design.set_size d id s;
-          Inc_sta.update_gate inc id
+          Inc_sta.undo inc
         end)
       path;
     match !best with
@@ -183,7 +183,7 @@ let reduce_pass cfg (d : Design.t) inc trials vth_moves size_moves =
           Inc_sta.update_gate inc id;
           if Inc_sta.dmax inc > cfg.tmax then begin
             Design.set_vth d id v;
-            Inc_sta.update_gate inc id
+            Inc_sta.undo inc
           end
           else begin
             incr accepted;
@@ -197,7 +197,7 @@ let reduce_pass cfg (d : Design.t) inc trials vth_moves size_moves =
           Inc_sta.update_gate inc id;
           if Inc_sta.dmax inc > cfg.tmax then begin
             Design.set_size d id s;
-            Inc_sta.update_gate inc id
+            Inc_sta.undo inc
           end
           else begin
             incr accepted;

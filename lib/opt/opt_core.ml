@@ -219,15 +219,17 @@ let violation ~path_mu ~path_sigma ~tmax id ~delta =
    either pushes the path over the constraint (cost 1) or it does not
    (cost 0) — in particular a path already over the constraint is not
    charged again, so such gates cannot double-count through the 1e-12
-   epsilon in the score denominators. *)
-let est_yield_cost ~path_mu ~path_sigma ~tmax id ~delta =
+   epsilon in the score denominators.  [v0] is the gate's violation at
+   delta 0, which the ranking scan computes once for both of its moves. *)
+let est_cost_from ~path_mu ~path_sigma ~tmax id ~v0 ~delta =
   let sigma = path_sigma.(id) in
   if sigma <= 0.0 then
     if path_mu.(id) +. delta > tmax && path_mu.(id) <= tmax then 1.0 else 0.0
-  else
-    Float.max 0.0
-      (violation ~path_mu ~path_sigma ~tmax id ~delta
-      -. violation ~path_mu ~path_sigma ~tmax id ~delta:0.0)
+  else Float.max 0.0 (violation ~path_mu ~path_sigma ~tmax id ~delta -. v0)
+
+let est_yield_cost ~path_mu ~path_sigma ~tmax id ~delta =
+  est_cost_from ~path_mu ~path_sigma ~tmax id ~delta
+    ~v0:(violation ~path_mu ~path_sigma ~tmax id ~delta:0.0)
 
 let nominal_leak (d : Design.t) id ~vth_idx ~size_idx =
   let g = Circuit.gate d.Design.circuit id in
@@ -241,7 +243,8 @@ let nominal_leak (d : Design.t) id ~vth_idx ~size_idx =
    an explicit tie-break is what makes optimizer trajectories reproducible
    across stdlib versions.  The chosen order equals what the current
    (stable-in-practice) sort produced over the reverse build order, so
-   pinned seed trajectories are unchanged. *)
+   pinned seed trajectories are unchanged.  The ranking itself sorts slots
+   ([sort_slots]); this is the reference it is tested against. *)
 let kind_rank = function `Size -> 0 | `Vth -> 1
 
 let compare_candidates a b =
@@ -250,6 +253,43 @@ let compare_candidates a b =
   else
     let c = Int.compare b.gate a.gate in
     if c <> 0 then c else Int.compare (kind_rank a.kind) (kind_rank b.kind)
+
+(* Slot [a] ranks ahead of slot [b]: score descending, then slot
+   descending.  Gate g's moves sit in slots 2g (`Vth) and 2g + 1
+   (`Size), so this is [compare_candidates]' order on what they hold. *)
+let ahead score a b =
+  let c = Float.compare score.(b) score.(a) in
+  c < 0 || (c = 0 && a > b)
+
+(* Bottom-up merge sort of slot indices by [ahead]: the order is total on
+   distinct slots, and no comparison allocates or calls a closure. *)
+let sort_slots score idx =
+  let n = Array.length idx in
+  let src = ref idx and dst = ref (Array.make n 0) in
+  let width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Int.min (!lo + !width) n and hi = Int.min (!lo + (2 * !width)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || not (ahead score s.(!j) s.(!i))) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != idx then Array.blit !src 0 idx 0 n
 
 (* Worker domains used by the most recent candidate ranking — `--profile`
    evidence that the parallel scan actually engaged. *)
@@ -263,12 +303,12 @@ let m_rank_jobs =
    probability — the one scoring path behind both policies' reduction
    passes and the repair phase.
 
-   The scan writes into two fixed slots per gate (vth then size), so it
-   fans out over gate-id chunks when [jobs] > 1 {e and} the memo is
-   frozen (worker domains must never fill the table).  Each slot depends
-   only on its gate id and [compare_candidates] is total on distinct
-   (gate, kind) pairs, so the sorted result is identical for every
-   [jobs] value. *)
+   The scan writes each move's score and estimated cost into its slot of
+   two unboxed arrays (2g: threshold, 2g + 1: size), so it fans out over
+   gate-id chunks when [jobs] > 1 {e and} the memo is frozen (worker
+   domains must never fill the table).  Each slot depends only on its gate
+   id and the slot order is total, so the sorted result is identical for
+   every [jobs] value.  Records are built only for the returned list. *)
 let scan ~eligible ~direction st =
   let p = st.p and d = st.design and memo = st.memo and leak = st.leak in
   let path_mu = Engine.path_mu st.engine and path_sigma = Engine.path_sigma st.engine in
@@ -282,18 +322,24 @@ let scan ~eligible ~direction st =
     | P99_leak_per_yield -> Leak_ssta.quantile leak 0.99
     | _ -> 0.0
   in
-  let slots = Array.make (2 * n) None in
-  let consider gate kind ~vth_idx ~size_idx ~delta =
+  let live = Bytes.make (2 * n) '\000' in
+  let score = Array.make (2 * n) 0.0 and cost = Array.make (2 * n) 0.0 in
+  let put slot s c =
+    score.(slot) <- s;
+    cost.(slot) <- c;
+    Bytes.set live slot '\001'
+  in
+  let consider slot gate ~v0 ~vth_idx ~size_idx ~delta =
     if delta <> 0.0 then begin
       (* the what-if mean is [mean +. shift], the mean read once per scan *)
       let dleak_stat =
         leak_mean_now
         -. (leak_mean_now +. Leak_ssta.mean_shift_if leak gate ~vth_idx ~size_idx)
       in
-      if dleak_stat <= 0.0 then None
+      if dleak_stat <= 0.0 then ()
       else if delta > 0.0 then begin
-        let est_cost = est_yield_cost ~path_mu ~path_sigma ~tmax gate ~delta in
-        let score =
+        let est_cost = est_cost_from ~path_mu ~path_sigma ~tmax gate ~v0 ~delta in
+        let s =
           match p.sensitivity with
           | Stat_leak_per_yield -> dleak_stat /. (est_cost +. 1e-12)
           | Stat_leak_per_delay -> dleak_stat /. Float.max 1e-9 delta
@@ -310,13 +356,12 @@ let scan ~eligible ~direction st =
             in
             dp99 /. (est_cost +. 1e-12)
         in
-        Some { score; kind; gate; est_cost }
+        put slot s est_cost
       end
       else
         (* a move that saves leakage AND delay is a free win; top rank *)
-        Some { score = infinity; kind; gate; est_cost = 0.0 }
+        put slot infinity 0.0
     end
-    else None
   in
   let scan_gate id =
     if (Circuit.gate d.Design.circuit id).Circuit.kind <> Cell_kind.Pi then
@@ -327,27 +372,20 @@ let scan ~eligible ~direction st =
            fix_yield ranking (probability desc, gate id desc) *)
         if d.Design.size_idx.(id) + 1 < num_sizes && eligible id `Size then begin
           let v = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
-          if v > 0.0 then
-            slots.(2 * id) <- Some { score = v; kind = `Size; gate = id; est_cost = 0.0 }
+          if v > 0.0 then put ((2 * id) + 1) v 0.0
         end
       | `Reduce ->
-        if p.allow_vth && d.Design.vth_idx.(id) + 1 < num_vth && eligible id `Vth then begin
-          let v = d.Design.vth_idx.(id) in
-          let delta =
-            Memo.delay_delta memo d id ~vth_idx:(v + 1)
-              ~size_idx:d.Design.size_idx.(id)
-          in
-          slots.(2 * id) <-
-            consider id `Vth ~vth_idx:(v + 1) ~size_idx:d.Design.size_idx.(id) ~delta
-        end;
-        if p.allow_size && d.Design.size_idx.(id) > 0 && eligible id `Size then begin
-          let s = d.Design.size_idx.(id) in
-          let delta =
-            Memo.delay_delta memo d id ~vth_idx:d.Design.vth_idx.(id)
-              ~size_idx:(s - 1)
-          in
-          slots.(2 * id + 1) <-
-            consider id `Size ~vth_idx:d.Design.vth_idx.(id) ~size_idx:(s - 1) ~delta
+        let v = d.Design.vth_idx.(id) and s = d.Design.size_idx.(id) in
+        let vth_ok = p.allow_vth && v + 1 < num_vth && eligible id `Vth in
+        let size_ok = p.allow_size && s > 0 && eligible id `Size in
+        if vth_ok || size_ok then begin
+          let v0 = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
+          if vth_ok then
+            consider (2 * id) id ~v0 ~vth_idx:(v + 1) ~size_idx:s
+              ~delta:(Memo.delay_delta memo d id ~vth_idx:(v + 1) ~size_idx:s);
+          if size_ok then
+            consider ((2 * id) + 1) id ~v0 ~vth_idx:v ~size_idx:(s - 1)
+              ~delta:(Memo.delay_delta memo d id ~vth_idx:v ~size_idx:(s - 1))
         end
   in
   let eff_jobs = if p.jobs > 1 && Memo.frozen memo then p.jobs else 1 in
@@ -357,11 +395,28 @@ let scan ~eligible ~direction st =
       for id = lo to hi - 1 do
         scan_gate id
       done);
-  let candidates = ref [] in
-  for i = (2 * n) - 1 downto 0 do
-    match slots.(i) with Some c -> candidates := c :: !candidates | None -> ()
+  let idx = Array.make (2 * n) 0 and len = ref 0 in
+  for slot = 0 to (2 * n) - 1 do
+    if Bytes.get live slot <> '\000' then begin
+      idx.(!len) <- slot;
+      incr len
+    end
   done;
-  List.sort compare_candidates !candidates
+  let idx = Array.sub idx 0 !len in
+  sort_slots score idx;
+  let ranked = ref [] in
+  for r = Array.length idx - 1 downto 0 do
+    let slot = idx.(r) in
+    ranked :=
+      {
+        score = score.(slot);
+        kind = (if slot land 1 = 1 then `Size else `Vth);
+        gate = slot lsr 1;
+        est_cost = cost.(slot);
+      }
+      :: !ranked
+  done;
+  !ranked
 
 let rank ?(eligible = fun _ _ -> true) ?(direction = `Reduce) st =
   sync st;

@@ -196,3 +196,16 @@ val violation :
 val est_yield_cost :
   path_mu:float array -> path_sigma:float array -> tmax:float -> int ->
   delta:float -> float
+
+(**/**)
+
+(** Ranking internals exposed for unit tests ({!Stat_opt.Private}). *)
+
+val compare_candidates : candidate -> candidate -> int
+(** The documented ranking order on records — the reference the slot sort
+    is tested against. *)
+
+val sort_slots : float array -> int array -> unit
+(** [sort_slots score idx] sorts the slot indices [idx] in place by
+    [score] descending, then slot descending, where gate g's threshold
+    move sits in slot 2g and its size move in slot 2g + 1. *)

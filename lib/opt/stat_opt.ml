@@ -102,4 +102,6 @@ let optimize ?progress cfg d model =
 module Private = struct
   let violation = Core.violation
   let est_yield_cost = Core.est_yield_cost
+  let compare_candidates = Core.compare_candidates
+  let sort_slots = Core.sort_slots
 end

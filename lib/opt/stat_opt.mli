@@ -64,7 +64,7 @@ val optimize :
 
 (**/**)
 
-(** Estimation internals exposed for unit tests. *)
+(** Estimation and ranking internals exposed for unit tests. *)
 module Private : sig
   val violation :
     path_mu:float array -> path_sigma:float array -> tmax:float -> int ->
@@ -73,4 +73,10 @@ module Private : sig
   val est_yield_cost :
     path_mu:float array -> path_sigma:float array -> tmax:float -> int ->
     delta:float -> float
+
+  val compare_candidates : Opt_core.candidate -> Opt_core.candidate -> int
+  (** The reference ranking order on candidate records. *)
+
+  val sort_slots : float array -> int array -> unit
+  (** The ranking's slot sort ({!Opt_core.sort_slots}). *)
 end

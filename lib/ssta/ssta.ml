@@ -47,12 +47,12 @@ let gate_delay_into ?memo (d : Design.t) model (dst : Arena.t) i id =
   if g.Circuit.kind = Cell_kind.Pi then Arena.zero dst i
   else begin
     (* the memoized path returns bit-identical values (see Sl_tech.Memo) *)
-    let d0, (sv, sl) =
+    let d0 =
       match memo with
-      | None ->
-        (Design.gate_delay d id ~dvth:0.0 ~dl:0.0, Design.gate_delay_sens d id)
-      | Some m -> (Sl_tech.Memo.gate_delay m d id, Sl_tech.Memo.gate_delay_sens m d id)
+      | None -> Design.gate_delay d id ~dvth:0.0 ~dl:0.0
+      | Some m -> Sl_tech.Memo.gate_delay m d id
     in
+    let sv, sl = Design.delay_sens d id ~d0 in
     let cv = Model.vth_coeffs model id and cl = Model.l_coeffs model id in
     let rv = sv *. Model.vth_rnd_sigma model and rl = sl *. Model.l_rnd_sigma model in
     let data = dst.Arena.data and r = Arena.row dst i in

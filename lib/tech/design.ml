@@ -103,20 +103,20 @@ let gate_leak d id ~dvth ~dl =
     Cell_lib.leak_current d.lib g.Circuit.kind ~arity:(Array.length g.Circuit.fanin)
       ~size_idx:d.size_idx.(id) ~vth_idx:d.vth_idx.(id) ~dvth ~dl
 
+let delay_sens d id ~d0 =
+  let tech = d.lib.Cell_lib.tech in
+  let overdrive = tech.Tech.vdd -. tech.Tech.vth.(d.vth_idx.(id)) in
+  (* d = R·C with R ∝ (1 + dl)/(vdd − vth − dvth − k·dl)^α, hence at the
+     nominal point: ∂d/∂dvth = d·α/(vdd−vth) and
+     ∂d/∂dl = d·(1 + α·k_rolloff/(vdd−vth)). *)
+  let dd_dvth = d0 *. tech.Tech.alpha /. overdrive in
+  let dd_dl = d0 *. (1.0 +. (tech.Tech.alpha *. tech.Tech.k_rolloff /. overdrive)) in
+  (dd_dvth, dd_dl)
+
 let gate_delay_sens d id =
   let g = Circuit.gate d.circuit id in
   if g.Circuit.kind = Cell_kind.Pi then (0.0, 0.0)
-  else begin
-    let tech = d.lib.Cell_lib.tech in
-    let d0 = gate_delay d id ~dvth:0.0 ~dl:0.0 in
-    let overdrive = tech.Tech.vdd -. tech.Tech.vth.(d.vth_idx.(id)) in
-    (* d = R·C with R ∝ (1 + dl)/(vdd − vth − dvth − k·dl)^α, hence at the
-       nominal point: ∂d/∂dvth = d·α/(vdd−vth) and
-       ∂d/∂dl = d·(1 + α·k_rolloff/(vdd−vth)). *)
-    let dd_dvth = d0 *. tech.Tech.alpha /. overdrive in
-    let dd_dl = d0 *. (1.0 +. (tech.Tech.alpha *. tech.Tech.k_rolloff /. overdrive)) in
-    (dd_dvth, dd_dl)
-  end
+  else delay_sens d id ~d0:(gate_delay d id ~dvth:0.0 ~dl:0.0)
 
 let total_leak_nominal d =
   let acc = ref 0.0 in

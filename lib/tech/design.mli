@@ -59,6 +59,10 @@ val gate_delay_sens : t -> int -> float * float
     Both are positive (higher threshold / longer channel → slower).
     Zero for PIs. *)
 
+val delay_sens : t -> int -> d0:float -> float * float
+(** {!gate_delay_sens} of the cell [id] given its nominal delay [d0], for
+    a caller that has derived [d0] already. *)
+
 val total_leak_nominal : t -> float
 (** Σ nominal gate leakage, nA — the quantity a variation-blind flow
     reports. *)

@@ -11,36 +11,63 @@ type entry = {
   cap : float array;   (* input_cap, [size_idx] *)
 }
 
+(* marks an unfilled arity inside a row; compared physically *)
+let absent = { res = [||]; self = [||]; cap = [||] }
+
 type t = {
   lib : Cell_lib.t;
-  table : (Cell_kind.t * int, entry) Hashtbl.t;
+  rows : entry array array;  (* [kind_index kind].(arity) *)
   mutable frozen : bool;
 }
 
-let create lib = { lib; table = Hashtbl.create 64; frozen = false }
+let kind_index = function
+  | Cell_kind.Pi -> 0
+  | Cell_kind.Buf -> 1
+  | Cell_kind.Not -> 2
+  | Cell_kind.And -> 3
+  | Cell_kind.Nand -> 4
+  | Cell_kind.Or -> 5
+  | Cell_kind.Nor -> 6
+  | Cell_kind.Xor -> 7
+  | Cell_kind.Xnor -> 8
+
+let create lib = { lib; rows = Array.make 9 [||]; frozen = false }
+
+(* A miss: fill the entry and store it, growing the kind's row to reach
+   [arity] — or refuse on a frozen table. *)
+let fill t kind ~arity =
+  if t.frozen then
+    invalid_arg
+      (Printf.sprintf "Memo: lookup miss on frozen table (%s/%d not prefilled)"
+         (Cell_kind.to_string kind) arity);
+  let ns = Cell_lib.num_sizes t.lib and nv = Cell_lib.num_vth t.lib in
+  let e =
+    {
+      res =
+        Array.init (ns * nv) (fun i ->
+            Cell_lib.drive_res t.lib kind ~arity ~size_idx:(i / nv)
+              ~vth_idx:(i mod nv) ~dvth:0.0 ~dl:0.0);
+      self = Array.init ns (fun s -> Cell_lib.self_load t.lib kind ~arity ~size_idx:s);
+      cap = Array.init ns (fun s -> Cell_lib.input_cap t.lib kind ~arity ~size_idx:s);
+    }
+  in
+  let k = kind_index kind in
+  let row = t.rows.(k) in
+  if arity >= Array.length row then begin
+    let grown = Array.make (arity + 1) absent in
+    Array.blit row 0 grown 0 (Array.length row);
+    t.rows.(k) <- grown
+  end;
+  t.rows.(k).(arity) <- e;
+  e
+
+let find t kind ~arity =
+  let row = t.rows.(kind_index kind) in
+  if 0 <= arity && arity < Array.length row then row.(arity) else absent
 
 let entry t kind ~arity =
-  let key = (kind, arity) in
-  match Hashtbl.find_opt t.table key with
-  | Some e -> e
-  | None ->
-    if t.frozen then
-      invalid_arg
-        (Printf.sprintf "Memo: lookup miss on frozen table (%s/%d not prefilled)"
-           (Cell_kind.to_string kind) arity);
-    let ns = Cell_lib.num_sizes t.lib and nv = Cell_lib.num_vth t.lib in
-    let e =
-      {
-        res =
-          Array.init (ns * nv) (fun i ->
-              Cell_lib.drive_res t.lib kind ~arity ~size_idx:(i / nv)
-                ~vth_idx:(i mod nv) ~dvth:0.0 ~dl:0.0);
-        self = Array.init ns (fun s -> Cell_lib.self_load t.lib kind ~arity ~size_idx:s);
-        cap = Array.init ns (fun s -> Cell_lib.input_cap t.lib kind ~arity ~size_idx:s);
-      }
-    in
-    Hashtbl.add t.table key e;
-    e
+  let e = find t kind ~arity in
+  if e != absent then e else fill t kind ~arity
 
 let prefill t (d : Design.t) =
   if t.frozen then invalid_arg "Memo.prefill: table is frozen";
@@ -69,7 +96,7 @@ let covers t (d : Design.t) =
   Array.for_all
     (fun (g : Circuit.gate) ->
       g.Circuit.kind = Cell_kind.Pi
-      || Hashtbl.mem t.table (g.Circuit.kind, Array.length g.Circuit.fanin))
+      || find t g.Circuit.kind ~arity:(Array.length g.Circuit.fanin) != absent)
     d.Design.circuit.Circuit.gates
 
 let drive_res t kind ~arity ~size_idx ~vth_idx =
@@ -127,11 +154,4 @@ let delay_delta t (d : Design.t) id ~vth_idx ~size_idx =
 let gate_delay_sens t (d : Design.t) id =
   let g = Circuit.gate d.Design.circuit id in
   if g.Circuit.kind = Cell_kind.Pi then (0.0, 0.0)
-  else begin
-    let tech = d.Design.lib.Cell_lib.tech in
-    let d0 = gate_delay t d id in
-    let overdrive = tech.Tech.vdd -. tech.Tech.vth.(d.Design.vth_idx.(id)) in
-    let dd_dvth = d0 *. tech.Tech.alpha /. overdrive in
-    let dd_dl = d0 *. (1.0 +. (tech.Tech.alpha *. tech.Tech.k_rolloff /. overdrive)) in
-    (dd_dvth, dd_dl)
-  end
+  else Design.delay_sens d id ~d0:(gate_delay t d id)

@@ -5,7 +5,9 @@
     delays and when scoring tentative moves.  This table caches
     {!Cell_lib.drive_res}, {!Cell_lib.self_load} and {!Cell_lib.input_cap}
     per (kind, arity) over the full size × threshold grid, and offers
-    what-if gate delays evaluated {e without mutating the design}.
+    what-if gate delays evaluated {e without mutating the design}.  The
+    table is one row per cell kind, indexed directly by arity, so a lookup
+    is two array reads — no hashing.
 
     Every value is produced by calling the corresponding [Cell_lib]
     function once and replaying the exact summation order of
@@ -21,14 +23,17 @@ val create : Cell_lib.t -> t
 
 (** {2 Cross-domain sharing}
 
-    Lazy filling mutates the underlying hash table, so an unfrozen memo
-    must not be shared across domains.  The sharing contract is:
+    Lazy filling mutates the rows (it stores entries and grows a row to
+    reach a new arity), so an unfrozen memo must not be shared across
+    domains.  The sharing contract is:
 
     + fill the table on one domain ({!prefill} / {!prefill_kinds});
     + {!freeze} it — from then on the table never mutates: a lookup hit
       reads immutable arrays (safe from any number of domains
-      concurrently, no lock), and a lookup {e miss} raises
-      [Invalid_argument] instead of inserting;
+      concurrently, no lock), and a lookup {e miss} — an unfilled kind,
+      an arity past its row's end or a hole inside a row — raises
+      [Invalid_argument] ("Memo: lookup miss on frozen table ...")
+      instead of inserting;
     + hand the frozen table to concurrent readers (the serve daemon keeps
       one frozen memo per library, shared by every session).
 

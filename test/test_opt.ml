@@ -42,15 +42,18 @@ let test_inc_corner_shift () =
 (* Exactness: after every random move — set_vth / set_size + update_gate,
    half of them followed by the optimizers' trial-then-revert — the
    incremental state at a non-nominal corner equals a from-scratch
-   Sta.analyze at that corner word for word. *)
+   Sta.analyze at that corner word for word.  The revert restores the
+   design and then either re-propagates ([~undo:false]) or rolls the
+   update back ([~undo:true], {!Inc_sta.undo}). *)
 
 let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Drive [moves] random moves on a seeded random DAG at a seeded corner.
    [check rng inc analyze] runs after the set-up and after every update,
    [analyze tmax] being a from-scratch Sta.analyze at the same corner; the
-   property holds iff every check does. *)
-let random_moves ~seed ~moves check =
+   property holds iff every check does.  In undo mode a last step undoes
+   an update that changed no word. *)
+let random_moves ~undo ~seed ~moves check =
   let rng = Rng.create seed in
   let c =
     Generators.random_dag ~seed ~gates:(40 + Rng.int rng 200) ~inputs:12 ~outputs:6
@@ -73,16 +76,24 @@ let random_moves ~seed ~moves check =
     if Rng.int rng 2 = 0 then begin
       Design.set_vth d id v;
       Design.set_size d id s;
-      Inc_sta.update_gate inc id;
+      if undo then Inc_sta.undo inc else Inc_sta.update_gate inc id;
       ok := check rng inc analyze && !ok
     end
   done;
+  if undo then begin
+    let id = ids.(Rng.int rng (Array.length ids)) in
+    Inc_sta.update_gate inc id;
+    Inc_sta.undo inc;
+    ok := check rng inc analyze && !ok
+  end;
   !ok
 
-let prop_inc_matches_full_sta =
-  QCheck.Test.make ~name:"matches full STA" ~count:20 QCheck.(int_range 1 100_000)
+let matches_full_sta ~undo =
+  QCheck.Test.make
+    ~name:("matches full STA" ^ if undo then " (undo)" else "")
+    ~count:20 QCheck.(int_range 1 100_000)
     (fun seed ->
-      random_moves ~seed ~moves:40 (fun _ inc analyze ->
+      random_moves ~undo ~seed ~moves:40 (fun _ inc analyze ->
           let res = analyze (Inc_sta.dmax inc) in
           feq res.Sta.dmax (Inc_sta.dmax inc)
           && Array.for_all Fun.id
@@ -91,10 +102,12 @@ let prop_inc_matches_full_sta =
 
 (* slacks against constraints on both sides of the current delay, so
    negative slacks are covered too *)
-let prop_inc_slacks_match_analyze =
-  QCheck.Test.make ~name:"slacks match analyze" ~count:20 QCheck.(int_range 1 100_000)
+let slacks_match_analyze ~undo =
+  QCheck.Test.make
+    ~name:("slacks match analyze" ^ if undo then " (undo)" else "")
+    ~count:20 QCheck.(int_range 1 100_000)
     (fun seed ->
-      random_moves ~seed ~moves:30 (fun rng inc analyze ->
+      random_moves ~undo ~seed ~moves:30 (fun rng inc analyze ->
           let tmax = Inc_sta.dmax inc *. (0.5 +. Rng.float rng 1.0) in
           Array.for_all2 feq (analyze tmax).Sta.slack (Inc_sta.slacks inc ~tmax)))
 
@@ -445,6 +458,17 @@ let det_pins =
       lp_dmax_bits = "40abf3fefc7f86a3";
       lp_digest = "9fda9b03ef4c74e94cbac83db3976383";
     };
+    (* most of its det trials are reverted, each through the undo path *)
+    {
+      dp_name = "mult16";
+      dp_trials = 14569;
+      dp_vth = 1100;
+      dp_size = 1979;
+      dp_dmax_bits = "40bf2d7d4e3dee5e";
+      dp_digest = "1b696139ec3bda6b70b63c01a3524d8a";
+      lp_dmax_bits = "40bf2d7d4e3dee5e";
+      lp_digest = "1b696139ec3bda6b70b63c01a3524d8a";
+    };
   ]
 
 let bits_hex x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
@@ -486,12 +510,61 @@ let prop_stat_never_violates =
       let st = Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.9) d model in
       (not st.Stat_opt.feasible) || st.Stat_opt.final_yield >= 0.9 -. 1e-9)
 
+(* The ranking sorts slot indices over unboxed score arrays; its order
+   must be exactly the documented record order.  Random candidate sets
+   draw scores from a small pool (repeats), include free wins (infinity)
+   and often put both moves on one gate; the live slots enter the sort in
+   a shuffled order. *)
+let prop_slot_sort_matches_reference =
+  QCheck.Test.make ~name:"slot sort = compare_candidates" ~count:200
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let gates = 1 + Rng.int rng 60 in
+      let pool = [| 0.5; 1.0; 2.0; infinity; 1e12 |] in
+      let score = Array.make (2 * gates) 0.0 in
+      let live = ref [] in
+      for slot = 0 to (2 * gates) - 1 do
+        if Rng.int rng 3 > 0 then begin
+          score.(slot) <-
+            (if Rng.int rng 2 = 0 then pool.(Rng.int rng (Array.length pool))
+             else Rng.float rng 4.0);
+          live := slot :: !live
+        end
+      done;
+      let idx = Array.of_list !live in
+      for i = Array.length idx - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let x = idx.(i) in
+        idx.(i) <- idx.(j);
+        idx.(j) <- x
+      done;
+      let candidate slot : Sl_opt.Opt_core.candidate =
+        {
+          score = score.(slot);
+          kind = (if slot land 1 = 1 then `Size else `Vth);
+          gate = slot / 2;
+          est_cost = 0.0;
+        }
+      in
+      let reference =
+        List.sort Stat_opt.Private.compare_candidates (List.map candidate (Array.to_list idx))
+      in
+      Stat_opt.Private.sort_slots score idx;
+      List.map candidate (Array.to_list idx) = reference)
+
 let suite =
   let qc = List.map QCheck_alcotest.to_alcotest in
   [
     ( "opt.inc_sta",
       Alcotest.test_case "corner shift" `Quick test_inc_corner_shift
-      :: qc [ prop_inc_matches_full_sta; prop_inc_slacks_match_analyze ] );
+      :: qc
+           [
+             matches_full_sta ~undo:false;
+             slacks_match_analyze ~undo:false;
+             matches_full_sta ~undo:true;
+             slacks_match_analyze ~undo:true;
+           ] );
     ( "opt.det",
       [
         Alcotest.test_case "respects corner timing" `Quick test_det_respects_corner_timing;
@@ -512,7 +585,7 @@ let suite =
         Alcotest.test_case "loose eta beats tight" `Quick test_stat_loose_beats_tight;
         Alcotest.test_case "infeasible start repaired" `Quick test_stat_infeasible_start_repair;
       ]
-      @ qc [ prop_stat_never_violates ] );
+      @ qc [ prop_stat_never_violates; prop_slot_sort_matches_reference ] );
     ( "opt.lr",
       [
         Alcotest.test_case "feasible and reduces" `Quick test_lr_feasible_and_reduces;

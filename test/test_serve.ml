@@ -148,7 +148,22 @@ let test_memo_frozen_concurrent () =
       Alcotest.(check bool) "concurrent reads bit-identical" true (got = expect))
     domains
 
+(* A frozen miss must raise the memo's own error — matched on its
+   message, since an array bounds error is an [Invalid_argument] too. *)
+let expect_miss what kind arity =
+  let msg =
+    Printf.sprintf "Memo: lookup miss on frozen table (%s/%d not prefilled)"
+      (Sl_netlist.Cell_kind.to_string kind) arity
+  in
+  match what () with
+  | exception Invalid_argument m -> Alcotest.(check string) "miss message" msg m
+  | _ -> Alcotest.fail "frozen miss must raise"
+
+let bench_design lib name text =
+  Design.create lib (Sl_netlist.Bench_format.parse_string ~name text)
+
 let test_memo_frozen_miss_raises () =
+  let module K = Sl_netlist.Cell_kind in
   let lib = Cell_lib.default () in
   let memo = Memo.create lib in
   let c17 = Benchmarks.c17 () in
@@ -156,9 +171,33 @@ let test_memo_frozen_miss_raises () =
   Memo.prefill memo d;
   Memo.freeze memo;
   (* c17 is all NAND2/NOT; an unprefetched kind must refuse to fill *)
-  match Memo.drive_res memo Sl_netlist.Cell_kind.Nor ~arity:4 ~size_idx:0 ~vth_idx:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "frozen miss must raise"
+  expect_miss
+    (fun () -> Memo.drive_res memo K.Nor ~arity:4 ~size_idx:0 ~vth_idx:0)
+    K.Nor 4;
+  (* a filled kind at an arity past its row *)
+  expect_miss (fun () -> Memo.input_cap memo K.Nand ~arity:5 ~size_idx:0) K.Nand 5;
+  let nand5 =
+    bench_design lib "nand5"
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nOUTPUT(y)\n\
+       y = NAND(a, b, c, d, e)\n"
+  in
+  Alcotest.(check bool) "past the row: covers" false (Memo.covers memo nand5);
+  (* a hole inside a row: NAND2 and NAND4 filled, NAND3 not *)
+  let memo = Memo.create lib in
+  Memo.prefill memo
+    (bench_design lib "nand24"
+       "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
+        y = NAND(a, b)\nz = NAND(a, b, c, d)\n");
+  Memo.freeze memo;
+  expect_miss (fun () -> Memo.self_load memo K.Nand ~arity:3 ~size_idx:0) K.Nand 3;
+  let nand3 =
+    bench_design lib "nand3"
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\ny = NAND(a, b, c)\n"
+  in
+  Alcotest.(check bool) "hole in the row: covers" false (Memo.covers memo nand3);
+  Alcotest.(check bool) "filled arity still a hit" true
+    (Memo.drive_res memo K.Nand ~arity:4 ~size_idx:0 ~vth_idx:0
+     = Cell_lib.drive_res lib K.Nand ~arity:4 ~size_idx:0 ~vth_idx:0 ~dvth:0.0 ~dl:0.0)
 
 (* ---------- daemon round-trips ---------- *)
 

@@ -100,11 +100,11 @@ let check_factor factor =
 
 let partition_arg =
   let doc =
-    "Partition the design at register boundaries and run one timing engine \
-     per combinational cone, cones scheduled on the $(b,--jobs) domains \
-     (see DESIGN.md §15).  Needs a sequential netlist (registers cut at \
-     parse time); falls back to the flat engine with a notice otherwise.  \
-     Results are bit-identical either way."
+    "Partition the design at register boundaries and time each \
+     combinational cone separately, cones scheduled on the $(b,--jobs) \
+     domains (see DESIGN.md §15).  Needs a sequential netlist (registers \
+     cut at parse time); otherwise the design is timed whole, as one cone \
+     ($(b,ssta) prints a notice).  Results are bit-identical either way."
   in
   Arg.(value & flag & info [ "partition" ] ~doc)
 

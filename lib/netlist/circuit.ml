@@ -140,7 +140,7 @@ let partition_at_registers c =
       (fun g -> if g.kind <> Cell_kind.Pi then has_cell.(comp.(g.id)) <- true)
       c.gates;
     (* a component with real cells but no primary output has no timing
-       sink to stitch through — leave such netlists to the flat engine *)
+       sink to stitch through — such netlists are timed as one cone *)
     let dead_logic = ref false in
     for i = 0 to k - 1 do
       if has_cell.(i) && not has_output.(i) then dead_logic := true

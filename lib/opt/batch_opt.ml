@@ -1,6 +1,6 @@
 module Circuit = Sl_netlist.Circuit
 module Design = Sl_tech.Design
-module Engine = Sl_ssta.Engine
+module Hier = Sl_ssta.Hier
 module Trace = Sl_obs.Trace
 module Metrics = Sl_obs.Metrics
 module Core = Opt_core
@@ -26,9 +26,12 @@ let m_bisections =
   Metrics.counter ~help:"Failed bands retried at half size"
     "statleak_batch_bisections_total"
 
+(* Hard cap on moves per band. *)
+let band_size = 512
+
 let m_band_size =
-  Metrics.histogram ~help:"Moves per attempted band" ~bins:16 ~lo:0.0 ~hi:512.0
-    "statleak_batch_band_size"
+  Metrics.histogram ~help:"Moves per attempted band" ~bins:16 ~lo:0.0
+    ~hi:(float_of_int band_size) "statleak_batch_band_size"
 
 type config = {
   tmax : float;
@@ -36,8 +39,6 @@ type config = {
   sensitivity : sensitivity;
   allow_vth : bool;
   allow_size : bool;
-  max_passes : int;
-  band_size : int;
   yield_margin : float;
   min_pass_moves : int;
   partition : bool;
@@ -52,8 +53,6 @@ let default_config ~tmax ~eta =
     sensitivity = Stat_leak_per_yield;
     allow_vth = true;
     allow_size = true;
-    max_passes = 25;
-    band_size = 512;
     yield_margin = 1.0;
     min_pass_moves = 4;
     partition = false;
@@ -98,11 +97,11 @@ let rec try_band cfg b (st : Core.t) (moves : Core.candidate list) =
   st.bands_tried <- st.bands_tried + 1;
   Metrics.incr m_bands_tried;
   Metrics.observe m_band_size (float_of_int (List.length moves));
-  let cp = Engine.checkpoint st.engine in
+  let cp = Hier.checkpoint st.engine in
   let applied = List.map (fun (c : Core.candidate) -> Core.apply st c.kind c.gate) moves in
   Core.measure st;
   if Core.yield st >= cfg.eta then begin
-    Engine.commit st.engine cp;
+    Hier.commit st.engine cp;
     st.bands_committed <- st.bands_committed + 1;
     Metrics.incr m_bands_committed;
     List.iter (fun (m : Core.move) -> Core.count st m.kind 1) applied;
@@ -151,7 +150,7 @@ let form_band cfg b (st : Core.t) rest =
   let rec take acc nacc = function
     | [] -> (List.rev acc, [])
     | (c : Core.candidate) :: tl ->
-      if nacc >= Stdlib.min b.band_cap cfg.band_size then (List.rev acc, c :: tl)
+      if nacc >= Stdlib.min b.band_cap band_size then (List.rev acc, c :: tl)
       else if not (valid c) then take acc nacc tl
       else if c.est_cost <= !budget then begin
         budget := !budget -. c.est_cost;
@@ -166,7 +165,7 @@ let form_band cfg b (st : Core.t) rest =
    number of committed moves. *)
 let pass cfg b (st : Core.t) =
   let cands = Core.rank ~eligible:(fun gate kind -> not (is_blocked b gate kind)) st in
-  if cfg.audit then assert (Engine.audit st.engine);
+  if cfg.audit then assert (Hier.audit st.engine);
   st.trials <- st.trials + List.length cands;
   let committed = ref 0 in
   let rest = ref cands in
@@ -187,7 +186,7 @@ let pass cfg b (st : Core.t) =
            a whole union-cone propagation — per pass *)
         if band_len >= b.band_cap then
           b.band_cap <-
-            Stdlib.min cfg.band_size
+            Stdlib.min band_size
               (if b.slow_start then b.band_cap * 2 else b.band_cap + 8)
       end
       else begin
@@ -207,7 +206,7 @@ let pass cfg b (st : Core.t) =
 let optimize ?progress cfg (d : Design.t) model =
   let n = Circuit.num_gates d.Design.circuit in
   let b =
-    { band_cap = Stdlib.min 64 cfg.band_size; slow_start = true;
+    { band_cap = Stdlib.min 64 band_size; slow_start = true;
       blocked = Bytes.make (2 * n) '\000' }
   in
   (* Passes run until one commits fewer than [cutoff] moves.  The greedy
@@ -229,7 +228,6 @@ let optimize ?progress cfg (d : Design.t) model =
       sensitivity = cfg.sensitivity;
       allow_vth = cfg.allow_vth;
       allow_size = cfg.allow_size;
-      max_passes = cfg.max_passes;
       partition = cfg.partition;
       jobs = cfg.jobs;
     }

@@ -5,7 +5,7 @@
     the PrimeTime-contest flows: instead of committing one move at a time
     and re-measuring timing every few moves, it slices each pass's
     ranking into slack bands that fit inside a yield safe zone, applies a
-    whole band through {!Sl_ssta.Engine.update_gate}, and pays a
+    whole band through {!Sl_ssta.Hier.update_gate}, and pays a
     {e single} timing sync per band.
 
     {2 Algorithm}
@@ -17,9 +17,9 @@
     + the ranking is consumed band by band: a band is the next run of
       candidates whose cumulative estimated yield cost fits the safe
       zone — [yield_margin · (yield − η)], re-measured from the live
-      engine before each band — capped at [band_size] moves;
+      engine before each band — capped at 512 moves;
     + the band is applied in bulk (each move one
-      {!Sl_ssta.Incremental.update_gate} + O(1) leakage update) under an
+      {!Sl_ssta.Hier.update_gate} + O(1) leakage update) under an
       engine checkpoint, then a single yield-only sync re-measures;
     + if the yield held, the checkpoint is committed; if it dipped below
       η, the checkpoint {e is} the undo dictionary — one rollback
@@ -51,8 +51,6 @@ type config = {
   sensitivity : sensitivity;  (** move-ranking metric *)
   allow_vth : bool;
   allow_size : bool;
-  max_passes : int;           (** rank-and-band passes per reduction *)
-  band_size : int;            (** hard cap on moves per band *)
   yield_margin : float;       (** fraction of the current yield headroom
                                   (yield − η) a band's cumulative
                                   estimated cost may spend — the safe
@@ -77,15 +75,14 @@ type config = {
                                   run to exhaustion; 1 reproduces the
                                   greedy run-to-exhaustion rule
                                   everywhere *)
-  partition : bool;           (** drive timing through the
-                                  partition-parallel {!Sl_ssta.Hier}
-                                  engine: register-boundary cones
+  partition : bool;           (** time register-boundary cones
+                                  separately ({!Sl_ssta.Hier}): cones
                                   re-timed concurrently on [jobs]
-                                  domains.  Bit-identical to the flat
-                                  engine at every sync point — move
-                                  trajectories, leakage and yield do not
-                                  change; falls back to the flat engine
-                                  when the netlist does not decompose *)
+                                  domains.  Bit-identical to one cone at
+                                  every sync point — move trajectories,
+                                  leakage and yield do not change; a
+                                  netlist that does not decompose is
+                                  timed as one cone *)
   audit : bool;               (** debug: assert bit-agreement with a
                                   from-scratch analysis at every pass
                                   boundary (compiled out under
@@ -97,8 +94,9 @@ type config = {
 }
 
 val default_config : tmax:float -> eta:float -> config
-(** Paper metric, both knobs, 25 passes, bands of ≤ 512 moves, margin
-    1.0, trickle cutoff at 4 moves/pass, partition off, audit off. *)
+(** Paper metric, both knobs, margin 1.0, trickle cutoff at 4
+    moves/pass, partition off, audit off.  A reduction run makes at most
+    25 passes, and a band holds at most 512 moves. *)
 
 val optimize :
   ?progress:(progress -> unit) -> config -> Sl_tech.Design.t ->

@@ -8,7 +8,6 @@ type config = {
   corner_k : float;
   allow_vth : bool;
   allow_size : bool;
-  max_passes : int;
 }
 
 let default_config ~tmax =
@@ -17,7 +16,6 @@ let default_config ~tmax =
     corner_k = 3.0;
     allow_vth = true;
     allow_size = true;
-    max_passes = 25;
   }
 
 type stats = {
@@ -216,6 +214,9 @@ let repair_timing d inc ~tmax ~allow_size =
   end;
   !size_moves
 
+(* Greedy reduction passes before giving up. *)
+let max_passes = 25
+
 let optimize cfg (d : Design.t) (spec : Sl_variation.Spec.t) =
   let dvth = cfg.corner_k *. spec.Sl_variation.Spec.sigma_vth in
   let dl = cfg.corner_k *. spec.Sl_variation.Spec.sigma_l in
@@ -226,7 +227,7 @@ let optimize cfg (d : Design.t) (spec : Sl_variation.Spec.t) =
   if feasible then begin
     let pass = ref 0 in
     let go = ref true in
-    while !go && !pass < cfg.max_passes do
+    while !go && !pass < max_passes do
       incr pass;
       let accepted = reduce_pass cfg d inc trials vth_moves size_moves in
       if accepted = 0 then go := false

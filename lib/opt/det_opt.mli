@@ -20,11 +20,11 @@ type config = {
   corner_k : float;      (** guard-band: how many sigmas the corner sits out *)
   allow_vth : bool;      (** permit threshold reassignment moves *)
   allow_size : bool;     (** permit sizing moves *)
-  max_passes : int;      (** greedy passes before giving up *)
 }
 
 val default_config : tmax:float -> config
-(** 3-sigma corner, both knobs, 25 passes. *)
+(** 3-sigma corner, both knobs.  The greedy reduction makes at most 25
+    passes. *)
 
 type stats = {
   feasible : bool;       (** corner timing met at exit *)

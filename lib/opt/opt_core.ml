@@ -4,7 +4,7 @@ module Design = Sl_tech.Design
 module Cell_lib = Sl_tech.Cell_lib
 module Memo = Sl_tech.Memo
 module Incremental = Sl_ssta.Incremental
-module Engine = Sl_ssta.Engine
+module Hier = Sl_ssta.Hier
 module Leak_ssta = Sl_leakage.Leak_ssta
 module Special = Sl_util.Special
 module Parallel = Sl_util.Parallel
@@ -63,7 +63,6 @@ type params = {
   sensitivity : sensitivity;
   allow_vth : bool;
   allow_size : bool;
-  max_passes : int;
   partition : bool;
   jobs : int;
 }
@@ -73,7 +72,7 @@ type t = {
   design : Design.t;
   leak : Leak_ssta.t;
   memo : Memo.t;
-  engine : Engine.t;
+  engine : Hier.t;
   progress : progress -> unit;
   mutable vth_moves : int;
   mutable size_moves : int;
@@ -96,22 +95,19 @@ let now () = Unix.gettimeofday ()
 let create ~mode ~progress p (d : Design.t) model =
   let leak = Leak_ssta.create d model in
   let memo = Memo.create d.Design.lib in
-  (* Freeze the memo up front whenever worker domains may read it —
-     partition mode runs one engine per cone on the pool, and parallel
-     ranking scans gates on the pool.  Prefilled first, so frozen lookups
-     stay bit-identical to lazy filling. *)
-  if p.partition || p.jobs > 1 then begin
+  (* Freeze the memo up front when parallel ranking scans gates on the
+     pool (register cones freeze it themselves).  Prefilled first, so
+     frozen lookups stay bit-identical to lazy filling. *)
+  if p.jobs > 1 then begin
     Memo.prefill memo d;
     Memo.freeze memo
   end;
-  let engine =
-    Engine.create ~memo ~jobs:p.jobs ~partition:p.partition d model ~tmax:p.tmax
-  in
+  let engine = Hier.create ~memo ~jobs:p.jobs ~partition:p.partition d model ~tmax:p.tmax in
   Metrics.set
     (Metrics.gauge ~labels:[ ("mode", mode) ]
        ~help:"Register-boundary cones driven by the optimizer"
        "statleak_opt_partitions")
-    (float_of_int (Engine.num_partitions engine));
+    (float_of_int (Hier.num_partitions engine));
   (* the build counts as the first exact measure point and full analysis *)
   {
     p; design = d; leak; memo; engine; progress;
@@ -121,7 +117,7 @@ let create ~mode ~progress p (d : Design.t) model =
     time_refresh = 0.0; time_candidates = 0.0;
   }
 
-let yield st = Engine.yield st.engine
+let yield st = Hier.yield st.engine
 
 let report st stage =
   st.progress
@@ -139,13 +135,13 @@ let timed st f =
 
 (* Full sync: makes the worst-path view current before it is read. *)
 let sync st =
-  timed st (fun () -> Engine.sync st.engine);
+  timed st (fun () -> Hier.sync st.engine);
   st.syncs <- st.syncs + 1
 
 (* Exact re-measure point.  Yield-only by default: the backward/path
    repair stays deferred until the next ranking syncs it. *)
 let measure ?(paths = false) st =
-  timed st (fun () -> Engine.sync ~paths st.engine);
+  timed st (fun () -> Hier.sync ~paths st.engine);
   st.syncs <- st.syncs + 1;
   st.refreshes <- st.refreshes + 1
 
@@ -153,13 +149,13 @@ let measure ?(paths = false) st =
    as a re-measure point (it replaces a second refresh).  The caller has
    restored the design assignment first. *)
 let rollback st cp =
-  timed st (fun () -> Engine.rollback st.engine cp);
+  timed st (fun () -> Hier.rollback st.engine cp);
   st.refreshes <- st.refreshes + 1
 
 (* After bulk design restores the dirty cone is the whole circuit, so the
    engine starts over. *)
 let rebuild st =
-  timed st (fun () -> Engine.rebuild st.engine);
+  timed st (fun () -> Hier.rebuild st.engine);
   st.refreshes <- st.refreshes + 1;
   st.full_refreshes <- st.full_refreshes + 1
 
@@ -169,7 +165,7 @@ let set ?(timing = true) st kind gate v =
   (match kind with
   | `Vth -> Design.set_vth st.design gate v
   | `Size -> Design.set_size st.design gate v);
-  if timing then Engine.update_gate st.engine gate;
+  if timing then Hier.update_gate st.engine gate;
   Leak_ssta.update_gate st.leak gate
 
 type candidate = {
@@ -311,7 +307,7 @@ let m_rank_jobs =
    every [jobs] value.  Records are built only for the returned list. *)
 let scan ~eligible ~direction st =
   let p = st.p and d = st.design and memo = st.memo and leak = st.leak in
-  let path_mu = Engine.path_mu st.engine and path_sigma = Engine.path_sigma st.engine in
+  let path_mu = Hier.path_mu st.engine and path_sigma = Hier.path_sigma st.engine in
   let tmax = p.tmax in
   let n = Circuit.num_gates d.Design.circuit in
   let num_vth = Cell_lib.num_vth d.Design.lib in
@@ -451,13 +447,13 @@ let fix_yield st =
       | (c : candidate) :: rest ->
         let id = c.gate in
         let s = d.Design.size_idx.(id) in
-        let cp = Engine.checkpoint st.engine in
+        let cp = Hier.checkpoint st.engine in
         set st `Size id (s + 1);
         st.trials <- st.trials + 1;
         let y_before = yield st in
         measure st;
         if yield st > y_before then begin
-          Engine.commit st.engine cp;
+          Hier.commit st.engine cp;
           count st `Size 1;
           true
         end
@@ -470,11 +466,14 @@ let fix_yield st =
     if not (try_candidates 0 ranked) then stuck := true
   done
 
-(* Passes run until one commits fewer than [cutoff] moves. *)
+(* Passes run until one commits fewer than [cutoff] moves, at most
+   [max_passes] per reduction run. *)
+let max_passes = 25
+
 let reduce st ~cutoff pass =
   let pass0 = st.passes in
   let go = ref true in
-  while !go && st.passes - pass0 < st.p.max_passes do
+  while !go && st.passes - pass0 < max_passes do
     st.passes <- st.passes + 1;
     let committed =
       Trace.span "opt.pass" ~attrs:[ ("pass", string_of_int st.passes) ] (fun () ->
@@ -499,7 +498,7 @@ let alternate st ~reduce =
     let best_leak = Leak_ssta.mean st.leak in
     let saved_vth = Array.copy d.Design.vth_idx in
     let saved_size = Array.copy d.Design.size_idx in
-    let path_mu = Engine.path_mu st.engine and path_sigma = Engine.path_sigma st.engine in
+    let path_mu = Hier.path_mu st.engine and path_sigma = Hier.path_sigma st.engine in
     (* most critical upsizable cell *)
     let target = ref (-1) and worst = ref (-1.0) in
     for id = 0 to n - 1 do
@@ -534,7 +533,7 @@ let alternate st ~reduce =
   done
 
 let stats st ~time_total : stats =
-  let is = Engine.stats st.engine in
+  let is = Hier.stats st.engine in
   let moves = st.vth_moves + st.size_moves in
   let props = is.Incremental.propagated + is.Incremental.bwd_propagated in
   let per a b = if b > 0 then float_of_int a /. float_of_int b else 0.0 in

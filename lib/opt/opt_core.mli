@@ -16,7 +16,8 @@
     checkpoint with prefix bisection).
 
     The core owns everything else: the leakage model, memo prefill and
-    freeze, the timing engine (flat or partition-parallel), candidate
+    freeze, the timing engine ({!Sl_ssta.Hier}: register cones or one
+    cone), candidate
     ranking, the yield-repair and alternation phases, the pass loop, the
     stats record, its publication and progress reporting. *)
 
@@ -89,7 +90,6 @@ type params = {
   sensitivity : sensitivity;
   allow_vth : bool;
   allow_size : bool;
-  max_passes : int;           (** passes per reduction run *)
   partition : bool;
   jobs : int;
 }
@@ -100,7 +100,7 @@ type t = {
   design : Sl_tech.Design.t;
   leak : Sl_leakage.Leak_ssta.t;
   memo : Sl_tech.Memo.t;
-  engine : Sl_ssta.Engine.t;
+  engine : Sl_ssta.Hier.t;
   progress : progress -> unit;
   mutable vth_moves : int;
   mutable size_moves : int;
@@ -132,7 +132,7 @@ val run :
 
 val reduce : t -> cutoff:int -> (t -> int) -> unit
 (** [reduce st ~cutoff pass] runs passes until one commits fewer than
-    [cutoff] moves, at most [max_passes]. *)
+    [cutoff] moves, at most 25. *)
 
 val report : t -> string -> unit
 val yield : t -> float
@@ -145,7 +145,7 @@ val sync : t -> unit
 val measure : ?paths:bool -> t -> unit
 (** Sync counted as a re-measure point; yield-only unless [paths]. *)
 
-val rollback : t -> Sl_ssta.Engine.checkpoint -> unit
+val rollback : t -> Sl_ssta.Hier.checkpoint -> unit
 (** Checkpoint rollback, counted as a re-measure point; the caller has
     restored the design assignment first. *)
 

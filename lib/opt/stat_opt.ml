@@ -1,4 +1,4 @@
-module Engine = Sl_ssta.Engine
+module Hier = Sl_ssta.Hier
 module Core = Opt_core
 
 include Opt_core.Types
@@ -9,9 +9,7 @@ type config = {
   sensitivity : sensitivity;
   allow_vth : bool;
   allow_size : bool;
-  max_passes : int;
   refresh_every : int;
-  yield_margin : float;
   partition : bool;
   audit : bool;
   jobs : int;
@@ -24,13 +22,15 @@ let default_config ~tmax ~eta =
     sensitivity = Stat_leak_per_yield;
     allow_vth = true;
     allow_size = true;
-    max_passes = 25;
     refresh_every = 25;
-    yield_margin = 0.5;
     partition = false;
     audit = false;
     jobs = 1;
   }
+
+(* The share of the headroom (yield − η) a pass may spend blind between
+   re-measures. *)
+let yield_margin = 0.5
 
 (* One greedy pass: sorted candidates are accepted blind while the yield
    budget lasts; an exact re-measure every [refresh_every] accepted moves
@@ -40,7 +40,7 @@ let pass cfg settles (st : Core.t) =
   let candidates = Core.rank st in
   st.trials <- st.trials + List.length candidates;
   let accepted = ref 0 in
-  let budget = ref (Core.headroom st ~margin:cfg.yield_margin) in
+  let budget = ref (Core.headroom st ~margin:yield_margin) in
   let batch : Core.move list ref = ref [] in
   let settle () =
     (* only the yield is consulted here, so the backward/path repair is
@@ -58,14 +58,14 @@ let pass cfg settles (st : Core.t) =
         Core.measure st
     done;
     batch := [];
-    budget := Core.headroom st ~margin:cfg.yield_margin;
+    budget := Core.headroom st ~margin:yield_margin;
     incr settles;
     Core.report st "reduce";
     if cfg.audit && !settles mod cfg.refresh_every = 0 then begin
       (* debug-build agreement check against a from-scratch analysis;
          compiled out under -noassert *)
       Core.sync st;
-      assert (Engine.audit st.engine)
+      assert (Hier.audit st.engine)
     end
   in
   List.iter
@@ -90,7 +90,6 @@ let optimize ?progress cfg d model =
       sensitivity = cfg.sensitivity;
       allow_vth = cfg.allow_vth;
       allow_size = cfg.allow_size;
-      max_passes = cfg.max_passes;
       partition = cfg.partition;
       jobs = cfg.jobs;
     }

@@ -8,8 +8,8 @@
     runs the optimizer — worst-path view, candidate ranking by leakage
     saved per estimated yield cost, yield repair and alternation.  This
     module decides how a pass commits the ranking:
-    + candidates are accepted while a yield budget lasts (a [yield_margin]
-      share of the headroom yield − η), without re-measuring;
+    + candidates are accepted while a yield budget lasts (half the
+      headroom yield − η), without re-measuring;
     + every [refresh_every] accepted moves — or when the budget is
       exhausted — an exact yield re-measure checks the constraint; if it
       broke, the most recent moves are undone, newest first, until it
@@ -27,20 +27,15 @@ type config = {
   sensitivity : sensitivity;
   allow_vth : bool;
   allow_size : bool;
-  max_passes : int;
   refresh_every : int;    (** accepted moves between exact re-measures *)
-  yield_margin : float;   (** fraction of (yield − η) spendable between
-                              re-measures, in (0, 1] *)
-  partition : bool;       (** drive timing through the partition-parallel
-                              {!Sl_ssta.Hier} engine: register-boundary
-                              cones re-timed concurrently on [jobs]
-                              domains, stitched through canonical boundary
-                              macromodels.  Bit-identical to the flat
-                              engine at every re-measure — trajectories,
-                              leakage and yield do not change.  Falls back
-                              to the flat engine transparently when the
-                              netlist does not decompose
-                              ({!Sl_ssta.Engine.create}) *)
+  partition : bool;       (** time register-boundary cones separately
+                              ({!Sl_ssta.Hier}): cones re-timed
+                              concurrently on [jobs] domains, stitched
+                              through canonical boundary macromodels.
+                              Bit-identical to one cone at every
+                              re-measure — trajectories, leakage and
+                              yield do not change.  A netlist that does
+                              not decompose is timed as one cone *)
   audit : bool;           (** debug: every [refresh_every] batch settles,
                               [assert] that the incremental state agrees
                               bit-for-bit with a from-scratch analysis
@@ -51,8 +46,8 @@ type config = {
 }
 
 val default_config : tmax:float -> eta:float -> config
-(** Paper metric, both knobs, 25 passes, re-measure every 25 moves,
-    margin 0.5, partition off, audit off. *)
+(** Paper metric, both knobs, re-measure every 25 moves, partition off,
+    audit off.  A reduction run makes at most 25 passes. *)
 
 val optimize :
   ?progress:(progress -> unit) -> config -> Sl_tech.Design.t -> Sl_variation.Model.t ->

@@ -6,25 +6,26 @@ module Parallel = Sl_util.Parallel
 module Trace = Sl_obs.Trace
 module Metrics = Sl_obs.Metrics
 
-(* Process-global families, shared by every live hierarchical engine
-   (same pattern as the Incremental counters). *)
+(* Process-global families, shared by every live engine (same pattern as
+   the Incremental counters). *)
 let m_partitions =
-  Metrics.gauge ~help:"Partitions of the last hierarchical SSTA engine"
+  Metrics.gauge ~help:"Cones of the last incremental SSTA engine"
     "statleak_hier_partitions"
 
 let m_dirty_parts =
-  Metrics.counter ~help:"Partitions re-timed by hierarchical syncs"
+  Metrics.counter ~help:"Cones re-timed by engine syncs"
     "statleak_hier_dirty_partitions_total"
 
 let m_part_sync =
-  Metrics.histogram ~help:"Per-partition sync latency, seconds" ~bins:20
+  Metrics.histogram ~help:"Per-cone sync latency, seconds" ~bins:20
     ~lo:0.0 ~hi:0.1 "statleak_hier_part_sync_seconds"
 
-(* One register-boundary cone: its ascending global gate ids, a
-   sub-design mirroring the global assignment, and a sequential
-   incremental engine over it.  [fwd_dirty] marks updates not yet
-   synced; [bwd_deferred] marks a yield-only sync whose backward/path
-   repair is still queued inside [inc]. *)
+(* One timing cone: its ascending global gate ids, the design it times
+   and an incremental engine over it.  A register cone's [sub] mirrors
+   the global assignment; the one cone's [sub] is the design itself.
+   [fwd_dirty] marks updates not yet synced; [bwd_deferred] marks a
+   yield-only sync whose backward/path repair is still queued inside
+   [inc]. *)
 type part = {
   ids : int array;
   sub : Design.t;
@@ -33,10 +34,12 @@ type part = {
   mutable bwd_deferred : bool;
 }
 
+(* Besides the cones' own checkpoints: the deferred dirt carried into it
+   and the gates mirrored under it.  The circuit delay and yield need no
+   copy — they are a function of the cones' arrivals, which the cone
+   rollbacks restore. *)
 type checkpoint = {
-  cps : Incremental.checkpoint array; (* one per part, taken eagerly *)
-  sv_cd : Canonical.t;
-  sv_yield : float;
+  cps : Incremental.checkpoint array;
   sv_bwd_deferred : bool array;
   mutable touched : int list; (* global ids mirrored under this cp *)
 }
@@ -48,11 +51,12 @@ type t = {
   parts : part array;
   part_of : int array;
   local_of : int array;
-  (* global per-gate worst-path moments, scattered from the parts; the
-     optimizer aliases these arrays exactly like the flat engine's *)
+  (* the global per-gate worst-path moments and the one-slot circuit
+     delay: scattered and stitched from register cones, the one cone's
+     own otherwise; the optimizer aliases the path arrays *)
   path_mu : float array;
   path_sigma : float array;
-  cd : Arena.t; (* one slot: the stitched circuit delay *)
+  cd : Arena.t;
   frame : Canonical.frame;
   mutable yield_ : float;
   mutable cp : checkpoint option;
@@ -65,25 +69,39 @@ let num_partitions t = Array.length t.parts
 let path_mu t = t.path_mu
 let path_sigma t = t.path_sigma
 
+(* With no register cut the engine is one cone over the design itself:
+   its path arrays and circuit delay are the engine's, so there is
+   nothing to mirror, scatter or stitch. *)
+let one_cone t = Array.length t.parts = 1
+
 let arrival t gid =
   Incremental.arrival t.parts.(t.part_of.(gid)).inc t.local_of.(gid)
 
 let required t gid =
   Incremental.required t.parts.(t.part_of.(gid)).inc t.local_of.(gid)
 
-let scatter_paths t (p : part) =
-  let mu = Incremental.path_mu p.inc and sg = Incremental.path_sigma p.inc in
-  Array.iteri
-    (fun l gid ->
-      t.path_mu.(gid) <- mu.(l);
-      t.path_sigma.(gid) <- sg.(l))
-    p.ids
+(* Copy gate [gid]'s assignment into its register cone's sub-design. *)
+let mirror t gid =
+  let sub = t.parts.(t.part_of.(gid)).sub and l = t.local_of.(gid) and d = t.design in
+  sub.Design.vth_idx.(l) <- d.Design.vth_idx.(gid);
+  sub.Design.size_idx.(l) <- d.Design.size_idx.(gid);
+  sub.Design.extra_load.(l) <- d.Design.extra_load.(gid)
 
-(* The boundary macromodels ARE the per-part arrival forms at the cut
-   nets; stitching replays the exact circuit-delay fold of the flat
-   engine — same global output order, bit-identical operands read
-   straight from each cone's arrival slots — so the stitched delay and
-   yield match the flat words. *)
+let scatter_paths t (p : part) =
+  if not (one_cone t) then begin
+    let mu = Incremental.path_mu p.inc and sg = Incremental.path_sigma p.inc in
+    Array.iteri
+      (fun l gid ->
+        t.path_mu.(gid) <- mu.(l);
+        t.path_sigma.(gid) <- sg.(l))
+      p.ids
+  end
+
+(* The boundary macromodels ARE the per-cone arrival forms at the cut
+   nets; stitching replays the whole-design circuit-delay fold — same
+   global output order, bit-identical operands read straight from each
+   cone's arrival slots — so the stitched delay and yield match the one
+   cone's words. *)
 let fold_outputs t f (dst : Arena.t) =
   let outs = t.design.Design.circuit.Circuit.outputs in
   let slots o = Incremental.arrival_slots t.parts.(t.part_of.(o)).inc in
@@ -97,8 +115,11 @@ let fold_outputs t f (dst : Arena.t) =
   end
 
 let stitch t =
-  fold_outputs t t.frame t.cd;
-  t.yield_ <- Canonical.cdf (circuit_delay t) t.tmax
+  if one_cone t then t.yield_ <- Incremental.yield t.parts.(0).inc
+  else begin
+    fold_outputs t t.frame t.cd;
+    t.yield_ <- Canonical.cdf (circuit_delay t) t.tmax
+  end
 
 let boundary t =
   let c = t.design.Design.circuit in
@@ -115,121 +136,150 @@ let sub_design (d : Design.t) circuit ids =
     extra_load = Array.map (fun gid -> d.Design.extra_load.(gid)) ids;
   }
 
-(* The memo must be frozen before part engines run on worker domains; a
-   frozen table that does not cover the design cannot serve it at all,
-   so the caller gets [None] and should stay flat. *)
-let usable_memo memo (d : Design.t) =
-  match memo with
-  | Some m when Memo.frozen m -> if Memo.covers m d then Some m else None
-  | Some m ->
-    Memo.prefill m d;
-    Memo.freeze m;
-    Some m
-  | None ->
-    let m = Memo.create d.Design.lib in
-    Memo.prefill m d;
-    Memo.freeze m;
-    Some m
-
-let create ?memo ?(jobs = 1) (d : Design.t) model ~tmax =
-  if jobs < 1 then invalid_arg "Hier.create: jobs < 1";
+(* Register cones need a memo that worker domains may read: an unfrozen
+   (or absent) one is prefilled and frozen here, while a frozen one that
+   does not cover the design cannot serve it at all.  [None] when there
+   is no cut or no usable memo. *)
+let register_cut memo (d : Design.t) =
   match Circuit.partition_at_registers d.Design.circuit with
   | None -> None
   | Some pt -> (
-    match usable_memo memo d with
-    | None -> None
-    | Some memo ->
-      Trace.span "hier.create" (fun () ->
-          let n = Circuit.num_gates d.Design.circuit in
-          let nparts = Array.length pt.Circuit.parts in
-          let subs =
-            Array.init nparts (fun p ->
-                sub_design d pt.Circuit.parts.(p) pt.Circuit.part_ids.(p))
-          in
-          (* partitions, not levels, are the unit of parallelism: each
-             part engine is sequential (jobs=1), and their creation fans
-             out across domains — safe because the memo is frozen and
-             each task writes only its own slot *)
-          let incs = Array.make nparts None in
-          Parallel.for_ ~jobs:(Stdlib.min jobs nparts) ~tasks:nparts (fun p ->
-              incs.(p) <-
-                Some
-                  (Incremental.create ~memo ~jobs:1 subs.(p)
-                     (Model.restrict model pt.Circuit.part_ids.(p))
-                     ~tmax));
-          let parts =
-            Array.init nparts (fun p ->
-                {
-                  ids = pt.Circuit.part_ids.(p);
-                  sub = subs.(p);
-                  inc = Option.get incs.(p);
-                  fwd_dirty = false;
-                  bwd_deferred = false;
-                })
-          in
-          let t =
-            {
-              design = d;
-              tmax;
-              jobs;
-              parts;
-              part_of = pt.Circuit.part_of;
-              local_of = pt.Circuit.local_of;
-              path_mu = Array.make n 0.0;
-              path_sigma = Array.make n 0.0;
-              cd = Arena.create ~n:1 ~num_pcs:(Model.num_pcs model);
-              frame = Canonical.frame ();
-              yield_ = 0.0;
-              cp = None;
-            }
-          in
-          Array.iter (fun p -> scatter_paths t p) parts;
-          stitch t;
-          Metrics.set m_partitions (float_of_int nparts);
-          Some t))
+    match memo with
+    | Some m when Memo.frozen m -> if Memo.covers m d then Some (pt, m) else None
+    | _ ->
+      let m = match memo with Some m -> m | None -> Memo.create d.Design.lib in
+      Memo.prefill m d;
+      Memo.freeze m;
+      Some (pt, m))
+
+let part ids sub inc = { ids; sub; inc; fwd_dirty = false; bwd_deferred = false }
+
+(* Cones, not levels, are the unit of parallelism: each cone engine is
+   sequential (jobs=1), and their creation fans out across domains — safe
+   because the memo is frozen and each task writes only its own slot. *)
+let cones ~memo ~jobs (d : Design.t) model ~tmax (pt : Circuit.partition) =
+  let n = Circuit.num_gates d.Design.circuit in
+  let nparts = Array.length pt.Circuit.parts in
+  let subs =
+    Array.init nparts (fun p -> sub_design d pt.Circuit.parts.(p) pt.Circuit.part_ids.(p))
+  in
+  let incs = Array.make nparts None in
+  Parallel.for_ ~jobs:(Stdlib.min jobs nparts) ~tasks:nparts (fun p ->
+      incs.(p) <-
+        Some
+          (Incremental.create ~memo ~jobs:1 subs.(p)
+             (Model.restrict model pt.Circuit.part_ids.(p))
+             ~tmax));
+  let t =
+    {
+      design = d;
+      tmax;
+      jobs;
+      parts =
+        Array.init nparts (fun p ->
+            part pt.Circuit.part_ids.(p) subs.(p) (Option.get incs.(p)));
+      part_of = pt.Circuit.part_of;
+      local_of = pt.Circuit.local_of;
+      path_mu = Array.make n 0.0;
+      path_sigma = Array.make n 0.0;
+      cd = Arena.create ~n:1 ~num_pcs:(Model.num_pcs model);
+      frame = Canonical.frame ();
+      yield_ = 0.0;
+      cp = None;
+    }
+  in
+  Array.iter (scatter_paths t) t.parts;
+  t
+
+(* The one cone: the design itself over the whole model, level-parallel
+   on [jobs] domains.  A frozen memo that cannot serve the design is left
+   out, so the cone fills a fresh one. *)
+let whole ?memo ~jobs (d : Design.t) model ~tmax =
+  let memo =
+    match memo with Some m when Memo.frozen m && not (Memo.covers m d) -> None | m -> m
+  in
+  let inc = Incremental.create ?memo ~jobs d model ~tmax in
+  let n = Circuit.num_gates d.Design.circuit in
+  let ids = Array.init n Fun.id in
+  {
+    design = d;
+    tmax;
+    jobs;
+    parts = [| part ids d inc |];
+    part_of = Array.make n 0;
+    local_of = ids;
+    path_mu = Incremental.path_mu inc;
+    path_sigma = Incremental.path_sigma inc;
+    cd = Incremental.circuit_delay_slot inc;
+    frame = Canonical.frame ();
+    yield_ = 0.0;
+    cp = None;
+  }
+
+let create ?memo ?(jobs = 1) ?(partition = false) (d : Design.t) model ~tmax =
+  if jobs < 1 then invalid_arg "Hier.create: jobs < 1";
+  Trace.span "hier.create" (fun () ->
+      let t =
+        match if partition then register_cut memo d else None with
+        | Some (pt, memo) -> cones ~memo ~jobs d model ~tmax pt
+        | None -> whole ?memo ~jobs d model ~tmax
+      in
+      stitch t;
+      Metrics.set m_partitions (float_of_int (num_partitions t));
+      t)
 
 let update_gate t gid =
+  if not (one_cone t) then begin
+    mirror t gid;
+    match t.cp with None -> () | Some cp -> cp.touched <- gid :: cp.touched
+  end;
   let p = t.parts.(t.part_of.(gid)) in
-  let l = t.local_of.(gid) in
-  let d = t.design in
-  p.sub.Design.vth_idx.(l) <- d.Design.vth_idx.(gid);
-  p.sub.Design.size_idx.(l) <- d.Design.size_idx.(gid);
-  p.sub.Design.extra_load.(l) <- d.Design.extra_load.(gid);
-  (match t.cp with None -> () | Some cp -> cp.touched <- gid :: cp.touched);
   p.fwd_dirty <- true;
-  Incremental.update_gate p.inc l
+  Incremental.update_gate p.inc t.local_of.(gid)
+
+let needs_sync ~paths p = p.fwd_dirty || (paths && p.bwd_deferred)
+
+let sync_part ~paths p =
+  let t0 = Unix.gettimeofday () in
+  Incremental.sync ~paths p.inc;
+  Metrics.observe m_part_sync (Unix.gettimeofday () -. t0)
 
 let sync ?(paths = true) t =
   Trace.span "hier.sync" (fun () ->
-      let sel =
-        Array.of_list
-          (Array.fold_right
-             (fun p acc ->
-               if p.fwd_dirty || (paths && p.bwd_deferred) then p :: acc
-               else acc)
-             t.parts [])
-      in
-      let ns = Array.length sel in
-      if ns > 0 then begin
-        Metrics.add m_dirty_parts ns;
-        let any_fwd = Array.exists (fun p -> p.fwd_dirty) sel in
-        (* partitions share no gates: one writer per part, results
-           bit-identical for every jobs value *)
-        Parallel.for_ ~jobs:(Stdlib.min t.jobs ns) ~tasks:ns (fun i ->
-            let t0 = Unix.gettimeofday () in
-            Incremental.sync ~paths sel.(i).inc;
-            Metrics.observe m_part_sync (Unix.gettimeofday () -. t0));
-        Array.iter
-          (fun p ->
+      let np = Array.length t.parts in
+      let dirty = ref 0 and last = ref 0 and any_fwd = ref false in
+      for i = 0 to np - 1 do
+        let p = t.parts.(i) in
+        if needs_sync ~paths p then begin
+          incr dirty;
+          last := i;
+          if p.fwd_dirty then any_fwd := true
+        end
+      done;
+      let dirty = !dirty in
+      if dirty > 0 then begin
+        Metrics.add m_dirty_parts dirty;
+        (* a lone dirty cone is synced on the calling domain; cones share
+           no gates, so several run one writer each on the pool, with
+           the same words for every jobs value *)
+        if dirty = 1 then sync_part ~paths t.parts.(!last)
+        else
+          Parallel.for_ ~jobs:(Stdlib.min t.jobs dirty) ~tasks:np (fun i ->
+              let p = t.parts.(i) in
+              if needs_sync ~paths p then sync_part ~paths p);
+        for i = 0 to np - 1 do
+          let p = t.parts.(i) in
+          if needs_sync ~paths p then begin
             if paths then begin
               scatter_paths t p;
               p.bwd_deferred <- false
             end
-            else if p.fwd_dirty then p.bwd_deferred <- true;
-            p.fwd_dirty <- false)
-          sel;
-        (* the yield is a function of the stitched delay alone *)
-        if any_fwd then stitch t
+            else p.bwd_deferred <- true;
+            p.fwd_dirty <- false
+          end
+        done;
+        (* the yield is a function of the circuit delay alone *)
+        if !any_fwd then stitch t
       end)
 
 let rebuild t =
@@ -237,16 +287,10 @@ let rebuild t =
   | Some _ -> invalid_arg "Hier.rebuild: a checkpoint is active"
   | None -> ());
   Trace.span "hier.rebuild" (fun () ->
-      let d = t.design in
-      Array.iter
-        (fun p ->
-          Array.iteri
-            (fun l gid ->
-              p.sub.Design.vth_idx.(l) <- d.Design.vth_idx.(gid);
-              p.sub.Design.size_idx.(l) <- d.Design.size_idx.(gid);
-              p.sub.Design.extra_load.(l) <- d.Design.extra_load.(gid))
-            p.ids)
-        t.parts;
+      if not (one_cone t) then
+        for gid = 0 to Array.length t.part_of - 1 do
+          mirror t gid
+        done;
       let np = Array.length t.parts in
       Parallel.for_ ~jobs:(Stdlib.min t.jobs np) ~tasks:np (fun i ->
           Incremental.rebuild t.parts.(i).inc);
@@ -269,8 +313,6 @@ let checkpoint t =
   let cp =
     {
       cps = Array.map (fun p -> Incremental.checkpoint p.inc) t.parts;
-      sv_cd = circuit_delay t;
-      sv_yield = t.yield_;
       sv_bwd_deferred = Array.map (fun p -> p.bwd_deferred) t.parts;
       touched = [];
     }
@@ -291,16 +333,9 @@ let commit t cp =
 let rollback t cp =
   check_active t cp;
   (* the caller has already restored the global design assignment;
-     re-mirror every gate touched under the checkpoint before the part
+     re-mirror every gate touched under the checkpoint before the cone
      engines restore their timing views *)
-  List.iter
-    (fun gid ->
-      let p = t.parts.(t.part_of.(gid)) in
-      let l = t.local_of.(gid) in
-      p.sub.Design.vth_idx.(l) <- t.design.Design.vth_idx.(gid);
-      p.sub.Design.size_idx.(l) <- t.design.Design.size_idx.(gid);
-      p.sub.Design.extra_load.(l) <- t.design.Design.extra_load.(gid))
-    cp.touched;
+  List.iter (mirror t) cp.touched;
   Array.iteri
     (fun i p ->
       Incremental.rollback p.inc cp.cps.(i);
@@ -308,8 +343,7 @@ let rollback t cp =
       p.bwd_deferred <- cp.sv_bwd_deferred.(i);
       scatter_paths t p)
     t.parts;
-  Arena.set t.cd 0 cp.sv_cd;
-  t.yield_ <- cp.sv_yield;
+  stitch t;
   t.cp <- None
 
 let audit t =
@@ -321,73 +355,53 @@ let audit t =
   && Arena.bits_equal (Canonical.cdf (Arena.get cd 0) t.tmax) t.yield_
 
 let stats t =
-  Array.fold_left
-    (fun (acc : Incremental.stats) p ->
-      let s = Incremental.stats p.inc in
-      {
-        Incremental.updates = acc.Incremental.updates + s.Incremental.updates;
-        syncs = acc.Incremental.syncs + s.Incremental.syncs;
-        rebuilds = acc.Incremental.rebuilds + s.Incremental.rebuilds;
-        propagated = acc.Incremental.propagated + s.Incremental.propagated;
-        bwd_propagated =
-          acc.Incremental.bwd_propagated + s.Incremental.bwd_propagated;
-        cutoffs = acc.Incremental.cutoffs + s.Incremental.cutoffs;
-        max_cone = Stdlib.max acc.Incremental.max_cone s.Incremental.max_cone;
-        par_levels = acc.Incremental.par_levels + s.Incremental.par_levels;
-        seq_levels = acc.Incremental.seq_levels + s.Incremental.seq_levels;
-        max_level_width =
-          Stdlib.max acc.Incremental.max_level_width
-            s.Incremental.max_level_width;
-      })
+  let all = Array.map (fun p -> Incremental.stats p.inc) t.parts in
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 all
+  and top f = Array.fold_left (fun acc s -> Stdlib.max acc (f s)) 0 all in
+  Incremental.
     {
-      Incremental.updates = 0;
-      syncs = 0;
-      rebuilds = 0;
-      propagated = 0;
-      bwd_propagated = 0;
-      cutoffs = 0;
-      max_cone = 0;
-      par_levels = 0;
-      seq_levels = 0;
-      max_level_width = 0;
+      updates = sum (fun s -> s.updates);
+      syncs = sum (fun s -> s.syncs);
+      rebuilds = sum (fun s -> s.rebuilds);
+      propagated = sum (fun s -> s.propagated);
+      bwd_propagated = sum (fun s -> s.bwd_propagated);
+      cutoffs = sum (fun s -> s.cutoffs);
+      max_cone = top (fun s -> s.max_cone);
+      par_levels = sum (fun s -> s.par_levels);
+      seq_levels = sum (fun s -> s.seq_levels);
+      max_level_width = top (fun s -> s.max_level_width);
     }
-    t.parts
 
 (* ---------------- one-shot partitioned analysis ---------------- *)
 
 let analyze ?memo ?(jobs = 1) (d : Design.t) model =
   if jobs < 1 then invalid_arg "Hier.analyze: jobs < 1";
-  match Circuit.partition_at_registers d.Design.circuit with
+  match register_cut memo d with
   | None -> None
-  | Some pt -> (
-    match usable_memo memo d with
-    | None -> None
-    | Some memo ->
-      Trace.span "hier.analyze" (fun () ->
-          let n = Circuit.num_gates d.Design.circuit in
-          let num_pcs = Model.num_pcs model in
-          let zero = Canonical.constant ~num_pcs 0.0 in
-          let gate_delay = Array.make n zero in
-          let arrival = Array.make n zero in
-          let nparts = Array.length pt.Circuit.parts in
-          Parallel.for_ ~jobs:(Stdlib.min jobs nparts) ~tasks:nparts (fun p ->
-              let ids = pt.Circuit.part_ids.(p) in
-              let sub = sub_design d pt.Circuit.parts.(p) ids in
-              let res =
-                Ssta.analyze ~memo ~jobs:1 sub (Model.restrict model ids)
-              in
-              Array.iteri
-                (fun l gid ->
-                  gate_delay.(gid) <- res.Ssta.gate_delay.(l);
-                  arrival.(gid) <- res.Ssta.arrival.(l))
-                ids);
-          let circuit_delay =
-            match Array.to_list d.Design.circuit.Circuit.outputs with
-            | [] -> zero
-            | o :: rest ->
-              List.fold_left
-                (fun acc o' -> Canonical.max2 acc arrival.(o'))
-                arrival.(o) rest
-          in
-          Metrics.set m_partitions (float_of_int nparts);
-          Some { Ssta.gate_delay; arrival; circuit_delay }))
+  | Some (pt, memo) ->
+    Trace.span "hier.analyze" (fun () ->
+        let n = Circuit.num_gates d.Design.circuit in
+        let num_pcs = Model.num_pcs model in
+        let zero = Canonical.constant ~num_pcs 0.0 in
+        let gate_delay = Array.make n zero in
+        let arrival = Array.make n zero in
+        let nparts = Array.length pt.Circuit.parts in
+        Parallel.for_ ~jobs:(Stdlib.min jobs nparts) ~tasks:nparts (fun p ->
+            let ids = pt.Circuit.part_ids.(p) in
+            let sub = sub_design d pt.Circuit.parts.(p) ids in
+            let res = Ssta.analyze ~memo ~jobs:1 sub (Model.restrict model ids) in
+            Array.iteri
+              (fun l gid ->
+                gate_delay.(gid) <- res.Ssta.gate_delay.(l);
+                arrival.(gid) <- res.Ssta.arrival.(l))
+              ids);
+        let circuit_delay =
+          match Array.to_list d.Design.circuit.Circuit.outputs with
+          | [] -> zero
+          | o :: rest ->
+            List.fold_left
+              (fun acc o' -> Canonical.max2 acc arrival.(o'))
+              arrival.(o) rest
+        in
+        Metrics.set m_partitions (float_of_int nparts);
+        Some { Ssta.gate_delay; arrival; circuit_delay })

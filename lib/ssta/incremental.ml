@@ -131,6 +131,7 @@ let circuit_delay t = Arena.get t.cd 0
 let arrival t id = Arena.get t.arr id
 let required t id = Arena.get t.bwd id
 let arrival_slots t = t.arr
+let circuit_delay_slot t = t.cd
 let path_mu t = t.path_mu
 let path_sigma t = t.path_sigma
 

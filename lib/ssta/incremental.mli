@@ -94,6 +94,9 @@ val arrival_slots : t -> Arena.t
     that fold arrivals without materializing them; must not be
     written. *)
 
+val circuit_delay_slot : t -> Arena.t
+(** The live one-slot circuit delay, same contract as {!arrival_slots}. *)
+
 val path_mu : t -> float array
 val path_sigma : t -> float array
 (** Live per-gate worst-path mean/sigma arrays, updated in place by

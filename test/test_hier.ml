@@ -1,6 +1,6 @@
-(* Partition-parallel SSTA (Sl_ssta.Hier / Sl_ssta.Engine): bit-identity
-   against the flat engines for every jobs value, checkpoint semantics,
-   and the flat fallback on netlists that do not decompose.
+(* The incremental SSTA engine (Sl_ssta.Hier): register cones
+   bit-identical to the flat pipeline for every jobs value, checkpoint
+   semantics, and one cone on netlists that do not decompose.
 
    The contract under test is exact: partitions share no gates and local
    ids are a monotone remap of global ids, so every canonical form the
@@ -21,7 +21,6 @@ module Ssta = Sl_ssta.Ssta
 module Canonical = Sl_ssta.Canonical
 module Incremental = Sl_ssta.Incremental
 module Hier = Sl_ssta.Hier
-module Engine = Sl_ssta.Engine
 module Rng = Sl_util.Rng
 module Stat_opt = Sl_opt.Stat_opt
 module Batch_opt = Sl_opt.Batch_opt
@@ -46,7 +45,13 @@ let cells (d : Design.t) =
          if g.Circuit.kind = Cell_kind.Pi then None else Some g.Circuit.id)
   |> Array.of_list
 
-(* What the flat engine computes for the current design. *)
+(* The pipeline's register cones; fails if the cut is declined. *)
+let cones ?jobs d model ~tmax =
+  let h = Hier.create ~partition:true ?jobs d model ~tmax in
+  if Hier.num_partitions h < 2 then Alcotest.fail "pipeline did not partition";
+  h
+
+(* What a from-scratch analysis computes for the current design. *)
 let reference d model ~tmax =
   let res = Ssta.analyze d model in
   let bwd = Ssta.backward d.Design.circuit res in
@@ -100,8 +105,9 @@ let test_analyze_bit_identity () =
           Alcotest.failf "jobs=%d: circuit_delay diverged" jobs)
     [ 1; 2; 4 ]
 
-(* A purely combinational netlist is one connected component: Hier
-   declines, and the Engine front transparently falls back to Flat. *)
+(* A purely combinational netlist is one connected component: the cut is
+   declined, and the engine times the design as one cone whose state
+   equals a from-scratch analysis. *)
 let test_fallback_combinational () =
   let c = Option.get (Benchmarks.by_name "add32") in
   let d = design c in
@@ -109,32 +115,21 @@ let test_fallback_combinational () =
   (match Hier.analyze d model with
   | Some _ -> Alcotest.fail "add32 should not partition"
   | None -> ());
-  (match Hier.create d model ~tmax:1000.0 with
-  | Some _ -> Alcotest.fail "add32 should not partition"
-  | None -> ());
-  let e = Engine.create ~partition:true d model ~tmax:1000.0 in
-  Alcotest.(check bool) "fell back to flat" false (Engine.is_partitioned e);
-  Alcotest.(check int) "one partition" 1 (Engine.num_partitions e);
-  Engine.sync e;
-  let res = Ssta.analyze d model in
-  Alcotest.(check bool)
-    "flat fallback analyzes" true
-    (ceq res.Ssta.circuit_delay (Engine.circuit_delay e))
+  let tmax = 1000.0 in
+  let e = Hier.create ~partition:true d model ~tmax in
+  Alcotest.(check int) "one cone" 1 (Hier.num_partitions e);
+  assert_matches ~what:"one cone" d model ~tmax e
 
-(* Random Vth/size moves through the hier engine, synced and bit-compared
-   against a from-scratch flat analysis — for every jobs value, with
-   yield-only syncs interleaved. *)
+(* Random Vth/size/extra-load moves through the register cones, synced
+   and bit-compared against a from-scratch analysis of the global
+   design — for every jobs value, with yield-only syncs interleaved. *)
 let incremental_identity_test jobs () =
   let c = pipeline ~stages:3 ~width:4 ~layers:2 () in
   let d = design c in
   let model = Model.build Spec.default c in
   let res0 = Ssta.analyze d model in
   let tmax = 1.25 *. res0.Ssta.circuit_delay.Canonical.mean in
-  let h =
-    match Hier.create ~jobs d model ~tmax with
-    | Some h -> h
-    | None -> Alcotest.fail "pipeline did not partition"
-  in
+  let h = Hier.create ~partition:true ~jobs d model ~tmax in
   Alcotest.(check int) "stage count" 3 (Hier.num_partitions h);
   assert_matches ~what:"initial" d model ~tmax h;
   let ids = cells d in
@@ -142,11 +137,12 @@ let incremental_identity_test jobs () =
   let lib = d.Design.lib in
   for step = 1 to 40 do
     let id = ids.(Rng.int rng (Array.length ids)) in
-    if Rng.int rng 2 = 0 then
-      Design.set_vth d id ((d.Design.vth_idx.(id) + 1) mod Cell_lib.num_vth lib)
-    else
+    (match Rng.int rng 3 with
+    | 0 -> Design.set_vth d id ((d.Design.vth_idx.(id) + 1) mod Cell_lib.num_vth lib)
+    | 1 ->
       Design.set_size d id
-        (Stdlib.min (Cell_lib.num_sizes lib - 1) (d.Design.size_idx.(id) + 1));
+        (Stdlib.min (Cell_lib.num_sizes lib - 1) (d.Design.size_idx.(id) + 1))
+    | _ -> Design.set_extra_load d id (Rng.float rng 6.0));
     Hier.update_gate h id;
     if step mod 3 = 0 then begin
       (* yield-only sync first: paths stay deferred, then settle *)
@@ -171,7 +167,7 @@ let test_checkpoint_rollback () =
   let model = Model.build Spec.default c in
   let res0 = Ssta.analyze d model in
   let tmax = 1.25 *. res0.Ssta.circuit_delay.Canonical.mean in
-  let h = Option.get (Hier.create ~jobs:2 d model ~tmax) in
+  let h = cones ~jobs:2 d model ~tmax in
   let ids = cells d in
   let saved_vth = Array.copy d.Design.vth_idx in
   let saved_size = Array.copy d.Design.size_idx in
@@ -210,7 +206,7 @@ let test_rebuild () =
   let model = Model.build Spec.default c in
   let res0 = Ssta.analyze d model in
   let tmax = 1.25 *. res0.Ssta.circuit_delay.Canonical.mean in
-  let h = Option.get (Hier.create ~jobs:2 d model ~tmax) in
+  let h = cones ~jobs:2 d model ~tmax in
   let ids = cells d in
   Array.iter (fun id -> d.Design.vth_idx.(id) <- 1) ids;
   Hier.rebuild h;
@@ -267,7 +263,7 @@ let test_boundary_macromodels () =
   let model = Model.build Spec.default c in
   let res0 = Ssta.analyze d model in
   let tmax = 1.25 *. res0.Ssta.circuit_delay.Canonical.mean in
-  let h = Option.get (Hier.create d model ~tmax) in
+  let h = cones d model ~tmax in
   let b = Hier.boundary h in
   Alcotest.(check int) "one macromodel per output"
     (Array.length c.Circuit.outputs) (Array.length b);

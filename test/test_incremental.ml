@@ -16,7 +16,7 @@ module Model = Sl_variation.Model
 module Ssta = Sl_ssta.Ssta
 module Canonical = Sl_ssta.Canonical
 module Incremental = Sl_ssta.Incremental
-module Engine = Sl_ssta.Engine
+module Hier = Sl_ssta.Hier
 module Bench_format = Sl_netlist.Bench_format
 module Generators = Sl_netlist.Generators
 module Rng = Sl_util.Rng
@@ -88,11 +88,11 @@ let assert_same ~what n a b =
   if not (feq (Incremental.yield a) (Incremental.yield b)) then
     Alcotest.failf "%s: yield differs from jobs=1" what
 
-(* 200 random Vth/size moves with an apply/abort mix; bit-compare against
-   a fresh full analysis after every tenth sync.  With [jobs] > 1 and a
-   threshold of 2, every staged level of two or more gates is computed on
-   domains, and a jobs=1 twin over the same design must hold the same
-   words after every sync. *)
+(* 200 random Vth/size/extra-load moves with an apply/abort mix;
+   bit-compare against a fresh full analysis after every tenth sync.
+   With [jobs] > 1 and a threshold of 2, every staged level of two or
+   more gates is computed on domains, and a jobs=1 twin over the same
+   design must hold the same words after every sync. *)
 let random_moves_test ?(jobs = 1) ?par_threshold name () =
   let c = Option.get (Benchmarks.by_name name) in
   let d = design c in
@@ -109,14 +109,11 @@ let random_moves_test ?(jobs = 1) ?par_threshold name () =
   let rng = Rng.create 91 in
   let random_move () =
     let id = ids.(Rng.int rng (Array.length ids)) in
-    if Rng.int rng 2 = 0 then begin
-      Design.set_vth d id (Rng.int rng num_vth);
-      id
-    end
-    else begin
-      Design.set_size d id (Rng.int rng num_sizes);
-      id
-    end
+    (match Rng.int rng 3 with
+    | 0 -> Design.set_vth d id (Rng.int rng num_vth)
+    | 1 -> Design.set_size d id (Rng.int rng num_sizes)
+    | _ -> Design.set_extra_load d id (Rng.float rng 6.0));
+    id
   in
   assert_matches ~what:(name ^ " initial") d model ~tmax inc;
   for step = 1 to 200 do
@@ -126,6 +123,7 @@ let random_moves_test ?(jobs = 1) ?par_threshold name () =
          analysis bit-for-bit *)
       let saved_vth = Array.copy d.Design.vth_idx in
       let saved_size = Array.copy d.Design.size_idx in
+      let saved_load = Array.copy d.Design.extra_load in
       let cps = List.map Incremental.checkpoint engines in
       for _ = 1 to 1 + Rng.int rng 3 do
         let id = random_move () in
@@ -135,6 +133,7 @@ let random_moves_test ?(jobs = 1) ?par_threshold name () =
       Option.iter (assert_same ~what:(Printf.sprintf "%s step %d trial" name step) n inc) twin;
       Array.blit saved_vth 0 d.Design.vth_idx 0 (Array.length saved_vth);
       Array.blit saved_size 0 d.Design.size_idx 0 (Array.length saved_size);
+      Array.blit saved_load 0 d.Design.extra_load 0 (Array.length saved_load);
       List.iter2 Incremental.rollback engines cps
     end
     else begin
@@ -305,15 +304,17 @@ let test_optimize_with_audit () =
 
 (* ---------- engine pins: state digests and counters ----------
 
-   A seeded 300-step sequence through the engine front: single moves with
-   a full sync or a yield-only ([~paths:false]) sync, checkpointed batches
-   that are rolled back or committed, and one bulk edit followed by a
-   rebuild.  After every step the whole readable state — each arrival,
-   required time, path mu/sigma, the circuit delay and the yield — is
-   hashed word for word into a running digest.  The digests and the
-   counters were recorded before the engine moved to slot state and the
+   A seeded 300-step sequence through the engine (Sl_ssta.Hier): single
+   moves with a full sync or a yield-only ([~paths:false]) sync,
+   checkpointed batches that are rolled back or committed, and one bulk
+   edit followed by a rebuild.  After every step the whole readable
+   state — each arrival, required time, path mu/sigma, the circuit delay
+   and the yield — is hashed word for word into a running digest.  The
+   digests were recorded before the engine moved to slot state and the
    shared gate kernels; the counters hold the cutoff semantics that the
-   benchmark's propagation counts rely on. *)
+   benchmark's propagation counts rely on.  add32 with [~partition:true]
+   declines the register cut (it is combinational), so its one cone must
+   reproduce the plain add32 pin word for word. *)
 
 let state_digest e n =
   let b = Buffer.create (n * 640) in
@@ -323,23 +324,23 @@ let state_digest e n =
     word c.Canonical.rnd;
     Array.iter word c.Canonical.coeffs
   in
-  let mu = Engine.path_mu e and sg = Engine.path_sigma e in
+  let mu = Hier.path_mu e and sg = Hier.path_sigma e in
   for id = 0 to n - 1 do
-    form (Engine.arrival e id);
-    form (Engine.required e id);
+    form (Hier.arrival e id);
+    form (Hier.required e id);
     word mu.(id);
     word sg.(id)
   done;
-  form (Engine.circuit_delay e);
-  word (Engine.yield e);
+  form (Hier.circuit_delay e);
+  word (Hier.yield e);
   Buffer.contents b
 
-let pin_sequence ~partition c =
+let pin_sequence ~partition ~cones c =
   let d = design c in
   let model = Model.build Spec.default c in
   let tmax = 1.25 *. (Ssta.analyze d model).Ssta.circuit_delay.Canonical.mean in
-  let e = Engine.create ~partition d model ~tmax in
-  if Engine.is_partitioned e <> partition then Alcotest.fail "engine kind";
+  let e = Hier.create ~partition d model ~tmax in
+  Alcotest.(check int) "cones" cones (Hier.num_partitions e);
   let n = Circuit.num_gates c in
   let ids = cells d in
   let num_vth = Cell_lib.num_vth d.Design.lib in
@@ -350,7 +351,7 @@ let pin_sequence ~partition c =
     let id = pick () in
     if Rng.int rng 2 = 0 then Design.set_vth d id (Rng.int rng num_vth)
     else Design.set_size d id (Rng.int rng num_sizes);
-    Engine.update_gate e id
+    Hier.update_gate e id
   in
   let h = ref (Digest.string (state_digest e n)) in
   for step = 1 to 300 do
@@ -359,81 +360,96 @@ let pin_sequence ~partition c =
        for _ = 1 to 8 do
          d.Design.vth_idx.(pick ()) <- Rng.int rng num_vth
        done;
-       Engine.rebuild e
+       Hier.rebuild e
      end
      else
        match Rng.int rng 10 with
        | 0 | 1 | 2 | 3 ->
          move ();
-         Engine.sync e
+         Hier.sync e
        | 4 | 5 ->
          move ();
-         Engine.sync ~paths:false e
+         Hier.sync ~paths:false e
        | _ ->
          let saved_vth = Array.copy d.Design.vth_idx in
          let saved_size = Array.copy d.Design.size_idx in
-         let cp = Engine.checkpoint e in
+         let cp = Hier.checkpoint e in
          for _ = 1 to 1 + Rng.int rng 4 do
            move ();
-           if Rng.int rng 2 = 0 then Engine.sync ~paths:false e
+           if Rng.int rng 2 = 0 then Hier.sync ~paths:false e
          done;
-         Engine.sync ~paths:(Rng.int rng 2 = 0) e;
+         Hier.sync ~paths:(Rng.int rng 2 = 0) e;
          if Rng.int rng 2 = 0 then begin
            Array.blit saved_vth 0 d.Design.vth_idx 0 (Array.length saved_vth);
            Array.blit saved_size 0 d.Design.size_idx 0 (Array.length saved_size);
-           Engine.rollback e cp
+           Hier.rollback e cp
          end
-         else Engine.commit e cp);
+         else Hier.commit e cp);
     h := Digest.string (Digest.to_hex !h ^ state_digest e n)
   done;
-  (Digest.to_hex !h, Engine.stats e)
+  (Digest.to_hex !h, Hier.stats e)
 
 type engine_pin = {
-  e_name : string;
+  e_label : string;
+  e_circuit : string;
+  e_partition : bool;
+  e_cones : int;
   e_digest : string;
   e_counts : int * int * int * int * int * int;
       (* updates, syncs, propagated, bwd_propagated, cutoffs, max_cone *)
 }
 
 let engine_pins =
-  [
+  let add32 =
     {
-      e_name = "add32";
+      e_label = "add32";
+      e_circuit = "add32";
+      e_partition = false;
+      e_cones = 1;
       e_digest = "a94b50f3d3c01c19506b9476248f7fee";
-      e_counts = (490, 452, 8854, 12206, 278, 98);
-    };
+      e_counts = (490, 428, 8854, 12206, 278, 98);
+    }
+  in
+  [
+    add32;
     {
-      e_name = "mult8";
+      e_label = "mult8";
+      e_circuit = "mult8";
+      e_partition = false;
+      e_cones = 1;
       e_digest = "f4c8bcc1f046a6e5d33ce44c1d379ad0";
-      e_counts = (490, 452, 14811, 14989, 859, 196);
+      e_counts = (490, 428, 14811, 14989, 859, 196);
     };
     {
-      (* partition mode: a 2-stage register pipeline, counters summed
-         over the cones *)
-      e_name = "pipe2";
+      (* a 2-stage register pipeline, counters summed over the cones *)
+      e_label = "pipe2";
+      e_circuit = "pipe2";
+      e_partition = true;
+      e_cones = 2;
       e_digest = "4e4f9f874a3ef437ad03ae7436d41ba6";
       e_counts = (490, 543, 2862, 2527, 434, 22);
     };
+    { add32 with e_label = "add32, partition"; e_partition = true };
   ]
 
 let pin_circuit = function
   | "pipe2" ->
-    ( true,
-      Bench_format.parse_string ~sequential:`Cut ~name:"pipe2"
-        (Generators.seq_pipeline_bench ~stages:2 ~width:8 ~layers:4) )
-  | name -> (false, Option.get (Benchmarks.by_name name))
+    Bench_format.parse_string ~sequential:`Cut ~name:"pipe2"
+      (Generators.seq_pipeline_bench ~stages:2 ~width:8 ~layers:4)
+  | name -> Option.get (Benchmarks.by_name name)
 
 let engine_pin_test p () =
-  let partition, c = pin_circuit p.e_name in
-  let digest, st = pin_sequence ~partition c in
+  let digest, st =
+    pin_sequence ~partition:p.e_partition ~cones:p.e_cones (pin_circuit p.e_circuit)
+  in
   let counts =
     Incremental.
       (st.updates, st.syncs, st.propagated, st.bwd_propagated, st.cutoffs, st.max_cone)
   in
   let u, s, pr, b, cu, m = counts in
-  Alcotest.(check string) (p.e_name ^ " state digest") p.e_digest digest;
+  Alcotest.(check string) (p.e_label ^ " state digest") p.e_digest digest;
   Alcotest.(check (list int))
-    (p.e_name ^ " counters")
+    (p.e_label ^ " counters")
     (let u, s, pr, b, cu, m = p.e_counts in
      [ u; s; pr; b; cu; m ])
     [ u; s; pr; b; cu; m ]
@@ -449,40 +465,68 @@ let engine_pin_test p () =
    bookkeeping.  Folding canonical records per recompute costs well over
    a thousand words. *)
 
-let words_per_recompute ~checkpointed name =
+(* 2,000 seeded moves on [name] at jobs=1, each applied to the design
+   and followed by [update] and [sync]: the words allocated over the
+   whole loop.  A minor collection at both ends settles the promotion
+   accounting, so the count is exact rather than off by what the last
+   collection promoted. *)
+let cycle_words name ~engine =
   let c = Option.get (Benchmarks.by_name name) in
   let d = design c in
   let model = Model.build Spec.default c in
   let tmax = 1.25 *. (Ssta.analyze d model).Ssta.circuit_delay.Canonical.mean in
-  let inc = Incremental.create d model ~tmax in
+  let update, sync = engine d model ~tmax in
   let ids = cells d in
   let num_vth = Cell_lib.num_vth d.Design.lib in
   let num_sizes = Cell_lib.num_sizes d.Design.lib in
   let rng = Rng.create 5 in
-  let st0 = Incremental.stats inc in
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   for _ = 1 to 2000 do
     let id = ids.(Rng.int rng (Array.length ids)) in
     if Rng.int rng 2 = 0 then Design.set_vth d id (Rng.int rng num_vth)
     else Design.set_size d id (Rng.int rng num_sizes);
-    if checkpointed then begin
-      let cp = Incremental.checkpoint inc in
-      Incremental.update_gate inc id;
-      Incremental.sync inc;
-      Incremental.commit inc cp
-    end
-    else begin
-      Incremental.update_gate inc id;
-      Incremental.sync inc
-    end
+    update id;
+    sync ()
   done;
-  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
-  let st1 = Incremental.stats inc in
-  let recomputes =
-    st1.Incremental.propagated - st0.Incremental.propagated
-    + (st1.Incremental.bwd_propagated - st0.Incremental.bwd_propagated)
+  Gc.minor ();
+  (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+
+let words_per_recompute ~checkpointed name =
+  let inc = ref None in
+  let engine d model ~tmax =
+    let i = Incremental.create d model ~tmax in
+    inc := Some i;
+    if checkpointed then
+      ( (fun id ->
+          let cp = Incremental.checkpoint i in
+          Incremental.update_gate i id;
+          Incremental.sync i;
+          Incremental.commit i cp),
+        ignore )
+    else (Incremental.update_gate i, fun () -> Incremental.sync i)
   in
-  words /. float_of_int recomputes
+  let words = cycle_words name ~engine in
+  let st = Incremental.stats (Option.get !inc) in
+  words /. float_of_int (st.Incremental.propagated + st.Incremental.bwd_propagated)
+
+(* The engine's own share of a cycle: the same 2,000 moves on add32
+   through the one-cone engine and through a bare Incremental may differ
+   by at most 16 words per update+sync cycle — a sync of the lone dirty
+   cone that builds no cone list, closure per cone or circuit-delay
+   record. *)
+let engine_words_per_cycle () =
+  let bare =
+    cycle_words "add32" ~engine:(fun d model ~tmax ->
+        let i = Incremental.create d model ~tmax in
+        (Incremental.update_gate i, fun () -> Incremental.sync i))
+  in
+  let engine =
+    cycle_words "add32" ~engine:(fun d model ~tmax ->
+        let e = Hier.create d model ~tmax in
+        (Hier.update_gate e, fun () -> Hier.sync e))
+  in
+  (engine -. bare) /. 2000.0
 
 let test_sync_allocation_budget () =
   List.iter
@@ -495,7 +539,11 @@ let test_sync_allocation_budget () =
               (if checkpointed then " under checkpoint + commit" else "")
               per)
         [ false; true ])
-    [ "add32"; "mult8"; "alu32" ]
+    [ "add32"; "mult8"; "alu32" ];
+  let extra = engine_words_per_cycle () in
+  if extra > 16.0 then
+    Alcotest.failf "engine sync: %.1f more words per cycle than a bare Incremental (budget 16)"
+      extra
 
 (* ---------- zero-sigma yield-cost guard ---------- *)
 
@@ -539,7 +587,7 @@ let suite =
       @ List.map
           (fun p ->
             Alcotest.test_case
-              (Printf.sprintf "engine pins (%s)" p.e_name)
+              (Printf.sprintf "engine pins (%s)" p.e_label)
               `Quick (engine_pin_test p))
           engine_pins );
   ]

@@ -20,7 +20,9 @@ let num_pcs t = Array.length t.coeffs
    computed through either path is the same IEEE word.  The kernels are
    inlined into their two callers each, so no float crosses a call
    boundary boxed.  Results are stored last, so the destination row may
-   be the first operand's. *)
+   be the first operand's.  [add_moments_rows] (rows, below) is the sum
+   and its variance fused for the per-gate path moments: the same
+   operations in the same order. *)
 
 let row_width np = np + 2
 
@@ -48,21 +50,20 @@ let frame () = Array.make 8 0.0
    (rnd² then the squared coefficients in index order), the covariance in
    index order, Clark's moments, the tightness-weighted blend of the
    coefficients, and the remainder from the variance the blend leaves
-   unexplained. *)
+   unexplained.  The three sums share one pass over the coefficients;
+   each is still its own accumulator in index order, so the words are
+   those of [variance_raw] twice and a separate covariance loop. *)
 let[@inline] max2_raw (f : frame) ~np am ar (ac : float array) ao bm br
     (bc : float array) bo (d : float array) r =
-  let sa = sqrt (variance_raw ~np ar ac ao) in
-  let sb = sqrt (variance_raw ~np br bc bo) in
-  let rho =
-    if sa > 0.0 && sb > 0.0 then begin
-      let cov = ref 0.0 in
-      for k = 0 to np - 1 do
-        cov := !cov +. (ac.(ao + k) *. bc.(bo + k))
-      done;
-      !cov /. (sa *. sb)
-    end
-    else 0.0
-  in
+  let va = ref (ar *. ar) and vb = ref (br *. br) and cov = ref 0.0 in
+  for k = 0 to np - 1 do
+    let x = ac.(ao + k) and y = bc.(bo + k) in
+    va := !va +. (x *. x);
+    vb := !vb +. (y *. y);
+    cov := !cov +. (x *. y)
+  done;
+  let sa = sqrt !va and sb = sqrt !vb in
+  let rho = if sa > 0.0 && sb > 0.0 then !cov /. (sa *. sb) else 0.0 in
   f.(0) <- am;
   f.(1) <- sa;
   f.(2) <- bm;
@@ -99,6 +100,19 @@ let max2_rows f ~np (a : float array) ao (b : float array) bo d r =
   max2_raw f ~np am ar a (ao + 2) bm br b (bo + 2) d r
 
 let sigma_row ~np (a : float array) ao = sqrt (variance_raw ~np a.(ao + 1) a (ao + 2))
+
+(* [add_rows] then [sigma_row] of the sum in one pass that stores no
+   row: the same operations in the same order, so the same words. *)
+let add_moments_rows ~np (a : float array) ao (b : float array) bo ~mu ~sigma i =
+  let ar = a.(ao + 1) and br = b.(bo + 1) in
+  let rnd = sqrt ((ar *. ar) +. (br *. br)) in
+  let acc = ref (rnd *. rnd) in
+  for k = 2 to np + 1 do
+    let c = a.(ao + k) +. b.(bo + k) in
+    acc := !acc +. (c *. c)
+  done;
+  mu.(i) <- a.(ao) +. b.(bo);
+  sigma.(i) <- sqrt !acc
 
 (* ---------------- records ---------------- *)
 

@@ -95,3 +95,11 @@ val max2_rows :
 
 val sigma_row : np:int -> float array -> int -> float
 (** [sigma] of the row at the offset. *)
+
+val add_moments_rows :
+  np:int -> float array -> int -> float array -> int -> mu:float array ->
+  sigma:float array -> int -> unit
+(** [add_moments_rows ~np a ao b bo ~mu ~sigma i]: [mu.(i)] and
+    [sigma.(i)] ← the mean and [sigma] of [add] of the rows at [a.(ao)]
+    and [b.(bo)], in one pass and the same words as {!add_rows} followed
+    by {!sigma_row}. *)

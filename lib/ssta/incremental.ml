@@ -235,12 +235,11 @@ let recompute_all t =
     ~bwd:t.bwd;
   (* per-gate path moments are independent, and float-array slots are
      written at most once per index: safe to chunk across domains *)
-  let num_pcs = t.arr.Arena.num_pcs in
   Parallel.run_chunks ~jobs:t.jobs ~threshold:t.par_threshold ~n:t.n
-    ~init:(fun () -> Ssta.scratch ~num_pcs)
-    (fun sc lo hi ->
+    ~init:(fun () -> ())
+    (fun () lo hi ->
       for id = lo to hi - 1 do
-        Ssta.path_into sc ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma
+        Ssta.path_into ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma
       done);
   t.yield_ <- Canonical.cdf (circuit_delay t) t.tmax;
   clear_pending t
@@ -554,7 +553,7 @@ let sync_impl ~paths t =
     List.iter
       (fun id ->
         save t k_path id;
-        Ssta.path_into t.sc ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma;
+        Ssta.path_into ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma;
         t.path_dirty_flag.(id) <- false)
       t.path_dirty;
     t.path_dirty <- []
@@ -632,7 +631,7 @@ let audit t =
   if not (Arena.bits_equal (Canonical.cdf (Arena.get cd 0) t.tmax) t.yield_) then
     ok := false;
   for id = 0 to t.n - 1 do
-    Ssta.path_into sc ~arr ~bwd id ~mu ~sigma;
+    Ssta.path_into ~arr ~bwd id ~mu ~sigma;
     if not (Arena.equal delay id t.delay id) then ok := false;
     if not (Arena.equal arr id t.arr id) then ok := false;
     if not (Arena.equal bwd id t.bwd id) then ok := false;

@@ -140,10 +140,9 @@ let circuit_delay_into (c : Circuit.t) ~arr sc ~dst i =
     done
   end
 
-let path_into sc ~arr ~bwd id ~mu ~sigma =
-  Arena.add arr id bwd id ~dst:sc.term 0;
-  mu.(id) <- sc.term.Arena.data.(0);
-  sigma.(id) <- Arena.sigma sc.term 0
+let path_into ~arr ~bwd id ~mu ~sigma =
+  Canonical.add_moments_rows ~np:arr.Arena.num_pcs arr.Arena.data (Arena.row arr id)
+    bwd.Arena.data (Arena.row bwd id) ~mu ~sigma id
 
 (* ---------------- from-scratch sweeps ---------------- *)
 

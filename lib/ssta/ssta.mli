@@ -74,10 +74,10 @@ val circuit_delay_into :
 (** Slot [i] ← the max over primary outputs, folded in output order. *)
 
 val path_into :
-  scratch -> arr:Arena.t -> bwd:Arena.t -> int -> mu:float array ->
-  sigma:float array -> unit
-(** [path_into sc ~arr ~bwd id ~mu ~sigma]: [mu.(id)] and [sigma.(id)] ←
-    mean and sigma of [A_id + S_id], as {!path_through}. *)
+  arr:Arena.t -> bwd:Arena.t -> int -> mu:float array -> sigma:float array -> unit
+(** [path_into ~arr ~bwd id ~mu ~sigma]: [mu.(id)] and [sigma.(id)] ←
+    mean and sigma of [A_id + S_id], as {!path_through}, in one pass
+    that stores no row ({!Canonical.add_moments_rows}). *)
 
 val forward_into :
   ?memo:Sl_tech.Memo.t -> ?jobs:int -> ?par_threshold:int -> ?stats:par_stats ->

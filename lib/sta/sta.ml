@@ -24,7 +24,8 @@ let delays ?dvth ?dl (d : Design.t) =
   Array.init n (fun id ->
       Design.gate_delay d id ~dvth:(get dvth id) ~dl:(get dl id))
 
-let gate_arrival arrival delay (g : Circuit.gate) =
+(* inlined into [forward_gate], so a sweep stores each arrival unboxed *)
+let[@inline] gate_arrival arrival delay (g : Circuit.gate) =
   let fanin = g.Circuit.fanin in
   let worst = ref 0.0 in
   for k = 0 to Array.length fanin - 1 do

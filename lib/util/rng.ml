@@ -9,6 +9,13 @@ type t = Bytes.t
 let spare_off = 32
 let flag_off = 40
 
+(* [t] is abstract and only [of_splitmix] and [copy] make one, so every
+   buffer is [flag_off + 1] bytes and the fixed offsets above are in
+   bounds: the word accesses skip the bounds check, which otherwise
+   re-derives the buffer's length at each of a step's eight accesses. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -27,7 +34,7 @@ let splitmix64_next state =
 let of_splitmix state =
   let t = Bytes.make (flag_off + 1) '\000' in
   for k = 0 to 3 do
-    Bytes.set_int64_ne t (8 * k) (splitmix64_next state)
+    set64 t (8 * k) (splitmix64_next state)
   done;
   t
 
@@ -43,18 +50,18 @@ let stream ~seed k =
 let create seed = stream ~seed 0
 
 let[@inline] next t =
-  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
-  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
   let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
   let tmp = Int64.shift_left s1 17 in
   let s2 = Int64.logxor s2 s0 in
   let s3 = Int64.logxor s3 s1 in
   let s1 = Int64.logxor s1 s2 in
   let s0 = Int64.logxor s0 s3 in
-  Bytes.set_int64_ne t 0 s0;
-  Bytes.set_int64_ne t 8 s1;
-  Bytes.set_int64_ne t 16 (Int64.logxor s2 tmp);
-  Bytes.set_int64_ne t 24 (rotl s3 45);
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (Int64.logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
 let bits64 t = next t
@@ -89,28 +96,79 @@ let rec uniform t =
   let u = unit_float t in
   if u > 0.0 then u else uniform t
 
-(* Marsaglia's polar method: one accepted pair gives two deviates; the
-   second is parked in the state for the next call. *)
-let rec polar t =
-  let u = (2.0 *. unit_float t) -. 1.0 in
-  let v = (2.0 *. unit_float t) -. 1.0 in
+(* Marsaglia's polar method.  Its acceptance loop draws (u, v) uniform
+   on the square until 0 < s = u² + v² < 1, returns u and parks v in the
+   spare slot (the flag stays clear); an accepted pair then scales to the
+   two deviates u·m and v·m, m = √(-2 ln s / s). *)
+let[@inline] accept t =
+  let u = ref 0.0 and v = ref 0.0 and s = ref 1.0 in
+  while !s >= 1.0 || !s = 0.0 do
+    u := (2.0 *. unit_float t) -. 1.0;
+    v := (2.0 *. unit_float t) -. 1.0;
+    s := (!u *. !u) +. (!v *. !v)
+  done;
+  set64 t spare_off (Int64.bits_of_float !v);
+  !u
+
+let[@inline] scale u v =
   let s = (u *. u) +. (v *. v) in
-  if s >= 1.0 || s = 0.0 then polar t
-  else begin
-    let m = sqrt (-2.0 *. log s /. s) in
-    Bytes.set_int64_ne t spare_off (Int64.bits_of_float (v *. m));
+  sqrt (-2.0 *. log s /. s)
+
+let[@inline] spare t = Int64.float_of_bits (get64 t spare_off)
+
+(* One accepted pair gives two deviates; the second is parked in the
+   state for the next call. *)
+let gaussian t =
+  if Bytes.get t flag_off = '\000' then begin
+    let u = accept t in
+    let v = spare t in
+    let m = scale u v in
+    set64 t spare_off (Int64.bits_of_float (v *. m));
     Bytes.set t flag_off '\001';
     u *. m
   end
-
-let gaussian t =
-  if Bytes.get t flag_off = '\000' then polar t
   else begin
     Bytes.set t flag_off '\000';
-    Int64.float_of_bits (Bytes.get_int64_ne t spare_off)
+    spare t
   end
 
-let gaussian_vector t n = Array.init n (fun _ -> gaussian t)
+(* The words of [len] successive [gaussian] calls: a pending spare first,
+   then every pair accepted in stream order into its two slots, then all
+   of them scaled in one loop with no branch; an odd last slot takes one
+   [gaussian], which parks its pair's second deviate as usual. *)
+let gaussian_fill t (a : float array) pos len =
+  if pos < 0 || len < 0 || pos > Array.length a - len then
+    invalid_arg "Rng.gaussian_fill";
+  let stop = pos + len in
+  let first =
+    if len > 0 && Bytes.get t flag_off = '\001' then begin
+      Bytes.set t flag_off '\000';
+      a.(pos) <- spare t;
+      pos + 1
+    end
+    else pos
+  in
+  let last = first + (2 * ((stop - first) / 2)) in
+  let i = ref first in
+  while !i < last do
+    a.(!i) <- accept t;
+    a.(!i + 1) <- spare t;
+    i := !i + 2
+  done;
+  i := first;
+  while !i < last do
+    let u = a.(!i) and v = a.(!i + 1) in
+    let m = scale u v in
+    a.(!i) <- u *. m;
+    a.(!i + 1) <- v *. m;
+    i := !i + 2
+  done;
+  if last < stop then a.(last) <- gaussian t
+
+let gaussian_vector t n =
+  let a = Array.make n 0.0 in
+  gaussian_fill t a 0 n;
+  a
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

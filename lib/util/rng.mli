@@ -46,8 +46,16 @@ val uniform : t -> float
 val gaussian : t -> float
 (** Standard normal deviate (Marsaglia polar method). *)
 
+val gaussian_fill : t -> float array -> int -> int -> unit
+(** [gaussian_fill t a pos len] writes the next [len] standard normals
+    into [a.(pos)] .. [a.(pos + len - 1)]: the same words as [len]
+    successive {!gaussian} calls, and the same stream after them
+    (pending spare included), without a boxed float per deviate.
+    @raise Invalid_argument if the range is not within [a]. *)
+
 val gaussian_vector : t -> int -> float array
-(** [gaussian_vector t n] is an array of [n] i.i.d. standard normals. *)
+(** [gaussian_vector t n] is an array of [n] i.i.d. standard normals
+    ({!gaussian_fill} into a fresh array). *)
 
 val shuffle : t -> 'a array -> unit
 (** Fisher–Yates in-place shuffle. *)

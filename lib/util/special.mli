@@ -5,11 +5,11 @@
     of two jointly Gaussian variables (Clark's formulas). *)
 
 val erf : float -> float
-(** Error function, |relative error| < 1.2e-7 (Abramowitz–Stegun 7.1.26
-    refined with one Newton step against [erfc]). *)
+(** Error function, computed as [1 - erfc x]. *)
 
 val erfc : float -> float
-(** Complementary error function, accurate in both tails. *)
+(** Complementary error function (a Chebyshev fit), accurate in both
+    tails: on [-6, 6] within 1.2e-14 (relative) of libm's [Float.erfc]. *)
 
 val normal_pdf : float -> float
 (** φ(x) = exp(-x²/2)/√(2π). *)

@@ -154,41 +154,56 @@ module Sample = struct
 
   type t = { z : float array; dvth : float array; dl : float array }
 
-  (* one die's shared-PC part of ΔVth and ΔL, per grid cell *)
-  type scratch = { cell_vth : float array; cell_l : float array }
+  (* one die's shared-PC part of ΔVth and ΔL, per grid cell, and its
+     2n independent deviates, ΔVth's and ΔL's interleaved by gate *)
+  type scratch = { cell_vth : float array; cell_l : float array; dev : float array }
 
   let zero (m : model) =
     let n = Array.length m.gate_cell in
     { z = Array.make m.num_pcs 0.0; dvth = Array.make n 0.0; dl = Array.make n 0.0 }
 
   let scratch (m : model) =
-    { cell_vth = Array.make (num_cells m) 0.0; cell_l = Array.make (num_cells m) 0.0 }
+    {
+      cell_vth = Array.make (num_cells m) 0.0;
+      cell_l = Array.make (num_cells m) 0.0;
+      dev = Array.make (2 * Array.length m.gate_cell) 0.0;
+    }
 
   let length_is n = function None -> true | Some v -> Array.length v = n
 
   (* Every gate of a cell shares its coefficient row, so [dot row z] is
      one float per cell: project each occupied cell once, then add each
-     gate's independent deviates, ΔVth's then ΔL's, in gate-id order. *)
+     gate's independent deviates, ΔVth's then ΔL's, in gate-id order.
+     The deviates come from [Rng.gaussian_fill], the words of one
+     [Rng.gaussian] call each in the same generator order. *)
   let fill ?row ?shift (m : model) sc rng s =
     let n = Array.length m.gate_cell and pcs = m.num_pcs in
     if Array.length s.z <> pcs || Array.length s.dvth <> n || Array.length s.dl <> n
        || Array.length sc.cell_vth <> num_cells m || Array.length sc.cell_l <> num_cells m
+       || Array.length sc.dev <> 2 * n
     then invalid_arg "Model.Sample.fill: buffers do not match the model";
     if not (length_is pcs row && length_is pcs shift) then
       invalid_arg "Model.Sample.fill: PC vector length mismatch";
-    for k = 0 to pcs - 1 do
-      let x = match row with None -> Rng.gaussian rng | Some r -> r.(k) in
-      s.z.(k) <- (match shift with None -> x | Some mu -> x +. mu.(k))
-    done;
+    (match row with
+    | None -> Rng.gaussian_fill rng s.z 0 pcs
+    | Some r -> Array.blit r 0 s.z 0 pcs);
+    (match shift with
+    | None -> ()
+    | Some mu ->
+      for k = 0 to pcs - 1 do
+        s.z.(k) <- s.z.(k) +. mu.(k)
+      done);
     for k = 0 to Array.length m.occupied - 1 do
       let cell = m.occupied.(k) in
       sc.cell_vth.(cell) <- dot m.vth_rows.(cell) s.z;
       sc.cell_l.(cell) <- dot m.l_rows.(cell) s.z
     done;
+    let dev = sc.dev in
+    Rng.gaussian_fill rng dev 0 (2 * n);
     for id = 0 to n - 1 do
       let cell = m.gate_cell.(id) in
-      s.dvth.(id) <- sc.cell_vth.(cell) +. (m.vth_rnd *. Rng.gaussian rng);
-      s.dl.(id) <- sc.cell_l.(cell) +. (m.l_rnd *. Rng.gaussian rng)
+      s.dvth.(id) <- sc.cell_vth.(cell) +. (m.vth_rnd *. dev.(2 * id));
+      s.dl.(id) <- sc.cell_l.(cell) +. (m.l_rnd *. dev.((2 * id) + 1))
     done
 
   let draw (m : model) rng =

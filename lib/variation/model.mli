@@ -72,8 +72,9 @@ module Sample : sig
   }
 
   type scratch
-  (** {!fill}'s per-cell projection buffers, one pair of floats per grid
-      cell; like a [t], built once per evaluator and reused. *)
+  (** {!fill}'s buffers: the per-cell projections, one pair of floats per
+      grid cell, and the die's 2n per-gate deviates; like a [t], built
+      once per evaluator and reused. *)
 
   val zero : model -> t
   (** The nominal die (all deviations zero); also a fresh buffer for
@@ -91,6 +92,8 @@ module Sample : sig
       one cell share their coefficient row (see {!cell_index}), so the PC
       projection is computed once per occupied cell into [sc] — the same
       floats a per-gate projection gives, in the same generator order.
+      Every deviate comes through {!Sl_util.Rng.gaussian_fill} (into [s.z]
+      and [sc]), so a die boxes no float.
       This is the one die draw: {!draw} and every Monte-Carlo evaluator
       run it.
       @raise Invalid_argument if [s] or [sc] was not built for a model of

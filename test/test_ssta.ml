@@ -279,6 +279,52 @@ let test_path_through_bounded_by_circuit_delay () =
           t.Canonical.mean dmean)
     d.Design.circuit.Circuit.gates
 
+(* [path_into] forms the path sum and its sigma in one pass; the
+   reference is the stored sum ([Arena.add]) and its [Arena.sigma].  Real
+   arrival and required-time slots of mult8, then random rows (zero and
+   non-zero remainders) over 0, 1 and 7 PCs, compared word for word. *)
+let test_path_into_matches_add_sigma () =
+  let module Arena = Sl_ssta.Arena in
+  let check tag ~arr ~bwd =
+    let n = arr.Arena.n in
+    let mu = Array.make n 0.0 and sigma = Array.make n 0.0 in
+    let term = Arena.create ~n:1 ~num_pcs:arr.Arena.num_pcs in
+    for id = 0 to n - 1 do
+      Ssta.path_into ~arr ~bwd id ~mu ~sigma;
+      Arena.add arr id bwd id ~dst:term 0;
+      let bits = Int64.bits_of_float in
+      if bits mu.(id) <> bits term.Arena.data.(0) then
+        Alcotest.failf "%s slot %d: mu %h, reference %h" tag id mu.(id) term.Arena.data.(0);
+      if bits sigma.(id) <> bits (Arena.sigma term 0) then
+        Alcotest.failf "%s slot %d: sigma %h, reference %h" tag id sigma.(id)
+          (Arena.sigma term 0)
+    done
+  in
+  let d, m = setup (Generators.array_multiplier 8) in
+  let res = Ssta.analyze d m in
+  let slots recs =
+    let a = Arena.create ~n:(Array.length recs) ~num_pcs:(Model.num_pcs m) in
+    Array.iteri (Arena.set a) recs;
+    a
+  in
+  check "mult8" ~arr:(slots res.Ssta.arrival)
+    ~bwd:(slots (Ssta.backward d.Design.circuit res));
+  let r = Rng.create 23 in
+  List.iter
+    (fun num_pcs ->
+      let random () =
+        let a = Arena.create ~n:64 ~num_pcs in
+        for i = 0 to 63 do
+          Arena.set a i
+            (Canonical.make ~mean:(Rng.float r 200.0 -. 50.0)
+               ~coeffs:(Array.init num_pcs (fun _ -> Rng.float r 6.0 -. 3.0))
+               ~rnd:(if i mod 5 = 0 then 0.0 else Rng.float r 4.0))
+        done;
+        a
+      in
+      check (Printf.sprintf "random, %d PCs" num_pcs) ~arr:(random ()) ~bwd:(random ()))
+    [ 0; 1; 7 ]
+
 let test_criticality_in_range_and_peaks_on_critical_path () =
   let d, m = setup (Generators.ripple_adder 16) in
   let res = Ssta.analyze d m in
@@ -373,6 +419,7 @@ let suite =
       [
         Alcotest.test_case "backward zero at sinks" `Quick test_backward_po_drivers_zero;
         Alcotest.test_case "path-through bounded" `Quick test_path_through_bounded_by_circuit_delay;
+        Alcotest.test_case "path_into = add then sigma" `Quick test_path_into_matches_add_sigma;
         Alcotest.test_case "criticality ranking" `Quick test_criticality_in_range_and_peaks_on_critical_path;
         Alcotest.test_case "statistical slack sign" `Quick test_statistical_slack_sign;
       ] );

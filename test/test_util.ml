@@ -145,6 +145,45 @@ let test_rng_bit_pins () =
   Alcotest.(check string) "split child" "3a102a77f8c3ffe4af7cf23fce7e8973" (words_digest (rng_words child));
   Alcotest.(check string) "split parent" "66f56a7ad7fe16b3bfca7ac024a85d61" (words_digest (rng_words r))
 
+(* The bulk draw against successive [Rng.gaussian] calls on a copy of
+   the generator: with and without a pending spare at entry, odd and even
+   lengths, length 0 and a non-zero offset, then the next draw after it.
+   Slots outside the range stay as they were. *)
+let test_rng_gaussian_fill_matches_gaussian () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (spare, pos, len) ->
+      let r = Rng.create 11 in
+      for _ = 1 to (if spare then 3 else 2) do
+        ignore (Rng.gaussian r)
+      done;
+      let ref_r = Rng.copy r in
+      let a = Array.make (pos + len + 2) Float.nan in
+      Rng.gaussian_fill r a pos len;
+      let tag = Printf.sprintf "spare %b, pos %d, len %d" spare pos len in
+      Array.iteri
+        (fun i x ->
+          let expected = if i >= pos && i < pos + len then Rng.gaussian ref_r else Float.nan in
+          if bits x <> bits expected then
+            Alcotest.failf "%s: slot %d is %h, successive calls give %h" tag i x expected)
+        a;
+      Alcotest.(check int64) (tag ^ ": next gaussian") (bits (Rng.gaussian ref_r))
+        (bits (Rng.gaussian r)))
+    (List.concat_map
+       (fun spare ->
+         List.concat_map (fun pos -> List.map (fun len -> (spare, pos, len)) [ 0; 1; 2; 5; 8; 33 ])
+           [ 0; 3 ])
+       [ false; true ]);
+  let r = Rng.create 11 and ref_r = Rng.create 11 in
+  let v = Rng.gaussian_vector r 7 in
+  Array.iter (fun x -> Alcotest.(check int64) "gaussian_vector" (bits (Rng.gaussian ref_r)) (bits x)) v;
+  List.iter
+    (fun (pos, len) ->
+      match Rng.gaussian_fill r (Array.make 4 0.0) pos len with
+      | () -> Alcotest.failf "gaussian_fill pos %d len %d should raise" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, -1); (3, 2); (5, 0) ]
+
 let test_rng_shuffle_permutes () =
   let r = Rng.create 21 in
   let a = Array.init 50 Fun.id in
@@ -170,6 +209,22 @@ let test_erfc_symmetry () =
       check_float ~eps:1e-6 "erfc(x) + erfc(-x) = 2" 2.0
         (Special.erfc x +. Special.erfc (-.x)))
     [ 0.0; 0.3; 1.0; 2.5; 5.0 ]
+
+(* The Chebyshev erfc against libm on a fine grid: [normal_icdf]'s Halley
+   step is only as good as the CDF it polishes against. *)
+let test_erfc_matches_libm () =
+  let worst = ref 0.0 and at = ref 0.0 in
+  for i = 0 to 12_000 do
+    let x = -6.0 +. (float_of_int i /. 1000.0) in
+    let r = Float.erfc x in
+    let gap = Float.abs (Special.erfc x -. r) /. r in
+    if gap > !worst then begin
+      worst := gap;
+      at := x
+    end
+  done;
+  if !worst > 1e-13 then
+    Alcotest.failf "erfc is %.3g (relative) from Float.erfc at %g" !worst !at
 
 let test_normal_cdf_values () =
   check_float ~eps:1e-7 "Phi 0" 0.5 (Special.normal_cdf 0.0);
@@ -232,6 +287,60 @@ let test_clark_degenerate_equal () =
   check_float ~eps:1e-12 "mean" 3.0 mean;
   check_float ~eps:1e-12 "var" 1.0 var;
   check_float ~eps:1e-12 "tightness" 1.0 t
+
+(* [clark_max_into] shares one erfc recurrence between Φ(α) and Φ(-α);
+   the reference is Clark's formulas with two [normal_cdf] calls.  Random
+   frames, then α = +0 and -0, |α| >= 40 and the a² <= 1e-24 branch,
+   each compared word for word. *)
+let clark_reference f =
+  let mu1 = f.(0) and sigma1 = f.(1) and mu2 = f.(2) and sigma2 = f.(3) and rho = f.(4) in
+  let a2 = (sigma1 *. sigma1) +. (sigma2 *. sigma2) -. (2.0 *. rho *. sigma1 *. sigma2) in
+  if a2 <= 1e-24 then
+    if mu1 >= mu2 then [| mu1; sigma1 *. sigma1; 1.0 |] else [| mu2; sigma2 *. sigma2; 0.0 |]
+  else begin
+    let a = sqrt a2 in
+    let alpha = (mu1 -. mu2) /. a in
+    let t = Special.normal_cdf alpha and t' = Special.normal_cdf (-.alpha) in
+    let pdf = Special.normal_pdf alpha in
+    let mean = (mu1 *. t) +. (mu2 *. t') +. (a *. pdf) in
+    let second =
+      (((mu1 *. mu1) +. (sigma1 *. sigma1)) *. t)
+      +. (((mu2 *. mu2) +. (sigma2 *. sigma2)) *. t')
+      +. ((mu1 +. mu2) *. a *. pdf)
+    in
+    [| mean; Float.max 0.0 (second -. (mean *. mean)); t |]
+  end
+
+let test_clark_into_matches_reference () =
+  let r = Rng.create 19 in
+  let random () =
+    [| Rng.float r 4.0 -. 2.0; Rng.float r 1.5; Rng.float r 4.0 -. 2.0; Rng.float r 1.5;
+       Rng.float r 2.0 -. 1.0 |]
+  in
+  let cases =
+    List.init 2000 (fun i -> (Printf.sprintf "random %d" i, random ()))
+    @ [
+        ("alpha +0", [| 1.0; 0.5; 1.0; 0.3; 0.2 |]);
+        ("alpha -0", [| -0.0; 0.5; 0.0; 0.3; 0.2 |]);
+        ("alpha 50", [| 51.0; 0.6; 1.0; 0.8; 0.0 |]);
+        ("alpha -50", [| 1.0; 0.6; 51.0; 0.8; 0.0 |]);
+        ("alpha 40", [| 40.0; 1.0; 0.0; 0.0; 0.0 |]);
+        ("a2 = 0, mu1 > mu2", [| 3.0; 1.0; 1.0; 1.0; 1.0 |]);
+        ("a2 = 0, mu1 < mu2", [| 1.0; 1.0; 3.0; 1.0; 1.0 |]);
+        ("a2 tiny", [| 2.0; 1e-13; 2.5; 0.0; 0.0 |]);
+      ]
+  in
+  List.iter
+    (fun (tag, ops) ->
+      let f = Array.append ops [| 0.0; 0.0; 0.0 |] in
+      Special.clark_max_into f;
+      let expected = clark_reference ops in
+      Array.iteri
+        (fun k name ->
+          if Int64.bits_of_float f.(5 + k) <> Int64.bits_of_float expected.(k) then
+            Alcotest.failf "%s: %s %h, reference %h" tag name f.(5 + k) expected.(k))
+        [| "mean"; "variance"; "tightness" |])
+    cases
 
 let test_clark_vs_monte_carlo () =
   let mu1 = 1.0 and sigma1 = 0.5 and mu2 = 1.2 and sigma2 = 0.3 and rho = 0.4 in
@@ -756,11 +865,14 @@ let suite =
         Alcotest.test_case "streams independent" `Quick test_rng_streams_independent;
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         Alcotest.test_case "bit pins" `Quick test_rng_bit_pins;
+        Alcotest.test_case "gaussian_fill = successive gaussian" `Quick
+          test_rng_gaussian_fill_matches_gaussian;
       ] );
     ( "util.special",
       [
         Alcotest.test_case "erf known values" `Quick test_erf_known_values;
         Alcotest.test_case "erfc symmetry" `Quick test_erfc_symmetry;
+        Alcotest.test_case "erfc within 1e-13 of libm" `Quick test_erfc_matches_libm;
         Alcotest.test_case "normal cdf values" `Quick test_normal_cdf_values;
         Alcotest.test_case "icdf roundtrip" `Quick test_icdf_roundtrip;
         Alcotest.test_case "icdf invalid input" `Quick test_icdf_invalid;
@@ -769,6 +881,8 @@ let suite =
         Alcotest.test_case "clark independent" `Quick test_clark_independent_standard;
         Alcotest.test_case "clark dominant" `Quick test_clark_dominant_operand;
         Alcotest.test_case "clark degenerate" `Quick test_clark_degenerate_equal;
+        Alcotest.test_case "clark_max_into = two-cdf reference" `Quick
+          test_clark_into_matches_reference;
         Alcotest.test_case "clark vs MC" `Slow test_clark_vs_monte_carlo;
       ]
       @ qc [ prop_icdf_monotone; prop_cdf_bounds; prop_clark_mean_dominates ] );

@@ -67,12 +67,181 @@ type params = {
   jobs : int;
 }
 
+(* The ranking's radix sort takes 11-bit digits: six counting passes
+   cover a 64-bit key, and the six histograms stay in cache. *)
+let digit_bits = 11
+let digits = 6
+let radix = 1 lsl digit_bits
+
+(* Buffers of the ranking's radix sort, grown to the live count and
+   reused: two key and two slot buffers the passes alternate between,
+   and one histogram per key digit. *)
+type sorter = {
+  hist : int array;
+  mutable keys : Bytes.t;
+  mutable keys' : Bytes.t;
+  mutable slots : int array;
+  mutable slots' : int array;
+}
+
+let sorter () =
+  {
+    hist = Array.make (digits * radix) 0;
+    keys = Bytes.empty;
+    keys' = Bytes.empty;
+    slots = [||];
+    slots' = [||];
+  }
+
+(* Key words are read and written unchecked: a key buffer holds 8 bytes
+   for each of its slot buffer's entries, and only entries below the
+   live count are touched. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* [Sl_ssta.Arena.bits_equal], local so that it inlines: the scan
+   compares two words per gate. *)
+let[@inline] same_bits (x : float) y = Int64.bits_of_float x = Int64.bits_of_float y
+
+(* The sort key of a score: keys in ascending unsigned order are scores
+   in descending [Float.compare] order.  NaN, the lowest score, takes the
+   largest key and both zeros take zero's.  A positive score's bits are
+   complemented below the sign bit, so larger scores get smaller keys,
+   all under zero's; a negative score keeps its bits, which have the sign
+   bit set and grow with its magnitude. *)
+let[@inline] rank_key x =
+  if x <> x then -1L
+  else
+    let b = if x = 0.0 then 0L else Int64.bits_of_float x in
+    if b < 0L then b else Int64.logand (Int64.lognot b) Int64.max_int
+
+let[@inline] digit k shift =
+  Int64.to_int (Int64.shift_right_logical k shift) land (radix - 1)
+
+(* Sorts the slots flagged in [live] by [score] descending, then slot
+   descending, and returns the array holding them in its first [len]
+   entries, with [len].  One stable LSD radix sort of the [rank_key]s, a
+   digit per pass, skipping a digit every key shares.  The slots enter
+   in descending order, so equal keys keep it.  Gate g's moves sit in
+   slots 2g (`Vth) and 2g + 1 (`Size), so this is [compare_candidates]'
+   order on what they hold. *)
+let sort_live so ~score ~live =
+  let nslots = Bytes.length live in
+  let len = ref 0 in
+  for slot = 0 to nslots - 1 do
+    if Bytes.get live slot <> '\000' then incr len
+  done;
+  let len = !len in
+  if Array.length so.slots < len then begin
+    let cap = Int.max len (2 * Array.length so.slots) in
+    so.keys <- Bytes.create (8 * cap);
+    so.keys' <- Bytes.create (8 * cap);
+    so.slots <- Array.make cap 0;
+    so.slots' <- Array.make cap 0
+  end;
+  let j = ref 0 in
+  for slot = nslots - 1 downto 0 do
+    if Bytes.get live slot <> '\000' then begin
+      set64 so.keys (8 * !j) (rank_key score.(slot));
+      so.slots.(!j) <- slot;
+      incr j
+    end
+  done;
+  (* one counting pass fills every digit's histogram *)
+  let hist = so.hist in
+  Array.fill hist 0 (digits * radix) 0;
+  for i = 0 to len - 1 do
+    let k = get64 so.keys (8 * i) in
+    for p = 0 to digits - 1 do
+      let h = (p * radix) + digit k (p * digit_bits) in
+      hist.(h) <- hist.(h) + 1
+    done
+  done;
+  let src_k = ref so.keys and src_s = ref so.slots in
+  let dst_k = ref so.keys' and dst_s = ref so.slots' in
+  for p = 0 to digits - 1 do
+    let base = p * radix and shift = p * digit_bits in
+    if len > 0 && hist.(base + digit (get64 !src_k 0) shift) < len then begin
+      (* each digit's first output position *)
+      let pos = ref 0 in
+      for h = base to base + radix - 1 do
+        let c = hist.(h) in
+        hist.(h) <- !pos;
+        pos := !pos + c
+      done;
+      let sk = !src_k and ss = !src_s and dk = !dst_k and ds = !dst_s in
+      for i = 0 to len - 1 do
+        let k = get64 sk (8 * i) in
+        let h = base + digit k shift in
+        let o = hist.(h) in
+        hist.(h) <- o + 1;
+        set64 dk (8 * o) k;
+        ds.(o) <- ss.(i)
+      done;
+      src_k := dk;
+      src_s := ds;
+      dst_k := sk;
+      dst_s := ss
+    end
+  done;
+  (!src_s, len)
+
+let sort_slots score idx =
+  let live = Bytes.make (Array.length score) '\000' in
+  Array.iter (fun slot -> Bytes.set live slot '\001') idx;
+  let sorted, len = sort_live (sorter ()) ~score ~live in
+  Array.blit sorted 0 idx 0 len
+
+(* The ranking scan's run state.  Gate g's threshold move owns slot 2g
+   and its size move slot 2g + 1.  A move's pure terms — its nominal delay
+   shift, its E[leak] shift and its estimated yield cost — stay between
+   scans together with the inputs they were computed from; scores and
+   live flags are rewritten by every scan. *)
+type ranking = {
+  seen_vth : int array;      (* per gate: the assignment at the previous scan *)
+  seen_size : int array;
+  seen_extra : float array;
+  fresh : Bytes.t;           (* per gate: [stale], [shifted] or [priced] *)
+  seen_mu : float array;     (* per gate: the path words the costs are from *)
+  seen_sigma : float array;
+  delta : float array;       (* per slot: nominal delay shift *)
+  shift : float array;       (* per slot: E[leak] shift *)
+  cost : float array;        (* per slot: estimated yield cost, 0 unless delta > 0 *)
+  score : float array;
+  live : Bytes.t;
+  sorter : sorter;
+}
+
+(* How much of a gate's cached terms is current: nothing, its moves'
+   delay and E[leak] shifts, or their estimated costs too. *)
+let stale = '\000'
+let shifted = '\001'
+let priced = '\002'
+
+let ranking (d : Design.t) =
+  let n = Circuit.num_gates d.Design.circuit in
+  {
+    seen_vth = Array.copy d.Design.vth_idx;
+    seen_size = Array.copy d.Design.size_idx;
+    seen_extra = Array.copy d.Design.extra_load;
+    fresh = Bytes.make n stale;
+    seen_mu = Array.make n 0.0;
+    seen_sigma = Array.make n 0.0;
+    delta = Array.make (2 * n) 0.0;
+    shift = Array.make (2 * n) 0.0;
+    cost = Array.make (2 * n) 0.0;
+    score = Array.make (2 * n) 0.0;
+    live = Bytes.make (2 * n) '\000';
+    sorter = sorter ();
+  }
+
 type t = {
   p : params;
   design : Design.t;
   leak : Leak_ssta.t;
   memo : Memo.t;
   engine : Hier.t;
+  ranking : ranking;
   progress : progress -> unit;
   mutable vth_moves : int;
   mutable size_moves : int;
@@ -110,7 +279,7 @@ let create ~mode ~progress p (d : Design.t) model =
     (float_of_int (Hier.num_partitions engine));
   (* the build counts as the first exact measure point and full analysis *)
   {
-    p; design = d; leak; memo; engine; progress;
+    p; design = d; leak; memo; engine; ranking = ranking d; progress;
     vth_moves = 0; size_moves = 0; trials = 0; passes = 0; refreshes = 1;
     syncs = 0; rollbacks = 0; full_refreshes = 1; bands_tried = 0;
     bands_committed = 0; bands_rolled_back = 0; bisections = 0;
@@ -240,7 +409,7 @@ let nominal_leak (d : Design.t) id ~vth_idx ~size_idx =
    across stdlib versions.  The chosen order equals what the current
    (stable-in-practice) sort produced over the reverse build order, so
    pinned seed trajectories are unchanged.  The ranking itself sorts slots
-   ([sort_slots]); this is the reference it is tested against. *)
+   ([sort_live]); this is the reference it is tested against. *)
 let kind_rank = function `Size -> 0 | `Vth -> 1
 
 let compare_candidates a b =
@@ -250,42 +419,30 @@ let compare_candidates a b =
     let c = Int.compare b.gate a.gate in
     if c <> 0 then c else Int.compare (kind_rank a.kind) (kind_rank b.kind)
 
-(* Slot [a] ranks ahead of slot [b]: score descending, then slot
-   descending.  Gate g's moves sit in slots 2g (`Vth) and 2g + 1
-   (`Size), so this is [compare_candidates]' order on what they hold. *)
-let ahead score a b =
-  let c = Float.compare score.(b) score.(a) in
-  c < 0 || (c = 0 && a > b)
-
-(* Bottom-up merge sort of slot indices by [ahead]: the order is total on
-   distinct slots, and no comparison allocates or calls a closure. *)
-let sort_slots score idx =
-  let n = Array.length idx in
-  let src = ref idx and dst = ref (Array.make n 0) in
-  let width = ref 1 in
-  while !width < n do
-    let s = !src and d = !dst in
-    let lo = ref 0 in
-    while !lo < n do
-      let mid = Int.min (!lo + !width) n and hi = Int.min (!lo + (2 * !width)) n in
-      let i = ref !lo and j = ref mid in
-      for k = !lo to hi - 1 do
-        if !i < mid && (!j >= hi || not (ahead score s.(!j) s.(!i))) then begin
-          d.(k) <- s.(!i);
-          incr i
-        end
-        else begin
-          d.(k) <- s.(!j);
-          incr j
-        end
-      done;
-      lo := hi
-    done;
-    src := d;
-    dst := s;
-    width := 2 * !width
-  done;
-  if !src != idx then Array.blit !src 0 idx 0 n
+(* A move's delay shift reads the gate's own threshold, size and extra
+   load and its fanouts' sizes (their input pins load it); its E[leak]
+   shift reads the gate's assignment.  A gate whose own inputs changed
+   since the previous scan, and every fanin of a gate whose size did,
+   loses its cached terms. *)
+let expire (r : ranking) (d : Design.t) =
+  let c = d.Design.circuit in
+  for id = 0 to Circuit.num_gates c - 1 do
+    let s = d.Design.size_idx.(id) in
+    if s <> r.seen_size.(id) then begin
+      r.seen_size.(id) <- s;
+      Bytes.set r.fresh id stale;
+      let fanin = (Circuit.gate c id).Circuit.fanin in
+      for k = 0 to Array.length fanin - 1 do
+        Bytes.set r.fresh fanin.(k) stale
+      done
+    end;
+    let v = d.Design.vth_idx.(id) and x = d.Design.extra_load.(id) in
+    if v <> r.seen_vth.(id) || not (same_bits x r.seen_extra.(id)) then begin
+      r.seen_vth.(id) <- v;
+      r.seen_extra.(id) <- x;
+      Bytes.set r.fresh id stale
+    end
+  done
 
 (* Worker domains used by the most recent candidate ranking — `--profile`
    evidence that the parallel scan actually engaged. *)
@@ -299,13 +456,19 @@ let m_rank_jobs =
    probability — the one scoring path behind both policies' reduction
    passes and the repair phase.
 
-   The scan writes each move's score and estimated cost into its slot of
-   two unboxed arrays (2g: threshold, 2g + 1: size), so it fans out over
-   gate-id chunks when [jobs] > 1 {e and} the memo is frozen (worker
-   domains must never fill the table).  Each slot depends only on its gate
-   id and the slot order is total, so the sorted result is identical for
-   every [jobs] value.  Records are built only for the returned list. *)
-let scan ~eligible ~direction st =
+   A [`Reduce] scan keeps each move's pure terms in [r] (see [ranking])
+   and recomputes a gate's only when their inputs changed: the delay and
+   E[leak] shifts after [expire], the estimated costs also when the
+   gate's path words differ in any bit.  Every eligible move is then
+   re-scored from its terms with E[leak] read once per scan, the same
+   operations on the same words as a scan from scratch, so the result is
+   bit-identical to it.  The scan writes each slot of unboxed arrays, so
+   it fans out over gate-id chunks when [jobs] > 1 {e and} the memo is
+   frozen (worker domains must never fill the table).  Each slot depends
+   only on its gate id and the slot order is total, so the sorted result
+   is identical for every [jobs] value.  Records are built only for the
+   returned list. *)
+let scan ~eligible ~direction (r : ranking) st =
   let p = st.p and d = st.design and memo = st.memo and leak = st.leak in
   let path_mu = Hier.path_mu st.engine and path_sigma = Hier.path_sigma st.engine in
   let tmax = p.tmax in
@@ -318,25 +481,32 @@ let scan ~eligible ~direction st =
     | P99_leak_per_yield -> Leak_ssta.quantile leak 0.99
     | _ -> 0.0
   in
-  let live = Bytes.make (2 * n) '\000' in
-  let score = Array.make (2 * n) 0.0 and cost = Array.make (2 * n) 0.0 in
-  let put slot s c =
+  let score = r.score and live = r.live in
+  let delta = r.delta and shift = r.shift and cost = r.cost in
+  let put slot s =
     score.(slot) <- s;
-    cost.(slot) <- c;
     Bytes.set live slot '\001'
   in
-  let consider slot gate ~v0 ~vth_idx ~size_idx ~delta =
+  let terms slot gate ~vth_idx ~size_idx =
+    delta.(slot) <- Memo.delay_delta memo d gate ~vth_idx ~size_idx;
+    shift.(slot) <- Leak_ssta.mean_shift_if leak gate ~vth_idx ~size_idx
+  in
+  let price slot gate ~v0 =
+    let delta = delta.(slot) in
+    cost.(slot) <-
+      (if delta > 0.0 then est_cost_from ~path_mu ~path_sigma ~tmax gate ~v0 ~delta
+       else 0.0)
+  in
+  let rescore slot gate ~vth_idx ~size_idx =
+    let delta = delta.(slot) in
     if delta <> 0.0 then begin
       (* the what-if mean is [mean +. shift], the mean read once per scan *)
-      let dleak_stat =
-        leak_mean_now
-        -. (leak_mean_now +. Leak_ssta.mean_shift_if leak gate ~vth_idx ~size_idx)
-      in
+      let dleak_stat = leak_mean_now -. (leak_mean_now +. shift.(slot)) in
       if dleak_stat <= 0.0 then ()
       else if delta > 0.0 then begin
-        let est_cost = est_cost_from ~path_mu ~path_sigma ~tmax gate ~v0 ~delta in
-        let s =
-          match p.sensitivity with
+        let est_cost = cost.(slot) in
+        put slot
+          (match p.sensitivity with
           | Stat_leak_per_yield -> dleak_stat /. (est_cost +. 1e-12)
           | Stat_leak_per_delay -> dleak_stat /. Float.max 1e-9 delta
           | Nominal_leak_per_yield ->
@@ -350,13 +520,11 @@ let scan ~eligible ~direction st =
             let dp99 =
               leak_p99_now -. Leak_ssta.quantile_if leak gate ~vth_idx ~size_idx ~p:0.99
             in
-            dp99 /. (est_cost +. 1e-12)
-        in
-        put slot s est_cost
+            dp99 /. (est_cost +. 1e-12))
       end
       else
         (* a move that saves leakage AND delay is a free win; top rank *)
-        put slot infinity 0.0
+        put slot infinity
     end
   in
   let scan_gate id =
@@ -368,22 +536,40 @@ let scan ~eligible ~direction st =
            fix_yield ranking (probability desc, gate id desc) *)
         if d.Design.size_idx.(id) + 1 < num_sizes && eligible id `Size then begin
           let v = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
-          if v > 0.0 then put ((2 * id) + 1) v 0.0
+          if v > 0.0 then put ((2 * id) + 1) v
         end
       | `Reduce ->
         let v = d.Design.vth_idx.(id) and s = d.Design.size_idx.(id) in
-        let vth_ok = p.allow_vth && v + 1 < num_vth && eligible id `Vth in
-        let size_ok = p.allow_size && s > 0 && eligible id `Size in
-        if vth_ok || size_ok then begin
-          let v0 = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
-          if vth_ok then
-            consider (2 * id) id ~v0 ~vth_idx:(v + 1) ~size_idx:s
-              ~delta:(Memo.delay_delta memo d id ~vth_idx:(v + 1) ~size_idx:s);
-          if size_ok then
-            consider ((2 * id) + 1) id ~v0 ~vth_idx:v ~size_idx:(s - 1)
-              ~delta:(Memo.delay_delta memo d id ~vth_idx:v ~size_idx:(s - 1))
+        let vth_move = p.allow_vth && v + 1 < num_vth in
+        let size_move = p.allow_size && s > 0 in
+        if vth_move || size_move then begin
+          if Bytes.get r.fresh id = stale then begin
+            if vth_move then terms (2 * id) id ~vth_idx:(v + 1) ~size_idx:s;
+            if size_move then terms ((2 * id) + 1) id ~vth_idx:v ~size_idx:(s - 1);
+            Bytes.set r.fresh id shifted
+          end;
+          let mu = path_mu.(id) and sigma = path_sigma.(id) in
+          if
+            Bytes.get r.fresh id = shifted
+            || (not (same_bits mu r.seen_mu.(id)))
+            || not (same_bits sigma r.seen_sigma.(id))
+          then begin
+            (* the Δ = 0 violation, shared by both moves' costs *)
+            let v0 = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
+            if vth_move then price (2 * id) id ~v0;
+            if size_move then price ((2 * id) + 1) id ~v0;
+            r.seen_mu.(id) <- mu;
+            r.seen_sigma.(id) <- sigma;
+            Bytes.set r.fresh id priced
+          end;
+          if vth_move && eligible id `Vth then
+            rescore (2 * id) id ~vth_idx:(v + 1) ~size_idx:s;
+          if size_move && eligible id `Size then
+            rescore ((2 * id) + 1) id ~vth_idx:v ~size_idx:(s - 1)
         end
   in
+  Bytes.fill live 0 (Bytes.length live) '\000';
+  if direction = `Reduce then expire r d;
   let eff_jobs = if p.jobs > 1 && Memo.frozen memo then p.jobs else 1 in
   Metrics.set m_rank_jobs (float_of_int eff_jobs);
   Parallel.run_chunks ~jobs:eff_jobs ~threshold:1024 ~n ~init:(fun () -> ())
@@ -391,39 +577,34 @@ let scan ~eligible ~direction st =
       for id = lo to hi - 1 do
         scan_gate id
       done);
-  let idx = Array.make (2 * n) 0 and len = ref 0 in
-  for slot = 0 to (2 * n) - 1 do
-    if Bytes.get live slot <> '\000' then begin
-      idx.(!len) <- slot;
-      incr len
-    end
-  done;
-  let idx = Array.sub idx 0 !len in
-  sort_slots score idx;
+  let sorted, len = sort_live r.sorter ~score ~live in
   let ranked = ref [] in
-  for r = Array.length idx - 1 downto 0 do
-    let slot = idx.(r) in
+  for i = len - 1 downto 0 do
+    let slot = sorted.(i) in
     ranked :=
       {
         score = score.(slot);
         kind = (if slot land 1 = 1 then `Size else `Vth);
         gate = slot lsr 1;
-        est_cost = cost.(slot);
+        est_cost = (match direction with `Repair -> 0.0 | `Reduce -> cost.(slot));
       }
       :: !ranked
   done;
   !ranked
 
-let rank ?(eligible = fun _ _ -> true) ?(direction = `Reduce) st =
+let rank_with r ?(eligible = fun _ _ -> true) ?(direction = `Reduce) st =
   sync st;
   let t0 = now () in
   let sorted =
     Trace.span "opt.rank"
       ~attrs:[ ("gates", string_of_int (Circuit.num_gates st.design.Design.circuit)) ]
-      (fun () -> scan ~eligible ~direction st)
+      (fun () -> scan ~eligible ~direction r st)
   in
   st.time_candidates <- st.time_candidates +. (now () -. t0);
   sorted
+
+let rank ?eligible ?direction st = rank_with st.ranking ?eligible ?direction st
+let rank_cold ?eligible ?direction st = rank_with (ranking st.design) ?eligible ?direction st
 
 (* Initial yield repair: upsize statistically critical gates.  Each step
    ranks upsizable gates in [`Repair] direction and trial-applies the top

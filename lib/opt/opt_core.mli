@@ -95,12 +95,17 @@ type params = {
 }
 (** The settings both policies share; see their [config] docs. *)
 
+type ranking
+(** The ranking scan's run state: each move's cached terms and the sort
+    buffers ({!rank}). *)
+
 type t = {
   p : params;
   design : Sl_tech.Design.t;
   leak : Sl_leakage.Leak_ssta.t;
   memo : Sl_tech.Memo.t;
   engine : Sl_ssta.Hier.t;
+  ranking : ranking;
   progress : progress -> unit;
   mutable vth_moves : int;
   mutable size_moves : int;
@@ -166,8 +171,23 @@ val rank :
     reductions (raise threshold / downsize by one) by the sensitivity;
     [`Repair] ranks upsizes by violation probability, with [est_cost] 0.
     The order is total: score descending, ties by gate id descending then
-    [`Size] before [`Vth].  The scan fans out over the domain pool when
-    the memo is frozen; the list is identical for every [jobs] value. *)
+    [`Size] before [`Vth].  The scan fans out over worker domains when
+    the memo is frozen; the list is identical for every [jobs] value.
+
+    A [`Reduce] ranking pays only for what changed since the previous
+    one.  The run keeps each move's pure terms — its nominal delay shift
+    ({!Sl_tech.Memo.delay_delta}), its E[leak] shift
+    ({!Sl_leakage.Leak_ssta.mean_shift_if}) and its estimated yield cost
+    — and recomputes a gate's shifts only when its own threshold, size
+    or extra load, or the size of one of its fanouts, changed, and its
+    costs (with its Δ = 0 violation) also when its [path_mu] or
+    [path_sigma] word differs in any bit.  Every eligible move is then
+    re-scored from those terms with the current E[leak], as
+    [mean -. (mean +. shift)], and the [P99_leak_per_yield] quantile is
+    recomputed, so the list is bit-identical to a ranking from scratch.
+    The live moves are sorted by one stable LSD radix sort over
+    order-preserving 64-bit keys of their scores ([Float.compare] order:
+    [-0.] = [0.], [nan] lowest), fed in slot-descending order. *)
 
 type move = { gate : int; kind : [ `Vth | `Size ]; prev : int }
 
@@ -206,6 +226,23 @@ val compare_candidates : candidate -> candidate -> int
     is tested against. *)
 
 val sort_slots : float array -> int array -> unit
-(** [sort_slots score idx] sorts the slot indices [idx] in place by
-    [score] descending, then slot descending, where gate g's threshold
-    move sits in slot 2g and its size move in slot 2g + 1. *)
+(** [sort_slots score idx] sorts the distinct slot indices [idx] in place
+    by [score] descending ([Float.compare] order), then slot descending,
+    where gate g's threshold move sits in slot 2g and its size move in
+    slot 2g + 1 — the ranking's radix sort. *)
+
+val create :
+  mode:string -> progress:(progress -> unit) -> params -> Sl_tech.Design.t ->
+  Sl_variation.Model.t -> t
+(** The run state {!run} starts from: leakage model, memo and engine
+    built, nothing ranked yet. *)
+
+val rank_cold :
+  ?eligible:(int -> [ `Vth | `Size ] -> bool) -> ?direction:[ `Reduce | `Repair ] ->
+  t -> candidate list
+(** {!rank} from an empty cache, leaving the run's cache as it is. *)
+
+val rebuild : t -> unit
+(** The alternation phase's engine rebuild after a bulk restore of the
+    design assignment, counted as a re-measure point and a full
+    analysis; the caller has refreshed the leakage accumulators first. *)

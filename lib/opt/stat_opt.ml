@@ -102,5 +102,4 @@ module Private = struct
   let violation = Core.violation
   let est_yield_cost = Core.est_yield_cost
   let compare_candidates = Core.compare_candidates
-  let sort_slots = Core.sort_slots
 end

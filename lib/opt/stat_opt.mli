@@ -71,7 +71,4 @@ module Private : sig
 
   val compare_candidates : Opt_core.candidate -> Opt_core.candidate -> int
   (** The reference ranking order on candidate records. *)
-
-  val sort_slots : float array -> int array -> unit
-  (** The ranking's slot sort ({!Opt_core.sort_slots}). *)
 end

@@ -1,10 +1,16 @@
 (* End-to-end CLI coverage: run the real binary (declared as a test
    dependency in dune) and check exit codes and key output. *)
 
-let cli = "../bin/statleak_cli.exe"
+(* The CLI is built next to this runner: test/main.exe and
+   bin/statleak_cli.exe under one build root, whatever the working
+   directory. *)
+let cli =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "statleak_cli.exe")
 
 let run args =
-  let cmd = Printf.sprintf "%s %s 2>&1" cli args in
+  let cmd = Printf.sprintf "%s %s 2>&1" (Filename.quote cli) args in
   let ic = Unix.open_process_in cmd in
   let buf = Buffer.create 1024 in
   (try

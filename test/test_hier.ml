@@ -24,6 +24,7 @@ module Hier = Sl_ssta.Hier
 module Rng = Sl_util.Rng
 module Stat_opt = Sl_opt.Stat_opt
 module Batch_opt = Sl_opt.Batch_opt
+module Leak_ssta = Sl_leakage.Leak_ssta
 
 let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -255,6 +256,110 @@ let optimizer_identity_test mode () =
         && d_flat.Design.size_idx = d_h.Design.size_idx))
     [ 1; 2; 4 ]
 
+(* Absolute multi-cone trajectories.  The identity test above compares
+   partition mode with one cone, so a change that moved both alike would
+   pass it; these pin the register-cone optimize of a four-stage pipeline
+   (tmax = 1.25·D0, eta = 0.9, default configs) move for move, with the
+   final yield and E[leak] of a fresh Leak_ssta compared as IEEE bits.
+   Every pin holds at jobs 1 and 2. *)
+type cone_pin = {
+  p_vth : int;
+  p_size : int;
+  p_trials : int;
+  p_passes : int;
+  p_tried : int;
+  p_committed : int;
+  p_rolled_back : int;
+  p_bisections : int;
+  p_rollbacks : int;
+  p_yield_bits : string;
+  p_eleak_bits : string;
+  p_digest : string;
+}
+
+let cone_pins =
+  [
+    ( `Stat,
+      {
+        p_vth = 371;
+        p_size = 419;
+        p_trials = 29707;
+        p_passes = 80;
+        p_tried = 0;
+        p_committed = 0;
+        p_rolled_back = 0;
+        p_bisections = 0;
+        p_rollbacks = 96;
+        p_yield_bits = "3fedbad07151178d";
+        p_eleak_bits = "40b462ca11c2079b";
+        p_digest = "v[13,371]/s[63,285,36,0,0,0,0]";
+      } );
+    ( `Batch,
+      {
+        p_vth = 384;
+        p_size = 449;
+        p_trials = 38653;
+        p_passes = 119;
+        p_tried = 126;
+        p_committed = 121;
+        p_rolled_back = 5;
+        p_bisections = 5;
+        p_rollbacks = 794;
+        p_yield_bits = "3fed599f74334ca0";
+        p_eleak_bits = "40a18589dece5849";
+        p_digest = "v[0,384]/s[105,231,48,0,0,0,0]";
+      } );
+  ]
+
+let test_cone_pins () =
+  let c = pipeline ~stages:4 ~width:16 ~layers:6 () in
+  let model = Model.build Spec.default c in
+  let d0 = design c in
+  let tmax = 1.25 *. (Ssta.analyze d0 model).Ssta.circuit_delay.Canonical.mean in
+  if Hier.num_partitions (Hier.create ~partition:true d0 model ~tmax) < 3 then
+    Alcotest.fail "pipeline did not cut into three or more cones";
+  let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  List.iter
+    (fun (mode, p) ->
+      List.iter
+        (fun jobs ->
+          let d = design c in
+          let (s : Sl_opt.Opt_core.stats) =
+            match mode with
+            | `Stat ->
+              Stat_opt.optimize
+                { (Stat_opt.default_config ~tmax ~eta:0.9) with
+                  Stat_opt.partition = true; jobs }
+                d model
+            | `Batch ->
+              Batch_opt.optimize
+                { (Batch_opt.default_config ~tmax ~eta:0.9) with
+                  Batch_opt.partition = true; jobs }
+                d model
+          in
+          let tag what =
+            Printf.sprintf "%s jobs=%d: %s"
+              (match mode with `Stat -> "stat" | `Batch -> "batch")
+              jobs what
+          in
+          let int what expected actual = Alcotest.(check int) (tag what) expected actual in
+          let str what expected actual = Alcotest.(check string) (tag what) expected actual in
+          int "vth_moves" p.p_vth s.vth_moves;
+          int "size_moves" p.p_size s.size_moves;
+          int "trials" p.p_trials s.trials;
+          int "passes" p.p_passes s.passes;
+          int "bands tried" p.p_tried s.bands_tried;
+          int "bands committed" p.p_committed s.bands_committed;
+          int "bands rolled back" p.p_rolled_back s.bands_rolled_back;
+          int "bisections" p.p_bisections s.bisections;
+          int "rollbacks" p.p_rollbacks s.rollbacks;
+          str "final yield bits" p.p_yield_bits (bits s.final_yield);
+          str "E[leak] bits" p.p_eleak_bits
+            (bits (Leak_ssta.mean (Leak_ssta.create d model)));
+          str "digest" p.p_digest (Design.assignment_digest d))
+        [ 1; 2 ])
+    cone_pins
+
 (* The boundary macromodels cover every global output, named after the
    driving net, and max-folding them reproduces the circuit delay. *)
 let test_boundary_macromodels () =
@@ -297,5 +402,6 @@ let suite =
           (optimizer_identity_test `Stat);
         Alcotest.test_case "batch optimizer identity" `Slow
           (optimizer_identity_test `Batch);
+        Alcotest.test_case "register-cone optimizer pins" `Slow test_cone_pins;
       ] );
   ]

@@ -510,35 +510,40 @@ let prop_stat_never_violates =
       let st = Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.9) d model in
       (not st.Stat_opt.feasible) || st.Stat_opt.final_yield >= 0.9 -. 1e-9)
 
-(* The ranking sorts slot indices over unboxed score arrays; its order
-   must be exactly the documented record order.  Random candidate sets
-   draw scores from a small pool (repeats), include free wins (infinity)
-   and often put both moves on one gate; the live slots enter the sort in
-   a shuffled order. *)
+(* The ranking sorts slot indices by radix keys of their scores; its
+   order must be exactly the documented record order.  Scores come from a
+   pool of awkward floats — NaNs (with the sign bit, with a payload), both
+   zeros, subnormals, ±1e308, ±infinity and repeats — or are drawn at
+   random, negatives included; live sets have 0, 1, 2 or more than 256
+   slots, often both moves of one gate, and enter the sort shuffled.
+   Scores are a function of the slot, so equal slot sequences mean equal
+   score bits. *)
 let prop_slot_sort_matches_reference =
   QCheck.Test.make ~name:"slot sort = compare_candidates" ~count:200
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let gates = 1 + Rng.int rng 60 in
-      let pool = [| 0.5; 1.0; 2.0; infinity; 1e12 |] in
+      let live_count =
+        match seed mod 4 with 0 -> 0 | 1 -> 1 | 2 -> 2 | _ -> 257 + Rng.int rng 400
+      in
+      let gates = 1 + (live_count / 2) + Rng.int rng 200 in
+      let pool =
+        [|
+          nan; -.nan; Int64.float_of_bits 0x7FF0000000000001L; 0.0; -0.0; 5e-324;
+          -5e-324; 1e-310; -1e-310; 1e308; -1e308; infinity; neg_infinity; 0.5; 1.0;
+          -1.0; 2.0; 1e12;
+        |]
+      in
+      let slots = Array.init (2 * gates) Fun.id in
+      Rng.shuffle rng slots;
+      let idx = Array.sub slots 0 live_count in
       let score = Array.make (2 * gates) 0.0 in
-      let live = ref [] in
-      for slot = 0 to (2 * gates) - 1 do
-        if Rng.int rng 3 > 0 then begin
+      Array.iter
+        (fun slot ->
           score.(slot) <-
             (if Rng.int rng 2 = 0 then pool.(Rng.int rng (Array.length pool))
-             else Rng.float rng 4.0);
-          live := slot :: !live
-        end
-      done;
-      let idx = Array.of_list !live in
-      for i = Array.length idx - 1 downto 1 do
-        let j = Rng.int rng (i + 1) in
-        let x = idx.(i) in
-        idx.(i) <- idx.(j);
-        idx.(j) <- x
-      done;
+             else Rng.float rng 4.0 -. 2.0))
+        idx;
       let candidate slot : Sl_opt.Opt_core.candidate =
         {
           score = score.(slot);
@@ -550,8 +555,150 @@ let prop_slot_sort_matches_reference =
       let reference =
         List.sort Stat_opt.Private.compare_candidates (List.map candidate (Array.to_list idx))
       in
-      Stat_opt.Private.sort_slots score idx;
-      List.map candidate (Array.to_list idx) = reference)
+      Sl_opt.Opt_core.sort_slots score idx;
+      List.map (fun (c : Sl_opt.Opt_core.candidate) -> (c.gate, c.kind)) reference
+      = List.map (fun slot -> (slot / 2, if slot land 1 = 1 then `Size else `Vth))
+          (Array.to_list idx))
+
+(* The ranking's cache is invisible.  Random sequences of what a run
+   does to its state — moves of both kinds on gates and on a fanout of
+   a gate, yield-only and full syncs, checkpoint rollbacks, a bulk
+   restore with a rebuild (as the alternation phase does) and an
+   extra-load edit — and after each step a warm [rank] returns exactly
+   what a ranking from an empty cache returns: the same score and cost
+   bits, gates and kinds, under random eligibility.  Each case runs one
+   cone and register cones, jobs 1 and 2 (both circuits are wide enough
+   for the parallel scan) and every sensitivity. *)
+let prop_warm_rank_equals_cold =
+  let module Core = Sl_opt.Opt_core in
+  let module Hier = Sl_ssta.Hier in
+  let circuits =
+    lazy
+      [
+        (false, Generators.random_dag ~seed:11 ~gates:1100 ~inputs:40 ~outputs:24);
+        ( true,
+          Sl_netlist.Bench_format.parse_string ~sequential:`Cut ~name:"pipe"
+            (Generators.seq_pipeline_bench ~stages:4 ~width:16 ~layers:16) );
+      ]
+  in
+  let sensitivities =
+    [
+      Core.Stat_leak_per_yield; Core.Stat_leak_per_delay; Core.Nominal_leak_per_yield;
+      Core.P99_leak_per_yield;
+    ]
+  in
+  let bits x = Int64.bits_of_float x in
+  let same (a : Core.candidate list) (b : Core.candidate list) =
+    List.length a = List.length b
+    && List.for_all2
+         (fun (x : Core.candidate) (y : Core.candidate) ->
+           x.gate = y.gate && x.kind = y.kind
+           && Int64.equal (bits x.score) (bits y.score)
+           && Int64.equal (bits x.est_cost) (bits y.est_cost))
+         a b
+  in
+  let run_case seed (partition, c) jobs sensitivity =
+    let rng = Rng.create seed in
+    let model = Model.build Spec.default c in
+    let d = design c in
+    let tmax = 1.05 *. (Ssta.analyze d model).Ssta.circuit_delay.Sl_ssta.Canonical.mean in
+    let p =
+      {
+        Core.tmax; eta = 0.9; sensitivity; allow_vth = true; allow_size = true; partition;
+        jobs;
+      }
+    in
+    let st = Core.create ~mode:"test" ~progress:ignore p d model in
+    if partition && Hier.num_partitions st.Core.engine < 2 then
+      QCheck.Test.fail_report "pipeline did not cut into cones";
+    let lib = d.Design.lib in
+    let ids = cells d in
+    let cell () = ids.(Rng.int rng (Array.length ids)) in
+    let is_cell g = (Circuit.gate c g).Circuit.kind <> Cell_kind.Pi in
+    let move g =
+      if Rng.int rng 2 = 0 then Core.set st `Vth g (Rng.int rng (Cell_lib.num_vth lib))
+      else Core.set st `Size g (Rng.int rng (Cell_lib.num_sizes lib))
+    in
+    let saved_vth = Array.copy d.Design.vth_idx and saved_size = Array.copy d.Design.size_idx in
+    for step = 1 to 12 do
+      let op =
+        match Rng.int rng 9 with
+        | 0 | 1 ->
+          move (cell ());
+          "move"
+        | 2 ->
+          (* resize a fanout: the gate's load changes, its assignment not *)
+          let g = cell () in
+          let fo = List.filter is_cell (Array.to_list (Circuit.gate c g).Circuit.fanout) in
+          (match fo with
+          | [] -> move g
+          | _ ->
+            let f = List.nth fo (Rng.int rng (List.length fo)) in
+            Core.set st `Size f (Rng.int rng (Cell_lib.num_sizes lib)));
+          "fanout resize"
+        | 3 ->
+          Core.measure st;
+          "measure"
+        | 4 ->
+          Core.sync st;
+          "sync"
+        | 5 ->
+          Core.sync st;
+          let cp = Hier.checkpoint st.Core.engine in
+          let touched = List.init (1 + Rng.int rng 3) (fun _ -> cell ()) in
+          let prev =
+            List.map (fun g -> (g, d.Design.vth_idx.(g), d.Design.size_idx.(g))) touched
+          in
+          List.iter move touched;
+          Core.measure st;
+          List.iter
+            (fun (g, v, s) ->
+              Core.set ~timing:false st `Vth g v;
+              Core.set ~timing:false st `Size g s)
+            (List.rev prev);
+          Core.rollback st cp;
+          "checkpoint rollback"
+        | 6 ->
+          Array.blit saved_vth 0 d.Design.vth_idx 0 (Array.length saved_vth);
+          Array.blit saved_size 0 d.Design.size_idx 0 (Array.length saved_size);
+          Leak_ssta.refresh st.Core.leak;
+          Core.rebuild st;
+          "bulk restore"
+        | 7 ->
+          let g = cell () in
+          Design.set_extra_load d g (Rng.float rng 4.0);
+          Hier.update_gate st.Core.engine g;
+          "extra load"
+        | _ ->
+          Array.blit d.Design.vth_idx 0 saved_vth 0 (Array.length saved_vth);
+          Array.blit d.Design.size_idx 0 saved_size 0 (Array.length saved_size);
+          "save"
+      in
+      let eligible =
+        if Rng.int rng 3 = 0 then
+          let salt = Rng.int rng 5 in
+          fun g k -> (g + salt + if k = `Size then 1 else 0) mod 5 <> 0
+        else fun _ _ -> true
+      in
+      let direction = if Rng.int rng 6 = 0 then `Repair else `Reduce in
+      let warm = Core.rank ~eligible ~direction st in
+      let cold = Core.rank_cold ~eligible ~direction st in
+      if not (same warm cold) then
+        QCheck.Test.fail_reportf "step %d (%s), jobs %d, %s: warm rank differs from cold"
+          step op jobs
+          (if partition then "register cones" else "one cone")
+    done;
+    true
+  in
+  QCheck.Test.make ~name:"warm rank = cold rank" ~count:3 QCheck.(int_range 1 100_000)
+    (fun seed ->
+      List.for_all
+        (fun circuit ->
+          List.for_all
+            (fun jobs ->
+              List.for_all (fun sens -> run_case seed circuit jobs sens) sensitivities)
+            [ 1; 2 ])
+        (Lazy.force circuits))
 
 let suite =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -585,7 +732,12 @@ let suite =
         Alcotest.test_case "loose eta beats tight" `Quick test_stat_loose_beats_tight;
         Alcotest.test_case "infeasible start repaired" `Quick test_stat_infeasible_start_repair;
       ]
-      @ qc [ prop_stat_never_violates; prop_slot_sort_matches_reference ] );
+      @ qc
+          [
+            prop_stat_never_violates;
+            prop_slot_sort_matches_reference;
+            prop_warm_rank_equals_cold;
+          ] );
     ( "opt.lr",
       [
         Alcotest.test_case "feasible and reduces" `Quick test_lr_feasible_and_reduces;

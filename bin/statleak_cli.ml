@@ -68,8 +68,8 @@ let jobs_arg =
   let doc =
     "Worker domains: Monte-Carlo evaluation parallelizes across dies \
      (default: all cores), SSTA and the statistical optimizers across the \
-     gates of each topological level (default: 1).  Results are \
-     bit-identical for every value."
+     gates of each topological level (default: 1); at most 64.  Results \
+     are bit-identical for every value."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -88,7 +88,8 @@ let bad_flag fmt =
     fmt
 
 let check_jobs = function
-  | Some j when j < 1 -> bad_flag "--jobs must be >= 1 (got %d)" j
+  | Some j when j < 1 || j > Sl_util.Parallel.max_jobs ->
+    bad_flag "--jobs must lie in [1, %d] (got %d)" Sl_util.Parallel.max_jobs j
   | _ -> ()
 
 let check_eta eta =
@@ -575,6 +576,7 @@ module Server = Sl_serve.Server
 module Serve_client = Sl_serve.Client
 
 let serve socket jobs max_sessions log_level quiet =
+  check_jobs (Some jobs);
   let level =
     if quiet then Obs_log.Error
     else
@@ -638,7 +640,7 @@ let print_progress frame =
   | _ -> ()
 
 let client_request lib sigma_scale size_idx factor eta mode method_ halfwidth
-    max_samples seed ci detail partition jobs args =
+    max_samples seed ci detail jobs args =
   let circuit_field spec =
     (* a path is read client-side and shipped as netlist text, so the
        daemon never depends on the client's filesystem *)
@@ -708,7 +710,6 @@ let client_request lib sigma_scale size_idx factor eta mode method_ halfwidth
           ("mode", Json.Str mode);
           ("eta", num eta);
           ("jobs", int_ (ssta_jobs jobs));
-          ("partition", Json.Bool partition);
           ("detail", Json.Bool detail);
         ]
     | [ "checkpoint"; session; name ] ->
@@ -741,12 +742,12 @@ let client_request lib sigma_scale size_idx factor eta mode method_ halfwidth
       exit 2
 
 let client socket lib sigma_scale size_idx factor eta mode method_ halfwidth
-    max_samples seed ci detail partition jobs args =
+    max_samples seed ci detail jobs args =
   check_jobs jobs;
   check_eta eta;
   let req =
     client_request lib sigma_scale size_idx factor eta mode method_ halfwidth
-      max_samples seed ci detail partition jobs args
+      max_samples seed ci detail jobs args
   in
   try
     let resp =
@@ -926,7 +927,9 @@ let socket_arg =
 
 let serve_cmd =
   let jobs_arg =
-    let doc = "Worker domains (= maximum simultaneous client connections)." in
+    let doc =
+      "Worker domains (= maximum simultaneous client connections), at most 64."
+    in
     Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let max_sessions_arg =
@@ -1000,8 +1003,7 @@ let client_cmd =
     Term.(
       const client $ socket_arg $ lib_arg $ sigma_scale_arg $ size_idx_arg
       $ factor_arg $ eta_arg $ mode_arg $ method_arg $ halfwidth_arg
-      $ max_samples_arg $ seed_arg $ ci_arg $ detail_arg $ partition_arg
-      $ jobs_arg $ args_arg)
+      $ max_samples_arg $ seed_arg $ ci_arg $ detail_arg $ jobs_arg $ args_arg)
 
 let () =
   let doc = "statistical leakage optimization under process variation (DAC 2004 reproduction)" in

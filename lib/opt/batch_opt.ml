@@ -203,7 +203,7 @@ let pass cfg b (st : Core.t) =
   Core.report st "reduce";
   !committed
 
-let optimize ?progress cfg (d : Design.t) model =
+let optimize ?progress ?engine cfg (d : Design.t) model =
   let n = Circuit.num_gates d.Design.circuit in
   let b =
     { band_cap = Stdlib.min 64 band_size; slow_start = true;
@@ -221,7 +221,7 @@ let optimize ?progress cfg (d : Design.t) model =
     Bytes.fill b.blocked 0 (Bytes.length b.blocked) '\000';
     Core.reduce st ~cutoff (pass cfg b)
   in
-  Core.run ~mode:"batch" ?progress
+  Core.run ~mode:"batch" ?progress ?engine
     {
       Core.tmax = cfg.tmax;
       eta = cfg.eta;

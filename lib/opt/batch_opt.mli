@@ -99,10 +99,12 @@ val default_config : tmax:float -> eta:float -> config
     25 passes, and a band holds at most 512 moves. *)
 
 val optimize :
-  ?progress:(progress -> unit) -> config -> Sl_tech.Design.t ->
+  ?progress:(progress -> unit) -> ?engine:Opt_core.engine -> config -> Sl_tech.Design.t ->
   Sl_variation.Model.t -> stats
 (** Mutates the design in place.  [progress] (default: none) is invoked
     after the repair phase, after every pass and after every alternation
     round — the serve daemon's streaming hook; it must not mutate the
-    design and has no effect on the trajectory.
+    design and has no effect on the trajectory.  [engine] (default:
+    built from [config]) runs on the caller's engine, as
+    {!Opt_core.run} describes; the trajectory is the same.
     @raise Invalid_argument if [eta] is outside (0, 1). *)

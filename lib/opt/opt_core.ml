@@ -235,6 +235,10 @@ let ranking (d : Design.t) =
     sorter = sorter ();
   }
 
+(* Declared before [t], so an unannotated [st.leak] or [st.memo] still
+   reads a run's state. *)
+type engine = { timing : Hier.t; leak : Leak_ssta.t; memo : Memo.t }
+
 type t = {
   p : params;
   design : Design.t;
@@ -261,7 +265,7 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
-let create ~mode ~progress p (d : Design.t) model =
+let build p (d : Design.t) model =
   let leak = Leak_ssta.create d model in
   let memo = Memo.create d.Design.lib in
   (* Freeze the memo up front when parallel ranking scans gates on the
@@ -271,15 +275,32 @@ let create ~mode ~progress p (d : Design.t) model =
     Memo.prefill memo d;
     Memo.freeze memo
   end;
-  let engine = Hier.create ~memo ~jobs:p.jobs ~partition:p.partition d model ~tmax:p.tmax in
+  { timing = Hier.create ~memo ~jobs:p.jobs ~partition:p.partition d model ~tmax:p.tmax;
+    leak; memo }
+
+let create ~mode ~progress ?engine p (d : Design.t) model =
+  let e =
+    match engine with
+    | None -> build p d model
+    | Some (e : engine) ->
+      (* measured afresh: [Leak_ssta.refresh] is [Leak_ssta.create]'s own
+         rebuild, and a full sync leaves the words a build would *)
+      if Hier.design e.timing != d then
+        invalid_arg "optimize: the engine times another design";
+      Leak_ssta.refresh e.leak;
+      Hier.sync e.timing;
+      e
+  in
   Metrics.set
     (Metrics.gauge ~labels:[ ("mode", mode) ]
        ~help:"Register-boundary cones driven by the optimizer"
        "statleak_opt_partitions")
-    (float_of_int (Hier.num_partitions engine));
-  (* the build counts as the first exact measure point and full analysis *)
+    (float_of_int (Hier.num_partitions e.timing));
+  (* the build, or the start on a caller's engine, counts as the first
+     exact measure point and full analysis *)
   {
-    p; design = d; leak; memo; engine; ranking = ranking d; progress;
+    p; design = d; leak = e.leak; memo = e.memo; engine = e.timing; ranking = ranking d;
+    progress;
     vth_moves = 0; size_moves = 0; trials = 0; passes = 0; refreshes = 1;
     syncs = 0; rollbacks = 0; full_refreshes = 1; bands_tried = 0;
     bands_committed = 0; bands_rolled_back = 0; bisections = 0;
@@ -713,10 +734,16 @@ let alternate st ~reduce =
     end
   done
 
-let stats st ~time_total : stats =
+(* The engine's counters count the run: [base] is what they read when it
+   started.  Its two peaks, [max_cone] and [max_level_width], are its
+   own. *)
+let stats st ~(base : Incremental.stats) ~time_total : stats =
   let is = Hier.stats st.engine in
+  let run f = f is - f base in
+  let updates = run (fun s -> s.Incremental.updates)
+  and propagated = run (fun s -> s.Incremental.propagated) in
   let moves = st.vth_moves + st.size_moves in
-  let props = is.Incremental.propagated + is.Incremental.bwd_propagated in
+  let props = propagated + run (fun s -> s.Incremental.bwd_propagated) in
   let per a b = if b > 0 then float_of_int a /. float_of_int b else 0.0 in
   {
     feasible = yield st >= st.p.eta;
@@ -733,17 +760,17 @@ let stats st ~time_total : stats =
     bisections = st.bisections;
     final_yield = yield st;
     full_refreshes = st.full_refreshes;
-    incr_updates = is.Incremental.updates;
+    incr_updates = updates;
     propagated_gates = props;
     props_per_move = per props moves;
-    mean_cone = per is.Incremental.propagated is.Incremental.updates;
+    mean_cone = per propagated updates;
     max_cone = is.Incremental.max_cone;
-    cutoffs = is.Incremental.cutoffs;
+    cutoffs = run (fun s -> s.Incremental.cutoffs);
     time_refresh = st.time_refresh;
     time_candidates = st.time_candidates;
     time_total;
-    par_levels = is.Incremental.par_levels;
-    seq_levels = is.Incremental.seq_levels;
+    par_levels = run (fun s -> s.Incremental.par_levels);
+    seq_levels = run (fun s -> s.Incremental.seq_levels);
     max_level_width = is.Incremental.max_level_width;
   }
 
@@ -780,18 +807,19 @@ let publish_stats ~mode (s : stats) =
   c "statleak_opt_seq_levels_total" s.seq_levels;
   g "statleak_opt_max_level_width" (float_of_int s.max_level_width)
 
-let run ~mode ?(progress = fun (_ : progress) -> ()) p ~reduce d model =
+let run ~mode ?(progress = fun (_ : progress) -> ()) ?engine p ~reduce d model =
   if not (p.eta > 0.0 && p.eta < 1.0) then
     invalid_arg (Printf.sprintf "optimize: eta = %g outside (0, 1)" p.eta);
   Trace.span "opt.optimize" ~attrs:[ ("mode", mode) ] @@ fun () ->
   let t0 = now () in
-  let st = create ~mode ~progress p d model in
+  let st = create ~mode ~progress ?engine p d model in
+  let base = Hier.stats st.engine in
   fix_yield st;
   report st "fix_yield";
   if yield st >= p.eta then begin
     reduce st;
     if p.allow_size then alternate st ~reduce
   end;
-  let s = stats st ~time_total:(now () -. t0) in
+  let s = stats st ~base ~time_total:(now () -. t0) in
   publish_stats ~mode s;
   s

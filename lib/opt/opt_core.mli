@@ -15,11 +15,13 @@
     with newest-first undo) and {!Batch_opt} (slack bands under a
     checkpoint with prefix bisection).
 
-    The core owns everything else: the leakage model, memo prefill and
-    freeze, the timing engine ({!Sl_ssta.Hier}: register cones or one
-    cone), candidate
-    ranking, the yield-repair and alternation phases, the pass loop, the
-    stats record, its publication and progress reporting. *)
+    The core runs everything else: candidate ranking, the yield-repair
+    and alternation phases, the pass loop, the stats record, its
+    publication and progress reporting.  It drives one {!engine}: the
+    timing engine ({!Sl_ssta.Hier}: register cones or one cone), the
+    leakage model and the memo.  A one-shot run builds its own; a
+    caller that keeps a design open (a serve session) passes its own in,
+    and the run builds and rebuilds nothing. *)
 
 (** Types both policies re-export, so [Stat_opt.stats] and
     [Batch_opt.stats] are the same record. *)
@@ -99,6 +101,18 @@ type ranking
 (** The ranking scan's run state: each move's cached terms and the sort
     buffers ({!rank}). *)
 
+type engine = {
+  timing : Sl_ssta.Hier.t;
+  leak : Sl_leakage.Leak_ssta.t;
+  memo : Sl_tech.Memo.t;
+      (** serves the ranking's what-if delays; the scan runs on [jobs]
+          domains only when it is frozen *)
+}
+(** What a run drives, all over the run's design and model.  A run
+    builds one from its [params] ([partition] and [jobs] pick the cones
+    and the engine's domains), unless the caller passes its own to
+    {!run}. *)
+
 type t = {
   p : params;
   design : Sl_tech.Design.t;
@@ -126,14 +140,28 @@ type t = {
     the mutable fields; the rest is the core's. *)
 
 val run :
-  mode:string -> ?progress:(progress -> unit) -> params -> reduce:(t -> unit) ->
-  Sl_tech.Design.t -> Sl_variation.Model.t -> stats
+  mode:string -> ?progress:(progress -> unit) -> ?engine:engine -> params ->
+  reduce:(t -> unit) -> Sl_tech.Design.t -> Sl_variation.Model.t -> stats
 (** Mutates the design in place: set up, repair the yield, then — from a
     feasible state — call [reduce] and alternate (upsize the most
     violation-prone gate, [reduce] again, keep the round only if E[leak]
     dropped).  Publishes the stats under the [mode] label.  [progress]
     (default: none) must not mutate the design.
-    @raise Invalid_argument if [eta] is outside (0, 1). *)
+
+    [engine] (default: built from [params]) runs the optimizer on the
+    caller's engine, which must time this design over this model.  The
+    run then ignores [partition], and [jobs] sets only the ranking
+    scan's domains.  It starts with {!Sl_leakage.Leak_ssta.refresh} and
+    a full {!Sl_ssta.Hier.sync}, which leave the words a build would, so
+    the trajectory and stats equal a one-shot run's; that start is
+    counted as the build is, one re-measure point and one full analysis.
+    The engine counters in the stats are deltas over the run; the
+    [max_cone] and [max_level_width] peaks are the engine's since it was
+    built.  The engine stays in step with the design when the run
+    returns, and also when [progress] raises: no checkpoint is live at
+    any progress point, so every move made so far is in the engine.
+    @raise Invalid_argument if [eta] is outside (0, 1), or if [engine]
+    times another design. *)
 
 val reduce : t -> cutoff:int -> (t -> int) -> unit
 (** [reduce st ~cutoff pass] runs passes until one commits fewer than
@@ -232,10 +260,10 @@ val sort_slots : float array -> int array -> unit
     slot 2g + 1 — the ranking's radix sort. *)
 
 val create :
-  mode:string -> progress:(progress -> unit) -> params -> Sl_tech.Design.t ->
-  Sl_variation.Model.t -> t
-(** The run state {!run} starts from: leakage model, memo and engine
-    built, nothing ranked yet. *)
+  mode:string -> progress:(progress -> unit) -> ?engine:engine -> params ->
+  Sl_tech.Design.t -> Sl_variation.Model.t -> t
+(** The run state {!run} starts from: the engine built or started,
+    nothing ranked yet. *)
 
 val rank_cold :
   ?eligible:(int -> [ `Vth | `Size ] -> bool) -> ?direction:[ `Reduce | `Repair ] ->

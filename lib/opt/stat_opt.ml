@@ -81,9 +81,9 @@ let pass cfg settles (st : Core.t) =
   settle ();
   !accepted
 
-let optimize ?progress cfg d model =
+let optimize ?progress ?engine cfg d model =
   let settles = ref 0 in
-  Core.run ~mode:"stat" ?progress
+  Core.run ~mode:"stat" ?progress ?engine
     {
       Core.tmax = cfg.tmax;
       eta = cfg.eta;

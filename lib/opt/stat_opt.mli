@@ -50,11 +50,13 @@ val default_config : tmax:float -> eta:float -> config
     audit off.  A reduction run makes at most 25 passes. *)
 
 val optimize :
-  ?progress:(progress -> unit) -> config -> Sl_tech.Design.t -> Sl_variation.Model.t ->
-  stats
+  ?progress:(progress -> unit) -> ?engine:Opt_core.engine -> config -> Sl_tech.Design.t ->
+  Sl_variation.Model.t -> stats
 (** Mutates the design in place.  [progress] (default: none) is invoked
     at every exact re-measure point of a pass and after each phase; it
     must not mutate the design and has no effect on the trajectory.
+    [engine] (default: built from [config]) runs on the caller's engine,
+    as {!Opt_core.run} describes; the trajectory is the same.
     @raise Invalid_argument if [eta] is outside (0, 1). *)
 
 (**/**)

@@ -1,13 +1,14 @@
 module Json = Sl_util.Json
 module Frame = Sl_util.Frame
-module Pool = Sl_util.Parallel.Pool
+module Parallel = Sl_util.Parallel
+module Pool = Parallel.Pool
 module Circuit = Sl_netlist.Circuit
 module Bench_format = Sl_netlist.Bench_format
 module Design = Sl_tech.Design
 module Memo = Sl_tech.Memo
 module Cell_lib = Sl_tech.Cell_lib
 module Liberty = Sl_tech.Liberty
-module Incremental = Sl_ssta.Incremental
+module Hier = Sl_ssta.Hier
 module Setup = Statleak.Setup
 module Opt_core = Sl_opt.Opt_core
 module Yield_seq = Sl_yield.Seq
@@ -120,7 +121,9 @@ let sctx name = "serve/" ^ name
 let shared_memo_arity = 12
 
 let create cfg =
-  if cfg.jobs < 1 then invalid_arg "Server.create: jobs < 1";
+  if cfg.jobs < 1 || cfg.jobs > Parallel.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Server.create: jobs must lie in [1, %d]" Parallel.max_jobs);
   if cfg.max_sessions < 1 then invalid_arg "Server.create: max_sessions < 1";
   Log.set_level cfg.log_level;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -302,6 +305,12 @@ let require what = function
 let req_str req key = require key (Json.str key req)
 let req_session req = req_str req "session"
 
+let req_jobs req =
+  let jobs = Option.get (Json.int ~default:1 "jobs" req) in
+  if jobs < 1 || jobs > Parallel.max_jobs then
+    failwith (Printf.sprintf "jobs must lie in [1, %d]" Parallel.max_jobs);
+  jobs
+
 let analysis_fields (a : Session.analysis) =
   Protocol.float_field "yield" a.Session.yield
   @ Protocol.float_field "delay_mean" a.Session.delay_mean
@@ -380,7 +389,7 @@ let op_edit t req =
   with_session t name (fun s ->
       let ops = require "ops" (Json.list "ops" req) in
       let edits = List.map parse_edit ops in
-      List.iter (Session.apply_edit s) edits;
+      Session.apply_edits s edits;
       Metrics.add (session_edits name) (List.length edits);
       Protocol.ok [ ("applied", Json.Num (float_of_int (List.length edits))) ])
 
@@ -431,9 +440,7 @@ let op_optimize t fd req =
         | other -> failwith (Printf.sprintf "unknown mode %S (use stat or batch)" other)
       in
       let eta = Option.get (Json.num ~default:0.95 "eta" req) in
-      let jobs = Option.get (Json.int ~default:1 "jobs" req) in
-      if jobs < 1 then failwith "jobs must be >= 1";
-      let partition = Option.get (Json.bool ~default:false "partition" req) in
+      let jobs = req_jobs req in
       let detail = Option.get (Json.bool ~default:false "detail" req) in
       let progress (p : Opt_core.progress) =
         Protocol.send fd
@@ -445,7 +452,7 @@ let op_optimize t fd req =
                ("leak_mean", Json.Num p.Opt_core.leak_mean);
              ])
       in
-      let st = Session.optimize ~progress ~jobs ~partition s ~mode ~eta in
+      let st = Session.optimize ~progress ~jobs s ~mode ~eta in
       let count name v = (name, Json.Num (float_of_int v)) in
       let common =
         [
@@ -482,7 +489,7 @@ let op_yield t fd req =
       let max_samples = Option.get (Json.int ~default:200_000 "max_samples" req) in
       let seed = Option.get (Json.int ~default:1 "seed" req) in
       let ci = Option.get (Json.num ~default:0.95 "ci" req) in
-      let jobs = Option.get (Json.int ~default:1 "jobs" req) in
+      let jobs = req_jobs req in
       let progress ~samples ~value ~halfwidth =
         Protocol.send fd
           (Protocol.progress
@@ -492,7 +499,7 @@ let op_yield t fd req =
                ("halfwidth", Json.Num halfwidth);
              ])
       in
-      Incremental.sync s.Session.engine;
+      Hier.sync s.Session.engine;
       let e =
         Yield_seq.estimate ~ci ~jobs ~method_ ~max_samples ~progress
           ~target_halfwidth:halfwidth ~seed ~tmax:s.Session.tmax s.Session.design
@@ -506,7 +513,7 @@ let op_yield t fd req =
             ("stderr", Json.Num e.Estimate.stderr);
             ("samples", Json.Num (float_of_int e.Estimate.samples_used));
             ("ess", Json.Num e.Estimate.ess);
-            ("ssta_yield", Json.Num (Incremental.yield s.Session.engine));
+            ("ssta_yield", Json.Num (Hier.yield s.Session.engine));
           ]))
 
 let op_sessions t =

@@ -17,7 +17,9 @@
 
 type config = {
   socket_path : string;
-  jobs : int;  (** worker domains = max simultaneous connections *)
+  jobs : int;
+      (** worker domains = max simultaneous connections, 1 to
+          {!Sl_util.Parallel.max_jobs} *)
   max_sessions : int;  (** live (in-memory) session bound; ≥ 1 *)
   snapshot_dir : string option;
       (** eviction snapshot directory; default [socket_path ^ ".sessions"].
@@ -37,7 +39,8 @@ type t
 val create : config -> t
 (** Bind and listen on the socket (an existing socket file is replaced),
     create the snapshot directory, build and freeze the shared library
-    memo.  @raise Unix.Unix_error when the socket cannot be bound. *)
+    memo.  @raise Unix.Unix_error when the socket cannot be bound.
+    @raise Invalid_argument on [jobs] or [max_sessions] out of range. *)
 
 val serve : t -> unit
 (** Accept-and-dispatch loop; returns after a [shutdown] request (or

@@ -7,9 +7,10 @@ module Cell_lib = Sl_tech.Cell_lib
 module Liberty = Sl_tech.Liberty
 module Spec = Sl_variation.Spec
 module Canonical = Sl_ssta.Canonical
-module Incremental = Sl_ssta.Incremental
+module Hier = Sl_ssta.Hier
 module Leak_ssta = Sl_leakage.Leak_ssta
 module Setup = Statleak.Setup
+module Opt_core = Sl_opt.Opt_core
 module Stat_opt = Sl_opt.Stat_opt
 module Batch_opt = Sl_opt.Batch_opt
 
@@ -30,10 +31,10 @@ type t = {
   source : source;
   setup : Setup.t;
   design : Design.t;
-  engine : Incremental.t;
+  engine : Hier.t;
   leak : Leak_ssta.t;
+  memo : Memo.t;
   tmax : float;
-  shared_memo : bool;
   mutable savepoints : (string * saved) list;
   mutable edits : int;
   lock : Mutex.t;
@@ -77,19 +78,19 @@ let build ?memo ~name ?init (source : source) =
     Array.blit saved.sv_size 0 design.Design.size_idx 0 (Array.length saved.sv_size);
     Array.blit saved.sv_extra 0 design.Design.extra_load 0
       (Array.length saved.sv_extra));
+  (* Frozen either way, so register cones can use it as it is and a
+     ranking scan may run on the pool. *)
   let memo =
     match (source.lib_file, memo) with
-    | None, Some m when Memo.frozen m && Memo.covers m design -> Some m
+    | None, Some m when Memo.frozen m && Memo.covers m design -> m
     | _ ->
       let m = Memo.create lib in
       Memo.prefill m design;
-      Some m
-  in
-  let shared_memo =
-    match memo with Some m -> Memo.frozen m | None -> false
+      Memo.freeze m;
+      m
   in
   let tmax = Setup.tmax setup ~factor:source.tmax_factor in
-  let engine = Incremental.create ?memo design setup.Setup.model ~tmax in
+  let engine = Hier.create ~memo ~partition:true design setup.Setup.model ~tmax in
   let leak = Leak_ssta.create design setup.Setup.model in
   {
     name;
@@ -98,8 +99,8 @@ let build ?memo ~name ?init (source : source) =
     design;
     engine;
     leak;
+    memo;
     tmax;
-    shared_memo;
     savepoints = [];
     edits = 0;
     lock = Mutex.create ();
@@ -117,24 +118,38 @@ let gate_id t gate_name =
   | Some g -> g.Circuit.id
   | None -> invalid_arg (Printf.sprintf "no gate named %S" gate_name)
 
-let apply_edit t edit =
-  let id =
-    match edit with
-    | Resize (g, size_idx) ->
-      let id = gate_id t g in
-      Design.set_size t.design id size_idx;
-      id
-    | Reassign_vth (g, vth_idx) ->
-      let id = gate_id t g in
-      Design.set_vth t.design id vth_idx;
-      id
-    | Set_load (g, cap) ->
-      let id = gate_id t g in
-      Design.set_extra_load t.design id cap;
-      id
+(* Every gate is resolved before any is touched, and the values are
+   checked by the design's own setters: on the first bad one, every gate
+   gets its old assignment back before the engine or the edit count sees
+   any of them. *)
+let apply_edits t edits =
+  let d = t.design in
+  let ops =
+    List.map
+      (fun e ->
+        let g = match e with Resize (g, _) | Reassign_vth (g, _) | Set_load (g, _) -> g in
+        let id = gate_id t g in
+        (id, e, (d.Design.vth_idx.(id), d.Design.size_idx.(id), d.Design.extra_load.(id))))
+      edits
   in
-  Incremental.update_gate t.engine id;
-  t.edits <- t.edits + 1
+  (try
+     List.iter
+       (fun (id, e, _) ->
+         match e with
+         | Resize (_, v) -> Design.set_size d id v
+         | Reassign_vth (_, v) -> Design.set_vth d id v
+         | Set_load (_, v) -> Design.set_extra_load d id v)
+       ops
+   with exn ->
+     List.iter
+       (fun (id, _, (v, s, x)) ->
+         d.Design.vth_idx.(id) <- v;
+         d.Design.size_idx.(id) <- s;
+         d.Design.extra_load.(id) <- x)
+       ops;
+     raise exn);
+  List.iter (fun (id, _, _) -> Hier.update_gate t.engine id) ops;
+  t.edits <- t.edits + List.length ops
 
 type analysis = {
   yield : float;
@@ -149,15 +164,15 @@ type analysis = {
 }
 
 let analyze t =
-  Incremental.sync t.engine;
+  Hier.sync t.engine;
   (* the timing engine is bit-identical to from-scratch by construction;
      leakage moments are made so by full recomputation — incremental
      accumulator updates are not exactly reversible, which would break
      the rollback/restore bit-identity guarantee *)
   Leak_ssta.refresh t.leak;
-  let cd = Incremental.circuit_delay t.engine in
+  let cd = Hier.circuit_delay t.engine in
   {
-    yield = Incremental.yield t.engine;
+    yield = Hier.yield t.engine;
     delay_mean = cd.Canonical.mean;
     delay_sigma = Canonical.sigma cd;
     leak_mean = Leak_ssta.mean t.leak;
@@ -189,7 +204,7 @@ let rollback t name =
         d.Design.vth_idx.(id) <- saved.sv_vth.(id);
         d.Design.size_idx.(id) <- saved.sv_size.(id);
         d.Design.extra_load.(id) <- saved.sv_extra.(id);
-        Incremental.update_gate t.engine id;
+        Hier.update_gate t.engine id;
         incr changed
       end)
     d.Design.vth_idx;
@@ -197,23 +212,18 @@ let rollback t name =
 
 let savepoint_names t = List.map fst t.savepoints
 
-let optimize ?progress ?(jobs = 1) ?(partition = false) t ~mode ~eta =
+let optimize ?progress ?(jobs = 1) t ~mode ~eta =
+  let engine = { Opt_core.timing = t.engine; leak = t.leak; memo = t.memo } in
   let model = t.setup.Setup.model in
-  let stats =
-    match mode with
-    | `Stat ->
-      Stat_opt.optimize ?progress
-        { (Stat_opt.default_config ~tmax:t.tmax ~eta) with Stat_opt.jobs; partition }
-        t.design model
-    | `Batch ->
-      Batch_opt.optimize ?progress
-        { (Batch_opt.default_config ~tmax:t.tmax ~eta) with Batch_opt.jobs; partition }
-        t.design model
-  in
-  (* the optimizer ran its own engine over our design; re-base ours *)
-  Incremental.rebuild t.engine;
-  Leak_ssta.refresh t.leak;
-  stats
+  match mode with
+  | `Stat ->
+    Stat_opt.optimize ?progress ~engine
+      { (Stat_opt.default_config ~tmax:t.tmax ~eta) with Stat_opt.jobs }
+      t.design model
+  | `Batch ->
+    Batch_opt.optimize ?progress ~engine
+      { (Batch_opt.default_config ~tmax:t.tmax ~eta) with Batch_opt.jobs }
+      t.design model
 
 (* Eviction snapshots: everything needed to rebuild deterministically.
    A version tag guards against unmarshalling a stale on-disk format. *)

@@ -2,9 +2,10 @@
 
     A session is a {!Statleak.Setup} problem instance plus the live
     analysis state the protocol operations touch: the mutable
-    {!Sl_tech.Design}, an {!Sl_ssta.Incremental} timing engine, a
+    {!Sl_tech.Design}, one {!Sl_ssta.Hier} timing engine, a
     {!Sl_leakage.Leak_ssta} accumulator, and a map of named savepoints
-    (assignment snapshots the client can roll back to).
+    (assignment snapshots the client can roll back to).  Edits, analyses,
+    rollbacks and optimizes all run on that one engine.
 
     Everything here is deterministic and replayable: a session is created
     from a {!source} value — the circuit text or benchmark name plus the
@@ -35,10 +36,14 @@ type t = {
   source : source;
   setup : Statleak.Setup.t;
   design : Sl_tech.Design.t;
-  engine : Sl_ssta.Incremental.t;
+  engine : Sl_ssta.Hier.t;
+      (** built at load on one domain: register cones when the netlist
+          decomposes at its registers, one cone otherwise *)
   leak : Sl_leakage.Leak_ssta.t;
+  memo : Sl_tech.Memo.t;
+      (** frozen: the daemon's shared table, or the session's own,
+          prefilled for the design *)
   tmax : float;  (** [tmax_factor · d0], fixed at load *)
-  shared_memo : bool;  (** running on the daemon's frozen library memo *)
   mutable savepoints : (string * saved) list;
   mutable edits : int;  (** applied edit operations, for stats *)
   lock : Mutex.t;
@@ -63,9 +68,11 @@ type edit =
   | Reassign_vth of string * int  (** gate name, new threshold index *)
   | Set_load of string * float    (** gate name, extra load in fF *)
 
-val apply_edit : t -> edit -> unit
-(** Apply one edit to the design and propagate it into the timing and
-    leakage state (cone repair deferred to the next {!analyze}).
+val apply_edits : t -> edit list -> unit
+(** Apply the edits to the design in order and mark their gates dirty in
+    the engine (cone repair deferred to the next {!analyze}) — all of
+    them, or none: on a bad edit the design, the engine and the edit
+    count are left as they were.
     @raise Invalid_argument on an unknown gate, a PI, or a bad value. *)
 
 type analysis = {
@@ -81,7 +88,7 @@ type analysis = {
 }
 
 val analyze : t -> analysis
-(** Sync the incremental engine, recompute the leakage moments from
+(** Sync the engine, recompute the leakage moments from
     scratch and read the current numbers.  Every reported value is a pure
     function of the circuit source and the current assignment — two
     sessions in the same state analyze bit-identically, whatever edit or
@@ -103,17 +110,18 @@ val savepoint_names : t -> string list
 val optimize :
   ?progress:(Sl_opt.Opt_core.progress -> unit) ->
   ?jobs:int ->
-  ?partition:bool ->
   t -> mode:[ `Stat | `Batch ] -> eta:float -> Sl_opt.Opt_core.stats
 (** Run the requested optimizer on the session design with the session's
     [tmax] and the optimizer's default configuration — exactly what the
     one-shot [statleak optimize --mode stat|batch] CLI runs, so the move
-    trajectory is identical.  [jobs] (default 1) sets the optimizer's
-    level-parallel domain count and [partition] (default false) routes
-    timing through the partition-parallel {!Sl_ssta.Hier} engine — both
-    bit-identical knobs, so the trajectory still matches the CLI run.
-    The session's engine and leakage state are rebuilt afterwards (the
-    optimizer drives its own engine). *)
+    trajectory, the stats and the final assignment are identical,
+    whatever edits and rollbacks came before.  It runs on the session's
+    own engine, leakage model and memo ({!Sl_opt.Opt_core.run}'s
+    [engine]): nothing is built or rebuilt.  [jobs] (default 1) sets
+    only the ranking scan's domains; the engine keeps the cones it was
+    loaded with.  If [progress] raises, the moves made so far stay in
+    the design and the engine alike, so the next {!analyze} reads the
+    design as it is. *)
 
 (** {2 Eviction snapshots} *)
 

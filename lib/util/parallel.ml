@@ -1,5 +1,11 @@
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* OCaml 5.1 runs at most 128 domains in a process, the main one
+   included ([Max_domains], caml/domain.h); past that [Domain.spawn]
+   fails.  A serve daemon's pool workers and the domains of the requests
+   they run add up, so one request for domains keeps to half the cap. *)
+let max_jobs = 64
+
 exception Worker of exn
 
 let run ~jobs ~tasks ~init f =
@@ -35,12 +41,21 @@ let run ~jobs ~tasks ~init f =
         loop ();
         st
       in
-      let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+      (* Should the runtime refuse a domain, the workers already started
+         carry on without it: a task's effect is a function of its index,
+         so fewer workers leave the same words. *)
+      let spawned = ref [] in
+      (try
+         for _ = 2 to jobs do
+           spawned := Domain.spawn worker :: !spawned
+         done
+       with Failure _ -> ());
+      let spawned = Array.of_list (List.rev !spawned) in
       let mine = try Ok (worker ()) with e -> Error e in
       let joined =
         Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned
       in
-      let states = Array.make jobs None in
+      let states = Array.make (Array.length spawned + 1) None in
       let record slot = function
         | Ok st -> states.(slot) <- Some st
         | Error e -> raise (Worker e)
@@ -108,21 +123,6 @@ module Pool = struct
     in
     next ()
 
-  let create ?(on_error = fun _ -> ()) ~jobs () =
-    if jobs < 1 then invalid_arg "Parallel.Pool.create: jobs < 1";
-    let t =
-      {
-        mutex = Mutex.create ();
-        nonempty = Condition.create ();
-        queue = Queue.create ();
-        stopping = false;
-        workers = [||];
-        on_error;
-      }
-    in
-    t.workers <- Array.init jobs (fun _ -> Domain.spawn (worker_loop t));
-    t
-
   let jobs t = Array.length t.workers
 
   let pending t =
@@ -148,4 +148,30 @@ module Pool = struct
     Condition.broadcast t.nonempty;
     Mutex.unlock t.mutex;
     if not was_stopping then Array.iter Domain.join t.workers
+
+  let create ?(on_error = fun _ -> ()) ~jobs () =
+    if jobs < 1 then invalid_arg "Parallel.Pool.create: jobs < 1";
+    let t =
+      {
+        mutex = Mutex.create ();
+        nonempty = Condition.create ();
+        queue = Queue.create ();
+        stopping = false;
+        workers = [||];
+        on_error;
+      }
+    in
+    let started = ref [] in
+    (match
+       for _ = 1 to jobs do
+         started := Domain.spawn (worker_loop t) :: !started
+       done
+     with
+    | () -> t.workers <- Array.of_list (List.rev !started)
+    | exception e ->
+      (* the runtime refused a domain: stop the workers already started *)
+      t.workers <- Array.of_list !started;
+      shutdown t;
+      raise e);
+    t
 end

@@ -16,6 +16,12 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the default worker count
     everywhere a [?jobs] argument is omitted. *)
 
+val max_jobs : int
+(** 64: the most domains a user or client may ask for.  OCaml 5.1 runs
+    at most 128 domains in a process, and a serve daemon's pool workers
+    and the domains of the requests they run add up; the CLI's [--jobs]
+    and the serve daemon check against this bound. *)
+
 exception Worker of exn
 (** Wraps the first exception raised inside a worker; all domains are
     joined before it propagates. *)
@@ -27,7 +33,8 @@ val run :
     [i] in [0, tasks), at most [min jobs tasks] tasks concurrently, and
     returns the worker states (one per worker actually used) for
     reduction.  [jobs = 1] runs inline on the calling domain with no
-    domain spawned.
+    domain spawned.  Should the runtime refuse a domain, the workers
+    already started run every task without it.
     @raise Invalid_argument if [jobs] < 1 or [tasks] < 0.
     @raise Worker if any task raises. *)
 
@@ -64,7 +71,9 @@ module Pool : sig
   type t
 
   val create : ?on_error:(exn -> unit) -> jobs:int -> unit -> t
-  (** Spawn [jobs] worker domains (≥ 1).
+  (** Spawn [jobs] worker domains (≥ 1).  Should the runtime refuse one,
+      the workers already started are shut down before the exception
+      propagates.
       @raise Invalid_argument if [jobs] < 1. *)
 
   val jobs : t -> int

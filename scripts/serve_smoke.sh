@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI smoke for the `statleak serve` daemon: a c17 + add32 round-trip over
 # the wire protocol, checkpoint/rollback determinism, >= 2 concurrent
-# sessions, LRU eviction + transparent restore, zero leaked sessions and
-# a clean shutdown.  Run from the repo root after `dune build`.
+# sessions, LRU eviction + transparent restore, a register-cone session
+# (spipe30k, ten cones) that rolls back to its load-time yield, zero
+# leaked sessions and a clean shutdown.  Run from the repo root after
+# `dune build`.
 set -euo pipefail
 
 CLI=${CLI:-_build/default/bin/statleak_cli.exe}
@@ -61,10 +63,22 @@ echo "== touching the evicted session restores it transparently"
 client analyze s1 | grep -q 'circuit: c17'
 client stats | grep -Eq 'restores: [1-9]'
 
+echo "== register-cone session: edit, analyze, roll back to the load"
+YIELD_LOADED=$(client load s4 spipe30k | awk -F': ' '/^yield:/{print $2}')
+client checkpoint s4 base >/dev/null
+client edit s4 reassign-vth c4_9_3 1 | grep -q 'applied: 1'
+client analyze s4 | grep -q 'circuit: spipe30k'
+YIELD_BACK=$(client rollback s4 base | awk -F': ' '/^yield:/{print $2}')
+[ -n "$YIELD_LOADED" ] && [ "$YIELD_LOADED" = "$YIELD_BACK" ] || {
+  echo "FAIL: spipe30k rollback yield $YIELD_BACK differs from the load-time $YIELD_LOADED"
+  exit 1
+}
+
 echo "== close all sessions: nothing may leak"
 client close s1 >/dev/null
 client close s2 >/dev/null
 client close s3 >/dev/null
+client close s4 >/dev/null
 STATS=$(client stats)
 echo "$STATS" | grep -q 'live_sessions: 0'
 echo "$STATS" | grep -q 'evicted_sessions: 0'

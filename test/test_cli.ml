@@ -130,9 +130,13 @@ let test_rejects_bad_flag_values () =
       if code <> 2 then Alcotest.failf "%s: exit %d, expected 2\n%s" args code out)
     [
       ("optimize c17 --jobs 0 --samples 0", "--jobs");
+      ("optimize mult16 --jobs 500 --samples 0", "--jobs");
       ("mc c17 --samples 0", "--samples");
       ("mc c17 --jobs 0", "--jobs");
+      ("mc c17 --jobs 65", "--jobs");
       ("yield c17 --jobs 0", "--jobs");
+      ("serve --jobs 65", "--jobs");
+      ("serve --jobs 0", "--jobs");
       ("yield c17 --max-samples 0", "--max-samples");
       ("optimize c17 --mode batch --eta 1.5", "--eta");
       ("optimize c17 --eta 0", "--eta");

@@ -17,6 +17,7 @@ module Batch_opt = Sl_opt.Batch_opt
 module Opt_core = Sl_opt.Opt_core
 module Protocol = Sl_serve.Protocol
 module Server = Sl_serve.Server
+module Session = Sl_serve.Session
 module Client = Sl_serve.Client
 
 (* ---------- Json ---------- *)
@@ -291,58 +292,94 @@ let test_serve_bit_identity () =
 let ints_of_csv str = List.map int_of_string (String.split_on_char ',' str)
 
 (* The daemon's optimize must walk the one-shot CLI run's trajectory at
-   its defaults, in either commit policy. *)
+   its defaults, in either commit policy: on a fresh session, on one
+   whose engine has seen edits, analyses and a rollback, on one whose
+   edits no analyze has measured yet, and whatever a client still sends
+   in the retired "partition" field. *)
 let test_serve_optimize_parity mode () =
   with_server (fun sock _ ->
       Client.with_connection ~socket:sock (fun c ->
+          let optimize ?on_progress ?(extra = []) session =
+            rpc c ?on_progress
+              ([
+                 ("type", s "optimize");
+                 ("session", s session);
+                 ("mode", s mode);
+                 ("eta", n 0.95);
+                 ("detail", Json.Bool true);
+               ]
+              @ extra)
+          in
           ignore (load c ~session:"opt" ~bench:"c17");
           let progressed = ref 0 in
-          let resp =
-            rpc c
-              ~on_progress:(fun _ -> incr progressed)
-              [
-                ("type", s "optimize");
-                ("session", s "opt");
-                ("mode", s mode);
-                ("eta", n 0.95);
-                ("detail", Json.Bool true);
-              ]
-          in
+          let resp = optimize ~on_progress:(fun _ -> incr progressed) "opt" in
           Alcotest.(check bool) "progress streamed" true (!progressed > 0);
+          ignore (load c ~session:"hist" ~bench:"c17");
+          ignore
+            (rpc c [ ("type", s "checkpoint"); ("session", s "hist"); ("name", s "start") ]);
+          apply_reference_edits c ~session:"hist";
+          ignore (analyze c ~session:"hist");
+          ignore
+            (rpc c [ ("type", s "rollback"); ("session", s "hist"); ("name", s "start") ]);
+          let hist = optimize "hist" in
+          ignore (load c ~session:"pend" ~bench:"c17");
+          apply_reference_edits c ~session:"pend";
+          let pend = optimize "pend" in
+          ignore (load c ~session:"part" ~bench:"c17");
+          let part = optimize ~extra:[ ("partition", Json.Bool true) ] "part" in
+          Alcotest.(check string) "partition field: digest" (get_str "digest" resp)
+            (get_str "digest" part);
+          Alcotest.(check string) "partition field: final yield bits"
+            (get_str "final_yield_bits" resp)
+            (get_str "final_yield_bits" part);
           (* the one-shot reference: same circuit, same defaults, run directly *)
           let setup = Setup.of_benchmark ~spec:(Sl_variation.Spec.scaled 1.0) "c17" in
-          let d = Setup.fresh_design setup in
           let tmax = Setup.tmax setup ~factor:1.25 in
-          let st =
-            if mode = "stat" then
-              Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.95) d
-                setup.Setup.model
-            else
-              Batch_opt.optimize (Batch_opt.default_config ~tmax ~eta:0.95) d
-                setup.Setup.model
+          let one_shot d =
+            ( d,
+              if mode = "stat" then
+                Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.95) d
+                  setup.Setup.model
+              else
+                Batch_opt.optimize (Batch_opt.default_config ~tmax ~eta:0.95) d
+                  setup.Setup.model )
           in
-          Alcotest.(check string) "mode" mode (get_str "mode" resp);
-          Alcotest.(check int) "vth moves" st.Opt_core.vth_moves
-            (get_int "vth_moves" resp);
-          Alcotest.(check int) "size moves" st.Opt_core.size_moves
-            (get_int "size_moves" resp);
-          Alcotest.(check int) "trials" st.Opt_core.trials (get_int "trials" resp);
-          Alcotest.(check int) "refreshes" st.Opt_core.refreshes
-            (get_int "refreshes" resp);
-          Alcotest.(check int) "rollbacks" st.Opt_core.rollbacks
-            (get_int "rollbacks" resp);
-          Alcotest.(check int) "bands committed" st.Opt_core.bands_committed
-            (get_int "bands_committed" resp);
-          Alcotest.(check string) "final yield bits"
-            (Protocol.bits_of_float st.Opt_core.final_yield)
-            (get_str "final_yield_bits" resp);
-          let assignment = Option.get (Json.mem "assignment" resp) in
-          Alcotest.(check (list int)) "vth assignment"
-            (Array.to_list d.Design.vth_idx)
-            (ints_of_csv (get_str "vth" assignment));
-          Alcotest.(check (list int)) "size assignment"
-            (Array.to_list d.Design.size_idx)
-            (ints_of_csv (get_str "size" assignment))))
+          let fresh = one_shot (Setup.fresh_design setup) in
+          let edited =
+            let d = Setup.fresh_design setup in
+            let id g = (Option.get (Circuit.find setup.Setup.circuit g)).Circuit.id in
+            Design.set_vth d (id "G10") 1;
+            Design.set_size d (id "G11") 3;
+            Design.set_extra_load d (id "G16") 1.5;
+            one_shot d
+          in
+          List.iter
+            (fun (case, resp, ((d : Design.t), (st : Opt_core.stats))) ->
+              let check_int what want key =
+                Alcotest.(check int) (case ^ what) want (get_int key resp)
+              in
+              Alcotest.(check string) (case ^ "mode") mode (get_str "mode" resp);
+              check_int "vth moves" st.Opt_core.vth_moves "vth_moves";
+              check_int "size moves" st.Opt_core.size_moves "size_moves";
+              check_int "trials" st.Opt_core.trials "trials";
+              check_int "refreshes" st.Opt_core.refreshes "refreshes";
+              check_int "rollbacks" st.Opt_core.rollbacks "rollbacks";
+              check_int "bands committed" st.Opt_core.bands_committed "bands_committed";
+              Alcotest.(check string) (case ^ "final yield bits")
+                (Protocol.bits_of_float st.Opt_core.final_yield)
+                (get_str "final_yield_bits" resp);
+              let assignment = Option.get (Json.mem "assignment" resp) in
+              Alcotest.(check (list int)) (case ^ "vth assignment")
+                (Array.to_list d.Design.vth_idx)
+                (ints_of_csv (get_str "vth" assignment));
+              Alcotest.(check (list int)) (case ^ "size assignment")
+                (Array.to_list d.Design.size_idx)
+                (ints_of_csv (get_str "size" assignment)))
+            [
+              ("", resp, fresh);
+              ("after edits and a rollback: ", hist, fresh);
+              ("on unmeasured edits: ", pend, edited);
+            ]))
 
 let counters_of t = Server.counters t
 
@@ -464,6 +501,41 @@ let test_serve_error_paths () =
           expect_error "unknown type" (fun () -> rpc c [ ("type", s "warp") ]);
           expect_error "yield target outside (0, 1)" (fun () ->
               rpc c [ ("type", s "optimize"); ("session", s "x"); ("eta", n 1.5) ]);
+          (* jobs past the domain bound are refused before any domain starts *)
+          List.iter
+            (fun (kind, jobs) ->
+              expect_error (Printf.sprintf "%s jobs %g" kind jobs) (fun () ->
+                  rpc c [ ("type", s kind); ("session", s "x"); ("jobs", n jobs) ]))
+            [
+              ("optimize", 0.0);
+              ("optimize", float_of_int (Sl_util.Parallel.max_jobs + 1));
+              ("yield", 0.0);
+              ("yield", 500.0);
+            ];
+          (* an edit applies all of its ops or none: a bad second op
+             leaves the design, the engine and the analysis untouched *)
+          let before = analysis_bits (analyze c ~session:"x") in
+          List.iter
+            (fun (what, op, gate, value) ->
+              expect_error what (fun () ->
+                  rpc c
+                    [
+                      ("type", s "edit");
+                      ("session", s "x");
+                      ( "ops",
+                        Json.List
+                          [
+                            req [ ("op", s "reassign-vth"); ("gate", s "G10"); ("value", n 1.0) ];
+                            req [ ("op", s op); ("gate", s gate); ("value", n value) ];
+                          ] );
+                    ]);
+              Alcotest.(check bool) (what ^ ": analysis unchanged") true
+                (analysis_bits (analyze c ~session:"x") = before))
+            [
+              ("second op: unknown gate", "resize", "NOGATE", 1.0);
+              ("second op: size out of range", "resize", "G11", 99.0);
+              ("second op: negative load", "set-load", "G16", -1.0);
+            ];
           expect_error "netlist parse error" (fun () ->
               rpc c
                 [
@@ -474,6 +546,74 @@ let test_serve_error_paths () =
                 ]);
           (* after all that, the session is still intact and usable *)
           ignore (analyze c ~session:"x")))
+
+(* A client that hangs up mid-optimize makes the progress callback raise.
+   The moves made so far stay in the design, and the session's engine
+   must have them too: the next analyze reads the same bits as a session
+   rebuilt from scratch at that assignment. *)
+exception Hang_up
+
+let test_session_optimize_hangup () =
+  let source =
+    {
+      Session.circuit = Session.Bench "add32";
+      lib_file = None;
+      sigma_scale = 1.0;
+      base_size_idx = 2;
+      tmax_factor = 1.25;
+    }
+  in
+  let sess = Session.create ~name:"h" source in
+  let loaded = Session.analyze sess in
+  let progress (p : Opt_core.progress) = if p.Opt_core.stage = "reduce" then raise Hang_up in
+  (match Session.optimize ~progress sess ~mode:`Stat ~eta:0.95 with
+  | _ -> Alcotest.fail "the progress callback never reached a reduce point"
+  | exception Hang_up -> ());
+  let a = Session.analyze sess in
+  let r = Session.analyze (Session.restore ~name:"r" (Session.snapshot sess)) in
+  Alcotest.(check bool) "moves were made" true
+    (a.Session.high_vth > loaded.Session.high_vth);
+  let bits x = Protocol.bits_of_float x in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check string) what (bits (f r)) (bits (f a)))
+    [
+      ("yield", fun (x : Session.analysis) -> x.Session.yield);
+      ("delay mean", fun x -> x.Session.delay_mean);
+      ("delay sigma", fun x -> x.Session.delay_sigma);
+      ("leak mean", fun x -> x.Session.leak_mean);
+    ];
+  Alcotest.(check int) "high-vth gates" r.Session.high_vth a.Session.high_vth
+
+(* A pipeline session is timed as register cones; an edit re-times its
+   cone only, and reads the bits a fresh session given the same edit
+   does, and a session built from scratch at that assignment. *)
+let test_session_register_cones () =
+  let source =
+    {
+      Session.circuit = Session.Bench "spipe30k";
+      lib_file = None;
+      sigma_scale = 1.0;
+      base_size_idx = 2;
+      tmax_factor = 1.25;
+    }
+  in
+  let edits = [ Session.Reassign_vth ("c4_9_3", 1); Session.Resize ("c7_2_10", 0) ] in
+  let a = Session.create ~name:"a" source in
+  Alcotest.(check int) "cones" 10 (Sl_ssta.Hier.num_partitions a.Session.engine);
+  ignore (Session.analyze a);
+  Session.apply_edits a edits;
+  let edited = Session.analyze a in
+  let b = Session.create ~name:"b" source in
+  Session.apply_edits b edits;
+  let fresh = Session.analyze b in
+  let scratch = Session.analyze (Session.restore ~name:"c" (Session.snapshot a)) in
+  let bits (x : Session.analysis) =
+    List.map Protocol.bits_of_float
+      [ x.Session.yield; x.Session.delay_mean; x.Session.delay_sigma; x.Session.leak_mean ]
+  in
+  Alcotest.(check (list string)) "fresh session" (bits fresh) (bits edited);
+  Alcotest.(check (list string)) "from scratch" (bits scratch) (bits edited)
 
 let test_serve_metrics () =
   with_server (fun sock _ ->
@@ -544,6 +684,9 @@ let suite =
         Alcotest.test_case "eviction and restore" `Quick test_serve_eviction_restore;
         Alcotest.test_case "concurrent sessions" `Quick test_serve_concurrent_sessions;
         Alcotest.test_case "error paths" `Quick test_serve_error_paths;
+        Alcotest.test_case "optimize hang-up keeps the engine in step" `Quick
+          test_session_optimize_hangup;
+        Alcotest.test_case "register-cone session" `Quick test_session_register_cones;
         Alcotest.test_case "metrics exposition" `Quick test_serve_metrics;
         Alcotest.test_case "handshake version" `Quick test_serve_handshake_version;
       ] );

@@ -68,14 +68,15 @@ let jobs_arg =
   let doc =
     "Worker domains: Monte-Carlo evaluation parallelizes across dies \
      (default: all cores), SSTA and the statistical optimizers across the \
-     gates of each topological level (default: 1); at most 64.  Results \
-     are bit-identical for every value."
+     gates of each topological level (default: 1); at most 64, and at most \
+     one domain per core takes part.  Results are bit-identical for every \
+     value."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* SSTA/optimizer propagation: [None] means 1 domain (never silently spawn
-   for a caller who didn't ask), unlike Monte-Carlo's all-cores default —
-   both are safe, bit-identity holds either way. *)
+(* SSTA/optimizer propagation: [None] means 1 domain (never silently hand
+   work to other domains for a caller who didn't ask), unlike Monte-Carlo's
+   all-cores default — both are safe, bit-identity holds either way. *)
 let ssta_jobs = function Some j -> j | None -> 1
 
 (* Flag values are checked before any work: a bad one is a usage error

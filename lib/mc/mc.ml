@@ -126,8 +126,7 @@ let sweep ~name ?z_of ?shift ~jobs ~seed ~first ~count (d : Design.t) model ~con
   Trace.span name
     ~attrs:[ ("dies", string_of_int count); ("jobs", string_of_int jobs) ]
     (fun () ->
-      ignore
-        (Sl_util.Parallel.run ~jobs ~tasks:chunks ~init:(fun () -> Eval.create d model) work));
+      Sl_util.Parallel.run ~jobs ~tasks:chunks ~init:(fun () -> Eval.create d model) work);
   let dt = Unix.gettimeofday () -. t0 in
   Metrics.add m_chunks chunks;
   Metrics.add m_dies count;

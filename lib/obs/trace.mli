@@ -2,10 +2,11 @@
 
     Spans are recorded into per-domain buffers (no cross-domain
     synchronization on the hot path: a buffer is created lazily through
-    [Domain.DLS] and registered once under a global mutex), so workers
-    spawned by {!Sl_util.Parallel} trace concurrently and {!export}
-    merges every buffer — including those of domains that have since
-    terminated — into one chronologically sorted stream.
+    [Domain.DLS] and registered once under a global mutex), so the
+    resident workers of {!Sl_util.Parallel} trace concurrently, each
+    under its own domain's thread id, and {!export} merges every buffer,
+    whether its domain still runs or has terminated, into one
+    chronologically sorted stream.
 
     Timestamps are microseconds since {!set_sink} first enabled tracing,
     monotonized per buffer (a wall-clock step backwards clamps to the

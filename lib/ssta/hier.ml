@@ -164,7 +164,7 @@ let cones ~memo ~jobs (d : Design.t) model ~tmax (pt : Circuit.partition) =
     Array.init nparts (fun p -> sub_design d pt.Circuit.parts.(p) pt.Circuit.part_ids.(p))
   in
   let incs = Array.make nparts None in
-  Parallel.for_ ~jobs:(Stdlib.min jobs nparts) ~tasks:nparts (fun p ->
+  Parallel.for_ ~jobs ~tasks:nparts (fun p ->
       incs.(p) <-
         Some
           (Incremental.create ~memo ~jobs:1 subs.(p)
@@ -259,9 +259,9 @@ let sync ?(paths = true) t =
       let dirty = !dirty in
       if dirty > 0 then begin
         Metrics.add m_dirty_parts dirty;
-        (* a lone dirty cone is synced on the calling domain; cones share
-           no gates, so several run one writer each on the pool, with
-           the same words for every jobs value *)
+        (* a lone dirty cone syncs directly ([for_]'s closures cost 10
+           words, past the engine's allocation budget); cones share no
+           gates, so several run one writer each, the same words at any jobs *)
         if dirty = 1 then sync_part ~paths t.parts.(!last)
         else
           Parallel.for_ ~jobs:(Stdlib.min t.jobs dirty) ~tasks:np (fun i ->
@@ -292,7 +292,7 @@ let rebuild t =
           mirror t gid
         done;
       let np = Array.length t.parts in
-      Parallel.for_ ~jobs:(Stdlib.min t.jobs np) ~tasks:np (fun i ->
+      Parallel.for_ ~jobs:t.jobs ~tasks:np (fun i ->
           Incremental.rebuild t.parts.(i).inc);
       Array.iter
         (fun p ->
@@ -386,7 +386,7 @@ let analyze ?memo ?(jobs = 1) (d : Design.t) model =
         let gate_delay = Array.make n zero in
         let arrival = Array.make n zero in
         let nparts = Array.length pt.Circuit.parts in
-        Parallel.for_ ~jobs:(Stdlib.min jobs nparts) ~tasks:nparts (fun p ->
+        Parallel.for_ ~jobs ~tasks:nparts (fun p ->
             let ids = pt.Circuit.part_ids.(p) in
             let sub = sub_design d pt.Circuit.parts.(p) ids in
             let res = Ssta.analyze ~memo ~jobs:1 sub (Model.restrict model ids) in

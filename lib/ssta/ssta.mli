@@ -33,8 +33,9 @@ val par_stats : unit -> par_stats
     aggregate. *)
 
 val default_par_threshold : int
-(** Default minimum level width for spawning domains: below it, the
-    spawn overhead of {!Sl_util.Parallel.run} exceeds the level's work. *)
+(** Default minimum level width for handing a level to worker domains:
+    below it, the hand-off overhead of {!Sl_util.Parallel.run} exceeds
+    the level's work. *)
 
 (** {2 Gate kernels over arena slots}
 

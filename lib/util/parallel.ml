@@ -2,34 +2,118 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 (* OCaml 5.1 runs at most 128 domains in a process, the main one
    included ([Max_domains], caml/domain.h); past that [Domain.spawn]
-   fails.  A serve daemon's pool workers and the domains of the requests
-   they run add up, so one request for domains keeps to half the cap. *)
+   fails.  A serve daemon's pool workers and the workers behind [run]
+   add up, so one request for domains keeps to half the cap. *)
 let max_jobs = 64
 
 exception Worker of exn
 
+module Pool = struct
+  type t = {
+    mutex : Mutex.t;
+    nonempty : Condition.t;
+    queue : (unit -> unit) Queue.t;
+    mutable stopping : bool;
+    mutable workers : unit Domain.t list;
+    on_error : exn -> unit;
+  }
+
+  let worker_loop t () =
+    let rec wait () =
+      if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
+      else if t.stopping then None
+      else begin
+        Condition.wait t.nonempty t.mutex;
+        wait ()
+      end
+    in
+    let rec next () =
+      match Mutex.protect t.mutex wait with
+      | None -> ()
+      | Some f ->
+        (try f () with e -> (try t.on_error e with _ -> ()));
+        next ()
+    in
+    next ()
+
+  let jobs t = Mutex.protect t.mutex (fun () -> List.length t.workers)
+
+  let pending t = Mutex.protect t.mutex (fun () -> Queue.length t.queue)
+
+  let submit t f =
+    Mutex.protect t.mutex (fun () ->
+        if t.stopping then invalid_arg "Parallel.Pool.submit: pool is shut down";
+        Queue.push f t.queue;
+        Condition.signal t.nonempty)
+
+  let shutdown t =
+    Mutex.lock t.mutex;
+    let was_stopping = t.stopping in
+    t.stopping <- true;
+    Condition.broadcast t.nonempty;
+    Mutex.unlock t.mutex;
+    if not was_stopping then List.iter Domain.join t.workers
+
+  let empty on_error =
+    {
+      mutex = Mutex.create ();
+      nonempty = Condition.create ();
+      queue = Queue.create ();
+      stopping = false;
+      workers = [];
+      on_error;
+    }
+
+  (* The one place a domain is spawned: grow [t] to [n] workers and
+     return how many it has.  Should the runtime refuse a domain, [t]
+     keeps the workers already started. *)
+  let grow t n =
+    Mutex.protect t.mutex (fun () ->
+        (try
+           while List.length t.workers < n do
+             t.workers <- Domain.spawn (worker_loop t) :: t.workers
+           done
+         with Failure _ -> ());
+        List.length t.workers)
+
+  let create ?(on_error = fun _ -> ()) ~jobs () =
+    if jobs < 1 then invalid_arg "Parallel.Pool.create: jobs < 1";
+    let t = empty on_error in
+    if grow t jobs < jobs then begin
+      shutdown t;
+      failwith "Parallel.Pool.create: the runtime refused a domain"
+    end;
+    t
+end
+
+(* The workers behind [run]: one pool for the process, empty until a run
+   needs a helper.  Every idle domain takes part in every stop-the-world
+   minor collection, so with the caller it keeps to one domain per core. *)
+let shared = Pool.empty ignore
+let max_helpers = Stdlib.max 1 (default_jobs () - 1)
+
 let run ~jobs ~tasks ~init f =
   if jobs < 1 then invalid_arg "Parallel.run: jobs < 1";
   if tasks < 0 then invalid_arg "Parallel.run: tasks < 0";
-  if tasks = 0 then [||]
-  else begin
-    let jobs = Stdlib.min jobs tasks in
-    if jobs = 1 then begin
-      (* Inline on the calling domain: no spawn, no atomics.  This is the
-         path every small run (and every run on a 1-core host) takes. *)
-      let st = init () in
-      for i = 0 to tasks - 1 do
-        f st i
-      done;
-      [| st |]
-    end
-    else begin
-      let next = Atomic.make 0 in
-      (* Work stealing off a shared counter: a worker that finishes its
-         task grabs the next unclaimed index, so an uneven task mix still
-         balances.  Task index -> output location must be a function of
-         the index alone for the result to be schedule-independent. *)
-      let worker () =
+  if Stdlib.min jobs tasks = 1 then begin
+    (* Inline on the calling domain: no hand-off, no atomics.  This is
+       the path every small run takes. *)
+    let st = init () in
+    for i = 0 to tasks - 1 do
+      f st i
+    done
+  end
+  else if tasks > 0 then begin
+    let want = Stdlib.min (Stdlib.min jobs tasks - 1) max_helpers in
+    let next = Atomic.make 0 in
+    let m = Mutex.create () and left = Condition.create () in
+    let active = ref 0 and closed = ref false and error = ref None in
+    (* Work stealing off a shared counter: a domain that finishes its
+       task grabs the next unclaimed index, so an uneven task mix still
+       balances.  Task index -> output location must be a function of
+       the index alone for the result to be schedule-independent. *)
+    let work () =
+      try
         let st = init () in
         let rec loop () =
           let i = Atomic.fetch_and_add next 1 in
@@ -38,42 +122,44 @@ let run ~jobs ~tasks ~init f =
             loop ()
           end
         in
-        loop ();
-        st
+        loop ()
+      with e -> Mutex.protect m (fun () -> if Option.is_none !error then error := Some e)
+    in
+    (* A helper that a busy pool reaches only after every task is claimed
+       does nothing, so a nested run never waits for a worker it holds. *)
+    let helper () =
+      let join () =
+        let join = (not !closed) && Atomic.get next < tasks in
+        if join then incr active;
+        join
       in
-      (* Should the runtime refuse a domain, the workers already started
-         carry on without it: a task's effect is a function of its index,
-         so fewer workers leave the same words. *)
-      let spawned = ref [] in
-      (try
-         for _ = 2 to jobs do
-           spawned := Domain.spawn worker :: !spawned
-         done
-       with Failure _ -> ());
-      let spawned = Array.of_list (List.rev !spawned) in
-      let mine = try Ok (worker ()) with e -> Error e in
-      let joined =
-        Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned
-      in
-      let states = Array.make (Array.length spawned + 1) None in
-      let record slot = function
-        | Ok st -> states.(slot) <- Some st
-        | Error e -> raise (Worker e)
-      in
-      record 0 mine;
-      Array.iteri (fun k r -> record (k + 1) r) joined;
-      Array.map (function Some st -> st | None -> assert false) states
-    end
+      if Mutex.protect m join then begin
+        work ();
+        Mutex.protect m (fun () ->
+            decr active;
+            Condition.signal left)
+      end
+    in
+    for _ = 1 to Stdlib.min want (Pool.grow shared want) do
+      Pool.submit shared helper
+    done;
+    work ();
+    Mutex.protect m (fun () ->
+        closed := true;
+        while !active > 0 do
+          Condition.wait left m
+        done);
+    Option.iter (fun e -> raise (Worker e)) !error
   end
 
-let for_ ~jobs ~tasks f = ignore (run ~jobs ~tasks ~init:(fun () -> ()) (fun () i -> f i))
+let for_ ~jobs ~tasks f = run ~jobs ~tasks ~init:ignore (fun () i -> f i)
 
 let run_chunks ~jobs ~threshold ~n ~init f =
   if n < 0 then invalid_arg "Parallel.run_chunks: n < 0";
   if n > 0 then begin
     if jobs <= 1 || n < threshold then begin
-      (* below the width threshold the spawn overhead dominates the work,
-         so run the whole range inline with a single state *)
+      (* below the width threshold the hand-off overhead dominates the
+         work, so run the whole range inline with a single state *)
       let st = init () in
       f st 0 n
     end
@@ -84,94 +170,9 @@ let run_chunks ~jobs ~threshold ~n ~init f =
          chunk, so writes to index-designated slots stay disjoint *)
       let ntasks = Stdlib.min n (jobs * 4) in
       let chunk = ((n + ntasks) - 1) / ntasks in
-      ignore
-        (run ~jobs ~tasks:ntasks ~init (fun st t ->
-             let lo = t * chunk in
-             let hi = Stdlib.min n (lo + chunk) in
-             if lo < hi then f st lo hi))
+      run ~jobs ~tasks:ntasks ~init (fun st t ->
+          let lo = t * chunk in
+          let hi = Stdlib.min n (lo + chunk) in
+          if lo < hi then f st lo hi)
     end
   end
-
-module Pool = struct
-  type t = {
-    mutex : Mutex.t;
-    nonempty : Condition.t;
-    queue : (unit -> unit) Queue.t;
-    mutable stopping : bool;
-    mutable workers : unit Domain.t array;
-    on_error : exn -> unit;
-  }
-
-  let worker_loop t () =
-    let rec next () =
-      Mutex.lock t.mutex;
-      let rec wait () =
-        if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
-        else if t.stopping then None
-        else begin
-          Condition.wait t.nonempty t.mutex;
-          wait ()
-        end
-      in
-      let task = wait () in
-      Mutex.unlock t.mutex;
-      match task with
-      | None -> ()
-      | Some f ->
-        (try f () with e -> (try t.on_error e with _ -> ()));
-        next ()
-    in
-    next ()
-
-  let jobs t = Array.length t.workers
-
-  let pending t =
-    Mutex.lock t.mutex;
-    let n = Queue.length t.queue in
-    Mutex.unlock t.mutex;
-    n
-
-  let submit t f =
-    Mutex.lock t.mutex;
-    if t.stopping then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Parallel.Pool.submit: pool is shut down"
-    end;
-    Queue.push f t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex
-
-  let shutdown t =
-    Mutex.lock t.mutex;
-    let was_stopping = t.stopping in
-    t.stopping <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex;
-    if not was_stopping then Array.iter Domain.join t.workers
-
-  let create ?(on_error = fun _ -> ()) ~jobs () =
-    if jobs < 1 then invalid_arg "Parallel.Pool.create: jobs < 1";
-    let t =
-      {
-        mutex = Mutex.create ();
-        nonempty = Condition.create ();
-        queue = Queue.create ();
-        stopping = false;
-        workers = [||];
-        on_error;
-      }
-    in
-    let started = ref [] in
-    (match
-       for _ = 1 to jobs do
-         started := Domain.spawn (worker_loop t) :: !started
-       done
-     with
-    | () -> t.workers <- Array.of_list (List.rev !started)
-    | exception e ->
-      (* the runtime refused a domain: stop the workers already started *)
-      t.workers <- Array.of_list !started;
-      shutdown t;
-      raise e);
-    t
-end

@@ -139,6 +139,26 @@ let test_rejects_zero_jobs () =
   | _ -> Alcotest.fail "0 jobs accepted"
   | exception Invalid_argument _ -> ()
 
+(* [f] run as each of two simultaneous tasks of a serve-style pool of
+   two workers: both workers are busy, so a parallel run inside a task
+   finds no idle helper *)
+let in_serve_pool f =
+  let module Pool = Sl_util.Parallel.Pool in
+  let pool = Pool.create ~jobs:2 () in
+  let results = Array.make 2 None in
+  Array.iteri
+    (fun k _ ->
+      Pool.submit pool (fun () ->
+          results.(k) <- Some (try Ok (f ()) with e -> Error e)))
+    results;
+  Pool.shutdown pool;
+  Array.map
+    (function
+      | Some (Ok r) -> r
+      | Some (Error e) -> raise e
+      | None -> Alcotest.fail "pool task did not run")
+    results
+
 let test_jobs_invariant () =
   (* the chunked RNG-stream scheme: any worker count produces the same
      dies in the same slots, bit for bit — 700 samples spans three chunks
@@ -147,16 +167,23 @@ let test_jobs_invariant () =
   List.iter
     (fun (tag, sampling) ->
       let base = Mc.run ~sampling ~jobs:1 ~seed:11 ~samples:700 d m in
+      let run jobs () = Mc.run ~sampling ~jobs ~seed:11 ~samples:700 d m in
       List.iter
-        (fun jobs ->
-          let r = Mc.run ~sampling ~jobs ~seed:11 ~samples:700 d m in
-          Alcotest.(check (array (float 0.0)))
-            (Printf.sprintf "%s delays jobs=%d" tag jobs)
-            base.Mc.delay r.Mc.delay;
-          Alcotest.(check (array (float 0.0)))
-            (Printf.sprintf "%s leaks jobs=%d" tag jobs)
-            base.Mc.leak r.Mc.leak)
-        [ 2; 4 ])
+        (fun (how, rs) ->
+          Array.iter
+            (fun (r : Mc.result) ->
+              Alcotest.(check (array (float 0.0)))
+                (Printf.sprintf "%s delays %s" tag how)
+                base.Mc.delay r.Mc.delay;
+              Alcotest.(check (array (float 0.0)))
+                (Printf.sprintf "%s leaks %s" tag how)
+                base.Mc.leak r.Mc.leak)
+            rs)
+        [
+          ("jobs=2", [| run 2 () |]);
+          ("jobs=4", [| run 4 () |]);
+          ("jobs=2 in a serve pool task", in_serve_pool (run 2));
+        ])
     [ ("naive", `Naive); ("lhs", `Lhs) ]
 
 let test_run_stats_matches_run () =

@@ -228,16 +228,14 @@ let test_trace_instant () =
 let test_trace_cross_domain_merge () =
   with_sink Trace.Memory (fun () ->
       let tasks = 24 in
-      ignore
-        (Parallel.run ~jobs:4 ~tasks
-           ~init:(fun () -> ())
-           (fun () i ->
-             Trace.span
-               ~attrs:[ ("i", string_of_int i) ]
-               "t.worker"
-               (fun () -> ignore (Stdlib.sin (float_of_int i)))));
-      (* every worker-domain buffer must survive domain termination and
-         merge into one stream *)
+      Parallel.run ~jobs:4 ~tasks
+        ~init:(fun () -> ())
+        (fun () i ->
+          Trace.span
+            ~attrs:[ ("i", string_of_int i) ]
+            "t.worker"
+            (fun () -> ignore (Stdlib.sin (float_of_int i))));
+      (* every worker-domain buffer must merge into one stream *)
       let evs = events () in
       let workers =
         List.filter
@@ -253,6 +251,30 @@ let test_trace_cross_domain_merge () =
       Alcotest.(check bool) "chronological" true (sorted ts);
       Alcotest.(check bool) "timestamps monotonized" true
         (List.for_all (fun t -> t >= 0.0) ts))
+
+(* successive parallel runs reuse the resident workers: K runs whose
+   tasks outlast a worker's wake-up trace on the caller plus at most
+   [max 1 (cores - 1)] workers (2 thread ids on a 2-core host), where a
+   domain spawned per run would add one thread id per run *)
+let test_trace_resident_tids () =
+  with_sink Trace.Memory (fun () ->
+      let most = 1 + Stdlib.max 1 (Parallel.default_jobs () - 1) in
+      let runs = most + 8 in
+      for _ = 1 to runs do
+        Parallel.run ~jobs:2 ~tasks:2 ~init:ignore (fun () _ ->
+            Trace.span "t.sleep" (fun () -> Unix.sleepf 0.001))
+      done;
+      let sleeps =
+        List.filter (fun e -> Json.str "name" e = Some "t.sleep") (events ())
+      in
+      Alcotest.(check int) "every task traced" (2 * runs) (List.length sleeps);
+      let tids =
+        List.sort_uniq Float.compare
+          (List.map (fun e -> Option.get (Json.num "tid" e)) sleeps)
+      in
+      if List.length tids > most then
+        Alcotest.failf "%d runs traced on %d thread ids, expected at most %d"
+          runs (List.length tids) most)
 
 let test_trace_write_roundtrip () =
   with_sink Trace.Memory (fun () ->
@@ -369,6 +391,8 @@ let suite =
         Alcotest.test_case "instant" `Quick test_trace_instant;
         Alcotest.test_case "cross-domain merge" `Quick
           test_trace_cross_domain_merge;
+        Alcotest.test_case "resident workers share thread ids" `Quick
+          test_trace_resident_tids;
         Alcotest.test_case "write round-trip" `Quick test_trace_write_roundtrip;
       ] );
     ( "obs-log",

@@ -558,7 +558,7 @@ let test_histogram_quantile_edges () =
 
 (* cross-domain merge: per-domain histograms reduced pairwise must match
    one histogram fed everything — the same contract Stats.Acc.merge pins,
-   exercised through Parallel worker states *)
+   exercised through the Parallel worker states, which [init] collects *)
 let prop_histogram_merge_matches_single =
   QCheck.Test.make ~name:"Histogram.merge = single histogram" ~count:200
     QCheck.(
@@ -569,15 +569,17 @@ let prop_histogram_merge_matches_single =
       let feed h xs = Array.iter (Histogram.observe h) xs in
       let whole = Histogram.create ~bins:8 ~lo:0.0 ~hi:10.0 in
       feed whole xs;
-      let states =
-        Parallel.run ~jobs ~tasks:(Array.length xs)
-          ~init:(fun () -> Histogram.create ~bins:8 ~lo:0.0 ~hi:10.0)
-          (fun h i -> Histogram.observe h xs.(i))
-      in
+      let states = ref [] and m = Mutex.create () in
+      Parallel.run ~jobs ~tasks:(Array.length xs)
+        ~init:(fun () ->
+          let h = Histogram.create ~bins:8 ~lo:0.0 ~hi:10.0 in
+          Mutex.protect m (fun () -> states := h :: !states);
+          h)
+        (fun h i -> Histogram.observe h xs.(i));
       let merged =
-        Array.fold_left Histogram.merge
+        List.fold_left Histogram.merge
           (Histogram.create ~bins:8 ~lo:0.0 ~hi:10.0)
-          states
+          !states
       in
       merged.Histogram.counts = whole.Histogram.counts
       && merged.Histogram.total = whole.Histogram.total)
@@ -740,19 +742,58 @@ let test_parallel_run_covers () =
   List.iter
     (fun jobs ->
       let hits = Array.make 100 0 in
-      let states =
-        Parallel.run ~jobs ~tasks:100
-          ~init:(fun () -> ref 0)
-          (fun st i ->
-            hits.(i) <- hits.(i) + 1;
-            incr st)
-      in
+      Parallel.run ~jobs ~tasks:100 ~init:ignore (fun () i ->
+          hits.(i) <- hits.(i) + 1);
       Array.iteri
         (fun i h -> if h <> 1 then Alcotest.failf "index %d hit %d times" i h)
-        hits;
-      let total = Array.fold_left (fun a st -> a + !st) 0 states in
-      Alcotest.(check int) "worker states account for every task" 100 total)
+        hits)
     [ 1; 2; 4; 7 ]
+
+(* every task of an outer run runs an inner run: an inner run that finds
+   every worker busy with outer tasks must finish on its caller alone,
+   and every run must leave the words a jobs-1 run leaves *)
+let nested_run_words jobs =
+  let words = Array.make (12 * 9) 0.0 in
+  Parallel.run ~jobs ~tasks:12 ~init:ignore (fun () i ->
+      Parallel.run ~jobs ~tasks:9 ~init:ignore (fun () j ->
+          let k = (9 * i) + j in
+          words.(k) <- words.(k) +. Stdlib.sin (float_of_int (k + 1))));
+  words
+
+let test_parallel_nested_run () =
+  let serial = nested_run_words 1 in
+  List.iter
+    (fun jobs ->
+      let words = nested_run_words jobs in
+      Array.iteri
+        (fun k w ->
+          if Int64.bits_of_float w <> Int64.bits_of_float serial.(k) then
+            Alcotest.failf "jobs %d: slot %d is %h, jobs 1 left %h" jobs k w
+              serial.(k))
+        words)
+    [ 2; 4 ]
+
+(* two domains running parallel runs at once share the one pool; each
+   run still covers its own range exactly once *)
+let test_parallel_concurrent_runs () =
+  let caller () =
+    let hits = Array.make 200 0 in
+    for _ = 1 to 20 do
+      Parallel.run ~jobs:2 ~tasks:10 ~init:ignore (fun () i ->
+          for k = 20 * i to (20 * i) + 19 do
+            hits.(k) <- hits.(k) + 1
+          done)
+    done;
+    hits
+  in
+  let others = Domain.spawn caller in
+  let mine = caller () in
+  List.iter
+    (fun hits ->
+      Array.iteri
+        (fun k h -> if h <> 20 then Alcotest.failf "slot %d hit %d times" k h)
+        hits)
+    [ mine; Domain.join others ]
 
 let test_parallel_run_worker_exn () =
   (* a task raising mid-run must surface Parallel.Worker after all
@@ -840,6 +881,10 @@ let suite =
       [
         Alcotest.test_case "run covers every index once" `Quick
           test_parallel_run_covers;
+        Alcotest.test_case "nested runs finish with jobs-1 words" `Quick
+          test_parallel_nested_run;
+        Alcotest.test_case "concurrent runs from two domains" `Quick
+          test_parallel_concurrent_runs;
         Alcotest.test_case "worker exception surfaces" `Quick
           test_parallel_run_worker_exn;
         Alcotest.test_case "run_chunks covers every index once" `Quick

@@ -366,7 +366,7 @@ let print_profile ~mode ~jobs =
   let level_batches =
     Printf.sprintf "%d on %d domains, %d inline (widest level %d gates)"
       (i "statleak_opt_par_levels_total")
-      jobs
+      (Sl_util.Parallel.domains ~jobs)
       (i "statleak_opt_seq_levels_total")
       (i "statleak_opt_max_level_width")
   in

@@ -4,12 +4,18 @@ module Design = Sl_tech.Design
 module Cell_lib = Sl_tech.Cell_lib
 module Model = Sl_variation.Model
 
+(* Each gate's terms are cached with the threshold and size they came
+   from; a gate whose assignment still matches costs no [exp].  PIs keep
+   zero terms. *)
 type t = {
   design : Design.t;
   model : Model.t;
   r2 : float;                (* independent log-variance per gate (constant) *)
-  m : float array;           (* per-gate ln nominal leakage; 0 unused for PIs *)
-  xm : float array;          (* per gate: E X = exp(m + r²/2) *)
+  xm : float array;          (* per gate: E X = exp(m + r²/2), m = ln nominal *)
+  vx : float array;          (* per gate: Var X *)
+  em : float array;          (* per gate: exp m, the nominal leakage *)
+  seen_vth : int array;      (* the assignment the terms came from; −1 = stale *)
+  seen_size : int array;
   is_cell : bool array;
   cell : int array;          (* grid cell per gate *)
   q : float array;           (* per grid cell: |u_c|² *)
@@ -58,21 +64,35 @@ let ln_nominal design id =
 let ex m r2 = exp (m +. (r2 /. 2.0))
 let varx m r2 = exp ((2.0 *. m) +. r2) *. (exp r2 -. 1.0)
 
-let rebuild t =
+let set_terms t id =
+  let m = ln_nominal t.design id in
+  t.xm.(id) <- ex m t.r2;
+  t.vx.(id) <- varx m t.r2;
+  t.em.(id) <- exp m;
+  t.seen_vth.(id) <- t.design.Design.vth_idx.(id);
+  t.seen_size.(id) <- t.design.Design.size_idx.(id)
+
+(* Re-derive the stale gates' terms, then fold every cell's sums afresh
+   in id order: the additions a fold over freshly derived terms makes,
+   so the words do not depend on the update history. *)
+let refresh t =
+  let d = t.design in
   Array.fill t.a 0 (Array.length t.a) 0.0;
   Array.fill t.w 0 (Array.length t.w) 0.0;
-  t.nom <- 0.0;
-  let n = Array.length t.m in
-  for id = 0 to n - 1 do
+  let nom = ref 0.0 in
+  for id = 0 to Array.length t.xm - 1 do
     if t.is_cell.(id) then begin
-      t.m.(id) <- ln_nominal t.design id;
-      t.xm.(id) <- ex t.m.(id) t.r2;
+      if
+        d.Design.vth_idx.(id) <> t.seen_vth.(id)
+        || d.Design.size_idx.(id) <> t.seen_size.(id)
+      then set_terms t id;
       let c = t.cell.(id) in
       t.a.(c) <- t.a.(c) +. t.xm.(id);
-      t.w.(c) <- t.w.(c) +. varx t.m.(id) t.r2;
-      t.nom <- t.nom +. exp t.m.(id)
+      t.w.(c) <- t.w.(c) +. t.vx.(id);
+      nom := !nom +. t.em.(id)
     end
-  done
+  done;
+  t.nom <- !nom
 
 let create design model =
   let lib = design.Design.lib in
@@ -94,8 +114,11 @@ let create design model =
       design;
       model;
       r2;
-      m = Array.make n 0.0;
       xm = Array.make n 0.0;
+      vx = Array.make n 0.0;
+      em = Array.make n 0.0;
+      seen_vth = Array.make n (-1);
+      seen_size = Array.make n (-1);
       is_cell;
       cell = Array.init n (fun id -> Model.cell_index model id);
       q;
@@ -106,10 +129,8 @@ let create design model =
       nom = 0.0;
     }
   in
-  rebuild t;
+  refresh t;
   t
-
-let refresh = rebuild
 
 let mean_of t a =
   let acc = ref 0.0 in
@@ -148,17 +169,17 @@ let gate_mean t id =
   if not t.is_cell.(id) then 0.0
   else t.xm.(id) *. t.eq.(t.cell.(id))
 
+(* O(1) drift arithmetic: the sums move by the new terms less the cached
+   old ones.  These updates do not undo exactly; the next [refresh]
+   re-folds every sum. *)
 let update_gate t id =
   if t.is_cell.(id) then begin
     let c = t.cell.(id) in
-    let m_old = t.m.(id) and x_old = t.xm.(id) in
-    let m_new = ln_nominal t.design id in
-    let x_new = ex m_new t.r2 in
-    t.m.(id) <- m_new;
-    t.xm.(id) <- x_new;
-    t.a.(c) <- t.a.(c) +. x_new -. x_old;
-    t.w.(c) <- t.w.(c) +. varx m_new t.r2 -. varx m_old t.r2;
-    t.nom <- t.nom +. exp m_new -. exp m_old
+    let x_old = t.xm.(id) and v_old = t.vx.(id) and e_old = t.em.(id) in
+    set_terms t id;
+    t.a.(c) <- t.a.(c) +. t.xm.(id) -. x_old;
+    t.w.(c) <- t.w.(c) +. t.vx.(id) -. v_old;
+    t.nom <- t.nom +. t.em.(id) -. e_old
   end
 
 let ln_if t id ~vth_idx ~size_idx =
@@ -180,7 +201,7 @@ let quantile_if t id ~vth_idx ~size_idx ~p =
     let c = t.cell.(id) in
     let a' = Array.copy t.a and w' = Array.copy t.w in
     a'.(c) <- a'.(c) +. ex m_new t.r2 -. t.xm.(id);
-    w'.(c) <- w'.(c) +. varx m_new t.r2 -. varx t.m.(id) t.r2;
+    w'.(c) <- w'.(c) +. varx m_new t.r2 -. t.vx.(id);
     let mean' = mean_of t a' and var' = variance_of t a' w' in
     Lognormal.quantile (Lognormal.of_moments ~mean:mean' ~variance:var') p
   end

@@ -12,13 +12,17 @@
     sum from O(gates²) to O(cells²) with no approximation.
 
     The accumulators support O(1) single-gate updates, so the optimizer
-    can re-evaluate chip leakage after each tentative move. *)
+    can re-evaluate chip leakage after each tentative move.  Each gate's
+    lognormal terms are cached with the threshold and size they came
+    from, so {!refresh} re-derives only the gates whose assignment
+    changed. *)
 
 type t
 
 val create : Sl_tech.Design.t -> Sl_variation.Model.t -> t
-(** Capture the design's current assignment.  The design is referenced,
-    not copied: after mutating gate [g], call {!update_gate}. *)
+(** Capture the design's current assignment: {!refresh} with every gate
+    stale.  The design is referenced, not copied: after mutating gate
+    [g], call {!update_gate} or, before the next read, {!refresh}. *)
 
 val mean : t -> float
 (** E[total leakage], nA — exact under the model. *)
@@ -43,12 +47,21 @@ val gate_mean : t -> int -> float
 (** E[leakage of gate id], nA; 0 for PIs. *)
 
 val update_gate : t -> int -> unit
-(** Re-read gate [id]'s threshold/size from the design and update the
-    moment accumulators in O(1). *)
+(** Re-read gate [id]'s threshold/size from the design and move the
+    moment accumulators by its new terms less its cached old ones, in
+    O(1).  Such updates drift from a fresh {!create} in the last bits
+    and do not undo exactly; the next {!refresh} re-folds every sum. *)
 
 val refresh : t -> unit
-(** Full recomputation (defends against floating-point drift after many
-    incremental updates). *)
+(** Bring the moments up to the design's current assignment, whatever
+    was changed with or without {!update_gate} (bulk restores
+    included).  One pass of integer compares finds the gates whose
+    threshold or size differs from their cached terms, and only those
+    are re-derived (four [exp] each); then every cell's sums and the
+    nominal total are re-folded from the cached terms in id order.
+    These are {!create}'s additions in {!create}'s order over the same
+    terms, so every reader returns a fresh {!create}'s words: O(gates)
+    additions, with no [exp] for an unchanged gate. *)
 
 val mean_shift_if :
   t -> int -> vth_idx:int -> size_idx:int -> float

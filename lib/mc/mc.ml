@@ -124,7 +124,11 @@ let sweep ~name ?z_of ?shift ~jobs ~seed ~first ~count (d : Design.t) model ~con
   in
   let t0 = Unix.gettimeofday () in
   Trace.span name
-    ~attrs:[ ("dies", string_of_int count); ("jobs", string_of_int jobs) ]
+    ~attrs:
+      [
+        ("dies", string_of_int count);
+        ("jobs", string_of_int (Sl_util.Parallel.domains ~jobs));
+      ]
     (fun () ->
       Sl_util.Parallel.run ~jobs ~tasks:chunks ~init:(fun () -> Eval.create d model) work);
   let dt = Unix.gettimeofday () -. t0 in

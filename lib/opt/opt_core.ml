@@ -283,8 +283,10 @@ let create ~mode ~progress ?engine p (d : Design.t) model =
     match engine with
     | None -> build p d model
     | Some (e : engine) ->
-      (* measured afresh: [Leak_ssta.refresh] is [Leak_ssta.create]'s own
-         rebuild, and a full sync leaves the words a build would *)
+      (* measured afresh: [Leak_ssta.refresh] leaves a fresh
+         [Leak_ssta.create]'s words, and a full sync — which also does
+         any backward/path repair a caller's [~paths:false] syncs
+         deferred — leaves the words a build would *)
       if Hier.design e.timing != d then
         invalid_arg "optimize: the engine times another design";
       Leak_ssta.refresh e.leak;
@@ -592,7 +594,7 @@ let scan ~eligible ~direction (r : ranking) st =
   Bytes.fill live 0 (Bytes.length live) '\000';
   if direction = `Reduce then expire r d;
   let eff_jobs = if p.jobs > 1 && Memo.frozen memo then p.jobs else 1 in
-  Metrics.set m_rank_jobs (float_of_int eff_jobs);
+  Metrics.set m_rank_jobs (float_of_int (Parallel.domains ~jobs:eff_jobs));
   Parallel.run_chunks ~jobs:eff_jobs ~threshold:1024 ~n ~init:(fun () -> ())
     (fun () lo hi ->
       for id = lo to hi - 1 do

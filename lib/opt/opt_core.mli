@@ -152,7 +152,9 @@ val run :
     caller's engine, which must time this design over this model.  The
     run then ignores [partition], and [jobs] sets only the ranking
     scan's domains.  It starts with {!Sl_leakage.Leak_ssta.refresh} and
-    a full {!Sl_ssta.Hier.sync}, which leave the words a build would, so
+    a full {!Sl_ssta.Hier.sync} (which also does any backward/path
+    repair the caller's [~paths:false] syncs deferred); they leave the
+    words a build would, so
     the trajectory and stats equal a one-shot run's; that start is
     counted as the build is, one re-measure point and one full analysis.
     The engine counters in the stats are deltas over the run; the

@@ -328,7 +328,7 @@ let session_fields (s : Session.t) =
   [
     ("session", Json.Str s.Session.name);
     ("circuit", Json.Str s.Session.setup.Setup.name);
-    ("cells", Json.Num (float_of_int (Circuit.num_cells s.Session.setup.Setup.circuit)));
+    ("cells", Json.Num (float_of_int s.Session.cells));
     ("d0", Json.Num s.Session.setup.Setup.d0);
     ("tmax", Json.Num s.Session.tmax);
   ]
@@ -499,9 +499,12 @@ let op_yield t fd req =
                ("halfwidth", Json.Num halfwidth);
              ])
       in
-      Hier.sync s.Session.engine;
+      (* the synced engine holds the circuit-delay form the estimator's
+         IS shift and CV control need, bit for bit *)
+      Hier.sync ~paths:false s.Session.engine;
       let e =
         Yield_seq.estimate ~ci ~jobs ~method_ ~max_samples ~progress
+          ~circuit_delay:(Hier.circuit_delay s.Session.engine)
           ~target_halfwidth:halfwidth ~seed ~tmax:s.Session.tmax s.Session.design
           s.Session.setup.Setup.model
       in

@@ -35,6 +35,8 @@ type t = {
   leak : Leak_ssta.t;
   memo : Memo.t;
   tmax : float;
+  cells : int;
+  gate_ids : (string, int) Hashtbl.t;
   mutable savepoints : (string * saved) list;
   mutable edits : int;
   lock : Mutex.t;
@@ -92,6 +94,11 @@ let build ?memo ~name ?init (source : source) =
   let tmax = Setup.tmax setup ~factor:source.tmax_factor in
   let engine = Hier.create ~memo ~partition:true design setup.Setup.model ~tmax in
   let leak = Leak_ssta.create design setup.Setup.model in
+  (* net names are unique: a circuit with a repeated net is rejected *)
+  let gate_ids = Hashtbl.create (Circuit.num_gates circuit) in
+  Array.iter
+    (fun (g : Circuit.gate) -> Hashtbl.add gate_ids g.Circuit.name g.Circuit.id)
+    circuit.Circuit.gates;
   {
     name;
     source;
@@ -101,6 +108,8 @@ let build ?memo ~name ?init (source : source) =
     leak;
     memo;
     tmax;
+    cells = Circuit.num_cells circuit;
+    gate_ids;
     savepoints = [];
     edits = 0;
     lock = Mutex.create ();
@@ -114,8 +123,8 @@ type edit =
   | Set_load of string * float
 
 let gate_id t gate_name =
-  match Circuit.find t.setup.Setup.circuit gate_name with
-  | Some g -> g.Circuit.id
+  match Hashtbl.find_opt t.gate_ids gate_name with
+  | Some id -> id
   | None -> invalid_arg (Printf.sprintf "no gate named %S" gate_name)
 
 (* Every gate is resolved before any is touched, and the values are
@@ -163,12 +172,14 @@ type analysis = {
   total_width : float;
 }
 
+(* No reply reads the worst-path arrays, so the backward/path repair is
+   left to the optimizer's full sync.  The timing engine is bit-identical
+   to from-scratch by construction; the leakage moments are made so by
+   [Leak_ssta.refresh], which re-derives the edited gates' terms and
+   re-folds every sum.  [Leak_ssta.update_gate]'s drift updates are not
+   exactly reversible, so they would break rollback/restore bit-identity. *)
 let analyze t =
-  Hier.sync t.engine;
-  (* the timing engine is bit-identical to from-scratch by construction;
-     leakage moments are made so by full recomputation — incremental
-     accumulator updates are not exactly reversible, which would break
-     the rollback/restore bit-identity guarantee *)
+  Hier.sync ~paths:false t.engine;
   Leak_ssta.refresh t.leak;
   let cd = Hier.circuit_delay t.engine in
   {

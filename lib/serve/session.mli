@@ -44,6 +44,10 @@ type t = {
       (** frozen: the daemon's shared table, or the session's own,
           prefilled for the design *)
   tmax : float;  (** [tmax_factor · d0], fixed at load *)
+  cells : int;  (** logic cells in the circuit, counted at load *)
+  gate_ids : (string, int) Hashtbl.t;
+      (** net name → gate id, built at load: an edit resolves its gates
+          without a walk over the circuit.  Read-only. *)
   mutable savepoints : (string * saved) list;
   mutable edits : int;  (** applied edit operations, for stats *)
   lock : Mutex.t;
@@ -88,11 +92,16 @@ type analysis = {
 }
 
 val analyze : t -> analysis
-(** Sync the engine, recompute the leakage moments from
-    scratch and read the current numbers.  Every reported value is a pure
-    function of the circuit source and the current assignment — two
-    sessions in the same state analyze bit-identically, whatever edit or
-    rollback history brought them there. *)
+(** Sync the engine's arrivals and circuit delay, refresh the leakage
+    moments and read the current numbers.  The cost follows the edits:
+    the engine re-times the dirty cones forward only — no reply reads
+    the worst-path arrays, so their backward repair waits for the full
+    sync that {!optimize} starts with — and {!Sl_leakage.Leak_ssta.refresh}
+    re-derives only the edited gates' terms before it re-folds the sums.
+    Every reported value is a pure function of the circuit source and the
+    current assignment — two sessions in the same state analyze
+    bit-identically, whatever edit or rollback history brought them
+    there. *)
 
 val save : t -> string -> unit
 (** Record the current assignment (threshold, size and extra-load arrays)

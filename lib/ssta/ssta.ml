@@ -215,7 +215,9 @@ let backward_sweep ~jobs ~par_threshold ?stats circuit ~delay ~bwd =
    backward pass, whether it fills records or an engine's slots. *)
 let traced name counter ~jobs n f =
   Metrics.incr counter;
-  Trace.span name ~attrs:[ ("gates", string_of_int n); ("jobs", string_of_int jobs) ] f
+  Trace.span name
+    ~attrs:[ ("gates", string_of_int n); ("jobs", string_of_int (Parallel.domains ~jobs)) ]
+    f
 
 let forward_into ?memo ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats
     (d : Design.t) model ~delay ~arr =

@@ -91,6 +91,7 @@ end
    minor collection, so with the caller it keeps to one domain per core. *)
 let shared = Pool.empty ignore
 let max_helpers = Stdlib.max 1 (default_jobs () - 1)
+let domains ~jobs = Stdlib.min jobs (1 + max_helpers)
 
 let run ~jobs ~tasks ~init f =
   if jobs < 1 then invalid_arg "Parallel.run: jobs < 1";

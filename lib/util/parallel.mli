@@ -45,6 +45,12 @@ val run :
     @raise Invalid_argument if [jobs] < 1 or [tasks] < 0.
     @raise Worker if a task of a run that is not inline raises. *)
 
+val domains : jobs:int -> int
+(** The most domains a {!run} asking for [jobs] engages:
+    [min jobs (1 + max 1 (default_jobs () - 1))], the caller and the
+    pool's worker cap — what a report of the domains that take part
+    shows. *)
+
 val for_ : jobs:int -> tasks:int -> (int -> unit) -> unit
 (** Stateless [run]. *)
 

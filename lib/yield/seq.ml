@@ -40,8 +40,8 @@ let min_samples ?(batch_chunks = 4) = function
 
 let estimate ?(ci = 0.95) ?jobs ?(method_ = Is_cv) ?(quantity = Yield)
     ?(batch_chunks = 4) ?(max_samples = 1_000_000)
-    ?(progress = fun ~samples:_ ~value:_ ~halfwidth:_ -> ()) ~target_halfwidth
-    ~seed ~tmax (d : Sl_tech.Design.t) model =
+    ?(progress = fun ~samples:_ ~value:_ ~halfwidth:_ -> ()) ?circuit_delay
+    ~target_halfwidth ~seed ~tmax (d : Sl_tech.Design.t) model =
   if target_halfwidth < 0.0 then invalid_arg "Seq.estimate: negative target_halfwidth";
   if batch_chunks < 1 then invalid_arg "Seq.estimate: batch_chunks < 1";
   let least = min_samples ~batch_chunks method_ in
@@ -55,11 +55,13 @@ let estimate ?(ci = 0.95) ?jobs ?(method_ = Is_cv) ?(quantity = Yield)
   let batch_size = batch_chunks * Mc.chunk_size in
   let num_pcs = Model.num_pcs model in
   (* the linearized circuit-delay form: shift direction for IS, surrogate
-     control for CV — one SSTA pass, amortized over every die *)
+     control for CV — the caller's, or one SSTA pass, amortized over every
+     die *)
   let form =
-    match method_ with
-    | Is | Cv | Is_cv -> Some (Ssta.analyze d model).Ssta.circuit_delay
-    | Naive | Lhs -> None
+    match (method_, circuit_delay) with
+    | (Is | Cv | Is_cv), Some _ -> circuit_delay
+    | (Is | Cv | Is_cv), None -> Some (Ssta.analyze d model).Ssta.circuit_delay
+    | (Naive | Lhs), _ -> None
   in
   let shift =
     match (method_, form) with

@@ -45,6 +45,11 @@ val estimate :
   (* called after every batch with the running estimate (oriented as the
      requested quantity) and current CI half-width — the serve daemon's
      streaming hook; never changes a number *)
+  ?circuit_delay:Sl_ssta.Canonical.t ->
+  (* the circuit-delay form behind the IS shift and the CV control, from
+     a caller that already holds it (a synced timing engine); must equal
+     [(Ssta.analyze d model).circuit_delay].  Omitted, [Is], [Cv] and
+     [Is_cv] run that analysis; [Naive] and [Lhs] never read it *)
   target_halfwidth:float ->
   seed:int -> tmax:float ->
   Sl_tech.Design.t -> Sl_variation.Model.t -> Estimate.t

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI smoke for the `statleak serve` daemon: a c17 + add32 round-trip over
-# the wire protocol, checkpoint/rollback determinism, >= 2 concurrent
-# sessions, LRU eviction + transparent restore, a register-cone session
-# (spipe30k, ten cones) that rolls back to its load-time yield, zero
-# leaked sessions and a clean shutdown.  Run from the repo root after
-# `dune build`.
+# CI smoke for the `statleak serve` daemon: an optimize that reads the
+# same whether or not the edits before it were analyzed (the path repair
+# an analyze defers), a c17 + add32 round-trip over the wire protocol,
+# checkpoint/rollback determinism, >= 2 concurrent sessions, LRU
+# eviction + transparent restore, a register-cone session (spipe30k, ten
+# cones) that rolls back to its load-time yield, zero leaked sessions and
+# a clean shutdown.  Run from the repo root after `dune build`.
 set -euo pipefail
 
 CLI=${CLI:-_build/default/bin/statleak_cli.exe}
@@ -26,6 +27,29 @@ client() { "$CLI" client --socket "$SOCK" "$@"; }
 
 echo "== ping"
 client ping
+
+echo "== the same 20 edits, analyzed or not, then optimize: equal results"
+client load e1 add32 >/dev/null
+client load e2 add32 >/dev/null
+for i in $(seq 0 9); do
+  for e in "reassign-vth fa${i}_x1 1" "resize fa${i}_n1 3"; do
+    client edit e1 $e | grep -q 'applied: 1'
+    client analyze e1 | grep -q 'circuit: add32'
+    client edit e2 $e | grep -q 'applied: 1'
+  done
+done
+client optimize e1 --mode batch >"$OUT1"
+client optimize e2 --mode batch >"$OUT2"
+for key in digest final_yield; do
+  A=$(awk -F': ' -v k="$key" '$1 == k {print $2}' "$OUT1")
+  B=$(awk -F': ' -v k="$key" '$1 == k {print $2}' "$OUT2")
+  [ -n "$A" ] && [ "$A" = "$B" ] || {
+    echo "FAIL: optimize $key after analyzed edits ($A) differs from unanalyzed ($B)"
+    exit 1
+  }
+done
+client close e1 >/dev/null
+client close e2 >/dev/null
 
 echo "== load c17 and add32 sessions"
 client load s1 c17    | grep -q 'circuit: c17'
@@ -54,6 +78,8 @@ grep -q 'feasible: true' "$OUT1"
 grep -q 'feasible: true' "$OUT2"
 
 echo "== a third session forces an LRU eviction"
+# the two optimizes raced for the LRU order: touch s2 so s1 is the one evicted
+client analyze s2 >/dev/null
 client load s3 c17 >/dev/null
 STATS=$(client stats)
 echo "$STATS" | grep -q 'live_sessions: 2'

@@ -205,6 +205,15 @@ let test_trace_export () =
   | exception Sl_util.Json.Parse_error m ->
     Alcotest.failf "trace file unparsable: %s" m
 
+(* At most one domain per core takes part in a parallel run, the caller
+   and the pool's workers, whatever --jobs asks for: --profile reports
+   the domains that take part. *)
+let test_profile_domains () =
+  let domains = min 4 (1 + max 1 (Domain.recommended_domain_count () - 1)) in
+  let r = run "optimize add32 --mode batch --samples 0 --profile --jobs 4" in
+  check_ok "level batches" r (Printf.sprintf " on %d domains," domains);
+  check_ok "candidate ranking" r (Printf.sprintf "parallel scan on %d domains" domains)
+
 let test_client_no_server () =
   check_clean_error "client without server"
     (run "client --socket /tmp/definitely-no-statleak-daemon.sock ping")
@@ -234,5 +243,7 @@ let suite =
         Alcotest.test_case "profile json" `Quick test_profile_json;
         Alcotest.test_case "trace export" `Quick test_trace_export;
         Alcotest.test_case "client without server" `Quick test_client_no_server;
+        Alcotest.test_case "profile reports the domains that take part" `Quick
+          test_profile_domains;
       ] );
   ]

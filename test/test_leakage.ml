@@ -190,6 +190,72 @@ let prop_mean_always_at_least_nominal =
       let l = Leak_ssta.create d m in
       Leak_ssta.mean l >= Leak_ssta.nominal l)
 
+(* Random histories of single-gate edits (with and without
+   [update_gate]), saves, bulk [Array.blit] restores and repeated
+   refreshes: after every [refresh] each reader returns the IEEE words a
+   fresh [create] on a copy of the design does. *)
+let prop_refresh_equals_create =
+  QCheck.Test.make ~name:"refresh = create" ~count:40
+    QCheck.(pair (int_range 1 1000) (list_of_size Gen.(int_range 1 40) (int_range 0 5)))
+    (fun (seed, ops) ->
+      let d, m = setup (Generators.random_dag ~seed ~gates:150 ~inputs:12 ~outputs:6) in
+      let l = Leak_ssta.create d m in
+      let rng = Rng.create seed in
+      let cells =
+        Array.of_list
+          (List.filter_map
+             (fun (g : Circuit.gate) ->
+               if g.Circuit.kind <> Cell_kind.Pi then Some g.Circuit.id else None)
+             (Array.to_list d.Design.circuit.Circuit.gates))
+      in
+      let pick () = cells.(Rng.int rng (Array.length cells)) in
+      let set id =
+        if Rng.int rng 2 = 0 then Design.set_vth d id (Rng.int rng (Cell_lib.num_vth d.Design.lib))
+        else Design.set_size d id (Rng.int rng (Cell_lib.num_sizes d.Design.lib))
+      in
+      let capture () = (Array.copy d.Design.vth_idx, Array.copy d.Design.size_idx) in
+      let saved = ref (capture ()) in
+      let bits x = Int64.bits_of_float x in
+      let same_as_fresh () =
+        let f = Leak_ssta.create (Design.copy d) m in
+        let eq g = Int64.equal (bits (g l)) (bits (g f)) in
+        let probes = List.init 4 (fun _ -> pick ()) in
+        eq Leak_ssta.mean && eq Leak_ssta.variance && eq Leak_ssta.nominal
+        && eq (fun t -> Leak_ssta.quantile t 0.99)
+        && Array.for_all
+             (fun (g : Circuit.gate) -> eq (fun t -> Leak_ssta.gate_mean t g.Circuit.id))
+             d.Design.circuit.Circuit.gates
+        && List.for_all
+             (fun id ->
+               let vth_idx = 1 - d.Design.vth_idx.(id)
+               and size_idx = Rng.int rng (Cell_lib.num_sizes d.Design.lib) in
+               eq (fun t -> Leak_ssta.mean_shift_if t id ~vth_idx ~size_idx)
+               && eq (fun t -> Leak_ssta.quantile_if t id ~vth_idx ~size_idx ~p:0.99))
+             probes
+      in
+      let step = function
+        | 0 | 1 ->
+          let id = pick () in
+          set id;
+          Leak_ssta.update_gate l id;
+          true
+        | 2 ->
+          set (pick ());
+          true
+        | 3 ->
+          saved := capture ();
+          true
+        | 4 ->
+          let v, sz = !saved in
+          Array.blit v 0 d.Design.vth_idx 0 (Array.length v);
+          Array.blit sz 0 d.Design.size_idx 0 (Array.length sz);
+          true
+        | _ ->
+          Leak_ssta.refresh l;
+          same_as_fresh ()
+      in
+      List.for_all step ops && step 5 && step 5)
+
 let suite =
   let qc = List.map QCheck_alcotest.to_alcotest in
   [
@@ -211,7 +277,7 @@ let suite =
         Alcotest.test_case "high vth reduces mean" `Quick test_high_vth_reduces_statistical_mean;
         Alcotest.test_case "gate means sum to total" `Quick test_gate_mean_sums_to_total;
       ]
-      @ qc [ prop_mean_always_at_least_nominal ] );
+      @ qc [ prop_mean_always_at_least_nominal; prop_refresh_equals_create ] );
     ( "leakage.corner",
       [
         Alcotest.test_case "nominal corner" `Quick test_corner_nominal_matches_design;

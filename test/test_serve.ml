@@ -384,11 +384,19 @@ let test_serve_optimize_parity mode () =
 let counters_of t = Server.counters t
 
 (* The daemon's yield request must return the in-process estimate bit for
-   bit: same design, same tmax, same seed, same estimator. *)
-let test_serve_yield_parity () =
+   bit: same design, same tmax, same seed, same estimator.  The daemon
+   hands the estimator its engine's circuit-delay form; the in-process
+   run derives it with a from-scratch SSTA.  [edits] (gate, threshold)
+   are sent, and analyzed, before the request. *)
+let yield_parity ~bench ?(edits = []) ~halfwidth ~max_samples () =
   with_server (fun sock _ ->
       Client.with_connection ~socket:sock (fun c ->
-          ignore (load c ~session:"y" ~bench:"add32");
+          ignore (load c ~session:"y" ~bench);
+          List.iter
+            (fun (gate, v) ->
+              ignore (edit c ~session:"y" ~op:"reassign-vth" ~gate ~value:(float_of_int v));
+              ignore (analyze c ~session:"y"))
+            edits;
           let progressed = ref 0 in
           let resp =
             rpc c
@@ -397,24 +405,37 @@ let test_serve_yield_parity () =
                 ("type", s "yield");
                 ("session", s "y");
                 ("method", s "is+cv");
-                ("halfwidth", n 0.003);
-                ("max_samples", n 4096.0);
+                ("halfwidth", n halfwidth);
+                ("max_samples", n (float_of_int max_samples));
                 ("seed", n 42.0);
               ]
           in
           Alcotest.(check bool) "progress streamed" true (!progressed > 0);
-          let setup = Setup.of_benchmark ~spec:(Sl_variation.Spec.scaled 1.0) "add32" in
+          let setup = Setup.of_benchmark ~spec:(Sl_variation.Spec.scaled 1.0) bench in
+          let d = Setup.fresh_design setup in
+          List.iter
+            (fun (gate, v) ->
+              Design.set_vth d (Option.get (Circuit.find setup.Setup.circuit gate)).Circuit.id v)
+            edits;
           let e =
-            Sl_yield.Seq.estimate ~jobs:1 ~method_:Sl_yield.Seq.Is_cv ~max_samples:4096
-              ~target_halfwidth:0.003 ~seed:42
+            Sl_yield.Seq.estimate ~jobs:1 ~method_:Sl_yield.Seq.Is_cv ~max_samples
+              ~target_halfwidth:halfwidth ~seed:42
               ~tmax:(Setup.tmax setup ~factor:1.25)
-              (Setup.fresh_design setup) setup.Setup.model
+              d setup.Setup.model
           in
           Alcotest.(check string) "value bits"
             (Protocol.bits_of_float e.Sl_yield.Estimate.value)
             (get_str "value_bits" resp);
           Alcotest.(check int) "samples" e.Sl_yield.Estimate.samples_used
             (get_int "samples" resp)))
+
+let test_serve_yield_parity () =
+  yield_parity ~bench:"add32" ~halfwidth:0.003 ~max_samples:4096 ()
+
+(* ten register cones, the engine's form stitched from their boundary
+   arrivals after an edit re-timed one of them *)
+let test_serve_yield_parity_cones () =
+  yield_parity ~bench:"spipe30k" ~edits:[ ("c4_9_3", 1) ] ~halfwidth:0.0 ~max_samples:256 ()
 
 let test_serve_eviction_restore () =
   with_server ~max_sessions:1 (fun sock t ->
@@ -615,6 +636,53 @@ let test_session_register_cones () =
   Alcotest.(check (list string)) "fresh session" (bits fresh) (bits edited);
   Alcotest.(check (list string)) "from scratch" (bits scratch) (bits edited)
 
+(* No reply reads the worst-path arrays, so an analyze leaves their
+   backward repair queued: seeded edit + analyze rounds move no backward
+   counter.  The full sync an optimize starts with does the repair, and
+   then the engine audits and its path arrays are a freshly loaded
+   session's, bit for bit. *)
+let defers_path_repair bench () =
+  let source =
+    {
+      Session.circuit = Session.Bench bench;
+      lib_file = None;
+      sigma_scale = 1.0;
+      base_size_idx = 2;
+      tmax_factor = 1.25;
+    }
+  in
+  let a = Session.create ~name:"a" source in
+  let engine = a.Session.engine in
+  let cells =
+    Array.of_list
+      (List.filter_map
+         (fun (g : Circuit.gate) ->
+           if g.Circuit.kind <> Sl_netlist.Cell_kind.Pi then Some g.Circuit.name else None)
+         (Array.to_list a.Session.setup.Setup.circuit.Circuit.gates))
+  in
+  let rng = Sl_util.Rng.create 7 in
+  let bwd () = (Sl_ssta.Hier.stats engine).Sl_ssta.Incremental.bwd_propagated in
+  let before = bwd () in
+  for _ = 1 to 20 do
+    let gate = cells.(Sl_util.Rng.int rng (Array.length cells)) in
+    let e =
+      if Sl_util.Rng.int rng 3 = 0 then Session.Resize (gate, Sl_util.Rng.int rng 4)
+      else Session.Reassign_vth (gate, Sl_util.Rng.int rng 2)
+    in
+    Session.apply_edits a [ e ];
+    ignore (Session.analyze a)
+  done;
+  Alcotest.(check int) "no backward propagation" before (bwd ());
+  Sl_ssta.Hier.sync engine;
+  Alcotest.(check bool) "the full sync repairs" true (bwd () > before);
+  Alcotest.(check bool) "audit" true (Sl_ssta.Hier.audit engine);
+  let fresh = (Session.restore ~name:"f" (Session.snapshot a)).Session.engine in
+  let bits arr = Array.to_list (Array.map Int64.bits_of_float arr) in
+  Alcotest.(check bool) "path_mu bits" true
+    (bits (Sl_ssta.Hier.path_mu fresh) = bits (Sl_ssta.Hier.path_mu engine));
+  Alcotest.(check bool) "path_sigma bits" true
+    (bits (Sl_ssta.Hier.path_sigma fresh) = bits (Sl_ssta.Hier.path_sigma engine))
+
 let test_serve_metrics () =
   with_server (fun sock _ ->
       Client.with_connection ~socket:sock (fun c ->
@@ -681,12 +749,18 @@ let suite =
         Alcotest.test_case "optimize parity (batch)" `Quick
           (test_serve_optimize_parity "batch");
         Alcotest.test_case "yield parity" `Quick test_serve_yield_parity;
+        Alcotest.test_case "yield parity (register cones)" `Quick
+          test_serve_yield_parity_cones;
         Alcotest.test_case "eviction and restore" `Quick test_serve_eviction_restore;
         Alcotest.test_case "concurrent sessions" `Quick test_serve_concurrent_sessions;
         Alcotest.test_case "error paths" `Quick test_serve_error_paths;
         Alcotest.test_case "optimize hang-up keeps the engine in step" `Quick
           test_session_optimize_hangup;
         Alcotest.test_case "register-cone session" `Quick test_session_register_cones;
+        Alcotest.test_case "analyze defers the path repair" `Quick
+          (defers_path_repair "add32");
+        Alcotest.test_case "analyze defers the path repair (register cones)" `Quick
+          (defers_path_repair "spipe30k");
         Alcotest.test_case "metrics exposition" `Quick test_serve_metrics;
         Alcotest.test_case "handshake version" `Quick test_serve_handshake_version;
       ] );

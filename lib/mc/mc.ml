@@ -105,8 +105,10 @@ let chunk_size = 256
 
 (* Evaluate dies [first, first+count) ([first] chunk-aligned) and hand
    each to [consume chunk i z delay leak]; [z] is the evaluating domain's
-   buffer, valid only during the call. *)
-let sweep ~name ?z_of ?shift ~jobs ~seed ~first ~count (d : Design.t) model ~consume =
+   buffer, valid only during the call.  Without [leak] no die evaluates
+   its leakage (an [exp] per gate) and [consume] gets [nan]. *)
+let sweep ~name ?z_of ?shift ?(leak = true) ~jobs ~seed ~first ~count (d : Design.t) model
+    ~consume =
   let jobs = match jobs with Some j -> j | None -> Sl_util.Parallel.default_jobs () in
   let last = first + count - 1 in
   let c0 = first / chunk_size in
@@ -119,7 +121,8 @@ let sweep ~name ?z_of ?shift ~jobs ~seed ~first ~count (d : Design.t) model ~con
     for i = lo to Stdlib.min last (lo + chunk_size - 1) do
       Eval.draw ?row:(Option.map (fun f -> f i) z_of) ?shift ev rng;
       let dvth = die.Model.Sample.dvth in
-      consume c i die.Model.Sample.z (Eval.delay ev ~dvth) (Eval.leak ev ~dvth)
+      consume c i die.Model.Sample.z (Eval.delay ev ~dvth)
+        (if leak then Eval.leak ev ~dvth else Float.nan)
     done
   in
   let t0 = Unix.gettimeofday () in
@@ -198,7 +201,7 @@ let delay_std r = Stats.std r.delay
 
 type die = { z : float array; delay : float; leak : float }
 
-let run_dies ?jobs ?z_of ?shift ~seed ~first ~count (d : Design.t) model =
+let run_dies ?jobs ?z_of ?shift ?leak ~seed ~first ~count (d : Design.t) model =
   if count < 1 then invalid_arg "Mc.run_dies: count < 1";
   if first < 0 || first mod chunk_size <> 0 then
     invalid_arg "Mc.run_dies: first must be a non-negative multiple of chunk_size";
@@ -207,6 +210,6 @@ let run_dies ?jobs ?z_of ?shift ~seed ~first ~count (d : Design.t) model =
     invalid_arg "Mc.run_dies: shift length mismatch"
   | _ -> ());
   let out = Array.make count { z = [||]; delay = 0.0; leak = 0.0 } in
-  sweep ~name:"mc.run_dies" ?z_of ?shift ~jobs ~seed ~first ~count d model
+  sweep ~name:"mc.run_dies" ?z_of ?shift ?leak ~jobs ~seed ~first ~count d model
     ~consume:(fun _ i z delay leak -> out.(i - first) <- { z = Array.copy z; delay; leak });
   out

@@ -61,6 +61,7 @@ val run_dies :
   ?jobs:int ->
   ?z_of:(int -> float array) ->
   ?shift:float array ->
+  ?leak:bool ->
   seed:int -> first:int -> count:int ->
   Sl_tech.Design.t -> Sl_variation.Model.t -> die array
 (** Per-die evaluation hook for caller-controlled PC vectors: evaluates
@@ -75,7 +76,9 @@ val run_dies :
     vector before materialization — the mean-shift of importance
     sampling; per-gate independent components always stay unshifted and
     come from the chunk stream.  The returned [z] is the vector actually
-    evaluated (shift included).
+    evaluated (shift included).  With [~leak:false] (default [true]) no
+    die evaluates its leakage, and every [leak] field is [nan]: a
+    caller that reads only delays skips one [exp] per gate and die.
     @raise Invalid_argument if [count] < 1, [first] is negative or not
     chunk-aligned, or a PC-vector length mismatches the model. *)
 

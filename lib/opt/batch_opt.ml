@@ -80,48 +80,54 @@ type bands = {
      alternation phase upsizes (speeds up) gates, which breaks the
      monotonicity argument, so every reduction run starts unblocked. *)
   blocked : Bytes.t;
+  (* the slots of the band being tried, best first *)
+  band : int array;
 }
 
 let slot gate = function `Vth -> 2 * gate | `Size -> (2 * gate) + 1
 let is_blocked b gate kind = Bytes.get b.blocked (slot gate kind) <> '\000'
 let block b gate kind = Bytes.set b.blocked (slot gate kind) '\001'
 
-(* Apply a whole band under a checkpoint, re-measure the yield with one
-   sync, and either commit or roll back and bisect.  A failing single
-   move is simply dropped — the greedy degenerate case — so from a
-   feasible state this can only ever keep or improve the greedy result. *)
-let rec try_band cfg b (st : Core.t) (moves : Core.candidate list) =
-  Trace.span "opt.band"
-    ~attrs:[ ("moves", string_of_int (List.length moves)) ]
-  @@ fun () ->
+(* Apply a whole band — the first [len] slots of [b.band] — under a
+   checkpoint, re-measure the yield with one sync, and either commit or
+   roll back and bisect.  A failing single move is simply dropped — the
+   greedy degenerate case — so from a feasible state this can only ever
+   keep or improve the greedy result. *)
+let rec try_band cfg b (st : Core.t) len =
+  Trace.span "opt.band" ~attrs:[ ("moves", string_of_int len) ] @@ fun () ->
   st.bands_tried <- st.bands_tried + 1;
   Metrics.incr m_bands_tried;
-  Metrics.observe m_band_size (float_of_int (List.length moves));
+  Metrics.observe m_band_size (float_of_int len);
   let cp = Hier.checkpoint st.engine in
-  let applied = List.map (fun (c : Core.candidate) -> Core.apply st c.kind c.gate) moves in
+  (* newest first, so shared-gate (vth, size) pairs unwind correctly *)
+  let applied = ref [] in
+  for i = 0 to len - 1 do
+    let slot = b.band.(i) in
+    applied := Core.apply st (Core.slot_kind slot) (Core.slot_gate slot) :: !applied
+  done;
   Core.measure st;
   if Core.yield st >= cfg.eta then begin
     Hier.commit st.engine cp;
     st.bands_committed <- st.bands_committed + 1;
     Metrics.incr m_bands_committed;
-    List.iter (fun (m : Core.move) -> Core.count st m.kind 1) applied;
-    List.length applied
+    List.iter (fun (m : Core.move) -> Core.count st m.kind 1) !applied;
+    len
   end
   else begin
-    (* newest first, so shared-gate (vth, size) pairs unwind correctly *)
     List.iter
       (fun (m : Core.move) -> Core.set ~timing:false st m.kind m.gate m.prev)
-      (List.rev applied);
+      !applied;
     Core.rollback st cp;
     st.bands_rolled_back <- st.bands_rolled_back + 1;
     Metrics.incr m_bands_rolled_back;
-    st.rollbacks <- st.rollbacks + List.length applied;
-    match moves with
-    | [] -> 0
-    | [ c ] ->
-      block b c.gate c.kind;
+    st.rollbacks <- st.rollbacks + len;
+    if len = 0 then 0
+    else if len = 1 then begin
+      let slot = b.band.(0) in
+      block b (Core.slot_gate slot) (Core.slot_kind slot);
       0
-    | _ ->
+    end
+    else begin
       (* Retry only the higher-ranked half: this is a binary search for
          the largest feasible prefix of the band, ≤ log |band| syncs.
          Recursing into the suffix as well would cost O(|band|) syncs
@@ -130,55 +136,55 @@ let rec try_band cfg b (st : Core.t) (moves : Core.candidate list) =
          stale, so it is better re-ranked on the next pass. *)
       st.bisections <- st.bisections + 1;
       Metrics.incr m_bisections;
-      let half = List.length moves / 2 in
-      try_band cfg b st (List.filteri (fun i _ -> i < half) moves)
+      try_band cfg b st (len / 2)
+    end
   end
 
-(* Slice the next band off the ranking.  The safe zone is the current
-   yield headroom scaled by the margin: a candidate joins the band only
-   if its estimated yield cost fits the remaining budget — exactly the
-   greedy policy's acceptance rule, so a candidate skipped here would
-   have been skipped by {!Stat_opt} at the same headroom too (it is
-   re-ranked next pass).  The band is additionally capped at [band_size]
-   moves; the candidates beyond the cap start the next band, whose
-   budget is re-measured from the live engine after this band settles. *)
-let form_band cfg b (st : Core.t) rest =
+(* Slice the next band off the ranking, from position [pos]: fills
+   [b.band] and returns its length and the position after it.  The safe
+   zone is the current yield headroom scaled by the margin: a candidate
+   joins the band only if its estimated yield cost fits the remaining
+   budget — exactly the greedy policy's acceptance rule, so a candidate
+   skipped here would have been skipped by {!Stat_opt} at the same
+   headroom too (it is re-ranked next pass).  The band is additionally
+   capped at [band_size] moves; the candidates beyond the cap start the
+   next band, whose budget is re-measured from the live engine after
+   this band settles. *)
+let form_band cfg b (st : Core.t) (r : Core.ranked) pos =
   let budget = ref (Core.headroom st ~margin:cfg.yield_margin) in
-  let valid (c : Core.candidate) =
-    (not (is_blocked b c.gate c.kind)) && Core.still_valid st c
-  in
-  let rec take acc nacc = function
-    | [] -> (List.rev acc, [])
-    | (c : Core.candidate) :: tl ->
-      if nacc >= Stdlib.min b.band_cap band_size then (List.rev acc, c :: tl)
-      else if not (valid c) then take acc nacc tl
-      else if c.est_cost <= !budget then begin
-        budget := !budget -. c.est_cost;
-        take (c :: acc) (nacc + 1) tl
-      end
-      else take acc nacc tl
-  in
-  take [] 0 rest
+  let cap = Stdlib.min b.band_cap band_size in
+  let n = ref 0 and i = ref pos in
+  while !n < cap && !i < r.len do
+    let slot = r.order.(!i) in
+    incr i;
+    let gate = Core.slot_gate slot and kind = Core.slot_kind slot in
+    let cost = r.cost.(slot) in
+    if (not (is_blocked b gate kind)) && Core.still_valid st kind gate && cost <= !budget
+    then begin
+      budget := !budget -. cost;
+      b.band.(!n) <- slot;
+      incr n
+    end
+  done;
+  (!n, !i)
 
 (* One pass: the ranking syncs the worst-path view, every eligible move
    is ranked once, and the ranking is consumed band by band.  Returns the
    number of committed moves. *)
 let pass cfg b (st : Core.t) =
-  let cands = Core.rank ~eligible:(fun gate kind -> not (is_blocked b gate kind)) st in
+  let r = Core.rank ~eligible:(fun gate kind -> not (is_blocked b gate kind)) st in
   if cfg.audit then assert (Hier.audit st.engine);
-  st.trials <- st.trials + List.length cands;
+  st.trials <- st.trials + r.len;
   let committed = ref 0 in
-  let rest = ref cands in
+  let pos = ref 0 in
   let go = ref true in
-  while !go && !rest <> [] do
-    let band, tl = form_band cfg b st !rest in
-    rest := tl;
-    match band with
-    | [] -> go := false (* only invalidated candidates remained *)
-    | band ->
+  while !go && !pos < r.len do
+    let band_len, next = form_band cfg b st r !pos in
+    pos := next;
+    if band_len = 0 then go := false (* only invalidated candidates remained *)
+    else begin
       let rolled_before = st.bands_rolled_back in
-      let band_len = List.length band in
-      committed := !committed + try_band cfg b st band;
+      committed := !committed + try_band cfg b st band_len;
       if st.bands_rolled_back = rolled_before then begin
         (* grow only when the band actually filled the cap: growing on
            every success lets a trickle of tiny committed bands creep the
@@ -199,6 +205,7 @@ let pass cfg b (st : Core.t) =
            trialing thousands of stale candidates in collapsed bands *)
         go := false
       end
+    end
   done;
   Core.report st "reduce";
   !committed
@@ -207,7 +214,7 @@ let optimize ?progress ?engine cfg (d : Design.t) model =
   let n = Circuit.num_gates d.Design.circuit in
   let b =
     { band_cap = Stdlib.min 64 band_size; slow_start = true;
-      blocked = Bytes.make (2 * n) '\000' }
+      blocked = Bytes.make (2 * n) '\000'; band = Array.make band_size 0 }
   in
   (* Passes run until one commits fewer than [cutoff] moves.  The greedy
      policy runs its boundary trickle to literal exhaustion — dozens of

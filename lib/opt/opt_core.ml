@@ -235,6 +235,10 @@ let ranking (d : Design.t) =
     sorter = sorter ();
   }
 
+(* Each domain's four-lane Φ frame ([Special.normal_cdf4]) for the
+   ranking scan. *)
+let phi_frame = Domain.DLS.new_key (fun () -> Array.make 8 0.0)
+
 (* Declared before [t], so an unannotated [st.leak] or [st.memo] still
    reads a run's state. *)
 type engine = { timing : Hier.t; leak : Leak_ssta.t; memo : Memo.t }
@@ -367,6 +371,14 @@ type candidate = {
   est_cost : float;
 }
 
+(* A ranking: slots best first in [order.(0 .. len - 1)], read against
+   the run's per-slot score and cost buffers.  Gate g's threshold move
+   is slot 2g, its size move slot 2g + 1. *)
+type ranked = { order : int array; len : int; score : float array; cost : float array }
+
+let[@inline] slot_gate slot = slot lsr 1
+let[@inline] slot_kind slot = if slot land 1 = 1 then `Size else `Vth
+
 type move = { gate : int; kind : [ `Vth | `Size ]; prev : int }
 
 (* One leakage reduction: raise the threshold or downsize by one. *)
@@ -382,11 +394,11 @@ let apply st kind gate =
 
 (* A ranked candidate may have been invalidated by earlier moves of the
    same pass; re-check cheaply. *)
-let still_valid st (c : candidate) =
+let still_valid st kind gate =
   let d = st.design in
-  match c.kind with
-  | `Vth -> d.Design.vth_idx.(c.gate) + 1 < Cell_lib.num_vth d.Design.lib
-  | `Size -> d.Design.size_idx.(c.gate) > 0
+  match kind with
+  | `Vth -> d.Design.vth_idx.(gate) + 1 < Cell_lib.num_vth d.Design.lib
+  | `Size -> d.Design.size_idx.(gate) > 0
 
 let count st kind delta =
   match kind with
@@ -435,7 +447,7 @@ let nominal_leak (d : Design.t) id ~vth_idx ~size_idx =
    ([sort_live]); this is the reference it is tested against. *)
 let kind_rank = function `Size -> 0 | `Vth -> 1
 
-let compare_candidates a b =
+let compare_candidates (a : candidate) (b : candidate) =
   let c = Float.compare b.score a.score in
   if c <> 0 then c
   else
@@ -489,8 +501,8 @@ let m_rank_jobs =
    it fans out over gate-id chunks when [jobs] > 1 {e and} the memo is
    frozen (worker domains must never fill the table).  Each slot depends
    only on its gate id and the slot order is total, so the sorted result
-   is identical for every [jobs] value.  Records are built only for the
-   returned list. *)
+   is identical for every [jobs] value.  The result is a view of the
+   run's buffers: no record per move. *)
 let scan ~eligible ~direction (r : ranking) st =
   let p = st.p and d = st.design and memo = st.memo and leak = st.leak in
   let path_mu = Hier.path_mu st.engine and path_sigma = Hier.path_sigma st.engine in
@@ -519,6 +531,25 @@ let scan ~eligible ~direction (r : ranking) st =
     cost.(slot) <-
       (if delta > 0.0 then est_cost_from ~path_mu ~path_sigma ~tmax gate ~v0 ~delta
        else 0.0)
+  in
+  (* A gate's three Φ — its Δ = 0 violation and both moves' — on the
+     four lanes of [phi]: each lane is [violation]'s [normal_cdf], and
+     the costs are [price]'s words.  Only for a positive sigma; a zero
+     sigma takes [price]'s branch. *)
+  let price_lanes phi id ~vth_move ~size_move =
+    let mu = path_mu.(id) and sigma = path_sigma.(id) in
+    let dv = delta.(2 * id) and ds = delta.((2 * id) + 1) in
+    phi.(0) <- (tmax -. (mu +. 0.0)) /. sigma;
+    phi.(1) <- (tmax -. (mu +. dv)) /. sigma;
+    phi.(2) <- (tmax -. (mu +. ds)) /. sigma;
+    phi.(3) <- 0.0;
+    Special.normal_cdf4 phi;
+    let v0 = 1.0 -. phi.(0) in
+    if vth_move then
+      cost.(2 * id) <- (if dv > 0.0 then Float.max 0.0 (1.0 -. phi.(1) -. v0) else 0.0);
+    if size_move then
+      cost.((2 * id) + 1) <-
+        (if ds > 0.0 then Float.max 0.0 (1.0 -. phi.(2) -. v0) else 0.0)
   in
   let rescore slot gate ~vth_idx ~size_idx =
     let delta = delta.(slot) in
@@ -550,7 +581,7 @@ let scan ~eligible ~direction (r : ranking) st =
         put slot infinity
     end
   in
-  let scan_gate id =
+  let scan_gate phi id =
     if (Circuit.gate d.Design.circuit id).Circuit.kind <> Cell_kind.Pi then
       match direction with
       | `Repair ->
@@ -577,10 +608,13 @@ let scan ~eligible ~direction (r : ranking) st =
             || (not (same_bits mu r.seen_mu.(id)))
             || not (same_bits sigma r.seen_sigma.(id))
           then begin
-            (* the Δ = 0 violation, shared by both moves' costs *)
-            let v0 = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
-            if vth_move then price (2 * id) id ~v0;
-            if size_move then price ((2 * id) + 1) id ~v0;
+            if sigma > 0.0 then price_lanes phi id ~vth_move ~size_move
+            else begin
+              (* the Δ = 0 violation, shared by both moves' costs *)
+              let v0 = violation ~path_mu ~path_sigma ~tmax id ~delta:0.0 in
+              if vth_move then price (2 * id) id ~v0;
+              if size_move then price ((2 * id) + 1) id ~v0
+            end;
             r.seen_mu.(id) <- mu;
             r.seen_sigma.(id) <- sigma;
             Bytes.set r.fresh id priced
@@ -595,25 +629,14 @@ let scan ~eligible ~direction (r : ranking) st =
   if direction = `Reduce then expire r d;
   let eff_jobs = if p.jobs > 1 && Memo.frozen memo then p.jobs else 1 in
   Metrics.set m_rank_jobs (float_of_int (Parallel.domains ~jobs:eff_jobs));
-  Parallel.run_chunks ~jobs:eff_jobs ~threshold:1024 ~n ~init:(fun () -> ())
-    (fun () lo hi ->
+  Parallel.run_chunks ~jobs:eff_jobs ~threshold:1024 ~n
+    ~init:(fun () -> Domain.DLS.get phi_frame)
+    (fun phi lo hi ->
       for id = lo to hi - 1 do
-        scan_gate id
+        scan_gate phi id
       done);
-  let sorted, len = sort_live r.sorter ~score ~live in
-  let ranked = ref [] in
-  for i = len - 1 downto 0 do
-    let slot = sorted.(i) in
-    ranked :=
-      {
-        score = score.(slot);
-        kind = (if slot land 1 = 1 then `Size else `Vth);
-        gate = slot lsr 1;
-        est_cost = (match direction with `Repair -> 0.0 | `Reduce -> cost.(slot));
-      }
-      :: !ranked
-  done;
-  !ranked
+  let order, len = sort_live r.sorter ~score ~live in
+  { order; len; score; cost }
 
 let rank_with r ?(eligible = fun _ _ -> true) ?(direction = `Reduce) st =
   sync st;
@@ -645,11 +668,10 @@ let fix_yield st =
   while yield st < st.p.eta && (not !stuck) && !steps < 4 * n do
     incr steps;
     let ranked = rank ~direction:`Repair st in
-    let rec try_candidates k = function
-      | [] -> false
-      | _ when k >= shortlist -> false
-      | (c : candidate) :: rest ->
-        let id = c.gate in
+    let rec try_candidates k =
+      if k >= shortlist || k >= ranked.len then false
+      else begin
+        let id = slot_gate ranked.order.(k) in
         let s = d.Design.size_idx.(id) in
         let cp = Hier.checkpoint st.engine in
         set st `Size id (s + 1);
@@ -664,10 +686,11 @@ let fix_yield st =
         else begin
           set ~timing:false st `Size id s;
           rollback st cp;
-          try_candidates (k + 1) rest
+          try_candidates (k + 1)
         end
+      end
     in
-    if not (try_candidates 0 ranked) then stuck := true
+    if not (try_candidates 0) then stuck := true
   done
 
 (* Passes run until one commits fewer than [cutoff] moves, at most

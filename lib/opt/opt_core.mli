@@ -186,23 +186,31 @@ val rollback : t -> Sl_ssta.Hier.checkpoint -> unit
 
 (** {2 Moves} *)
 
-type candidate = {
-  score : float;              (** sensitivity value; [infinity] = free win *)
-  kind : [ `Vth | `Size ];
-  gate : int;
-  est_cost : float;           (** estimated yield cost of the move *)
+type ranked = {
+  order : int array;  (** the ranked slots, best first, in [order.(0 .. len - 1)] *)
+  len : int;
+  score : float array;  (** per slot: the sensitivity; [infinity] = free win *)
+  cost : float array;
+      (** per slot: a [`Reduce] ranking's estimated yield cost of the move *)
 }
+(** A ranking, as a view of the run's buffers: gate g's threshold move
+    is slot 2g and its size move slot 2g + 1 ({!slot_gate},
+    {!slot_kind}).  Valid until the next ranking of the run. *)
+
+val slot_gate : int -> int
+val slot_kind : int -> [ `Vth | `Size ]
 
 val rank :
   ?eligible:(int -> [ `Vth | `Size ] -> bool) -> ?direction:[ `Reduce | `Repair ] ->
-  t -> candidate list
+  t -> ranked
 (** Syncs, then scores every eligible single-gate move against the
     worst-path view, best first.  [`Reduce] (default) ranks leakage
     reductions (raise threshold / downsize by one) by the sensitivity;
-    [`Repair] ranks upsizes by violation probability, with [est_cost] 0.
+    [`Repair] ranks upsizes by violation probability (its [cost] words
+    are not the moves': a repair reads none).
     The order is total: score descending, ties by gate id descending then
     [`Size] before [`Vth].  The scan fans out over worker domains when
-    the memo is frozen; the list is identical for every [jobs] value.
+    the memo is frozen; the ranking is identical for every [jobs] value.
 
     A [`Reduce] ranking pays only for what changed since the previous
     one.  The run keeps each move's pure terms — its nominal delay shift
@@ -211,18 +219,20 @@ val rank :
     — and recomputes a gate's shifts only when its own threshold, size
     or extra load, or the size of one of its fanouts, changed, and its
     costs (with its Δ = 0 violation) also when its [path_mu] or
-    [path_sigma] word differs in any bit.  Every eligible move is then
-    re-scored from those terms with the current E[leak], as
-    [mean -. (mean +. shift)], and the [P99_leak_per_yield] quantile is
-    recomputed, so the list is bit-identical to a ranking from scratch.
-    The live moves are sorted by one stable LSD radix sort over
-    order-preserving 64-bit keys of their scores ([Float.compare] order:
-    [-0.] = [0.], [nan] lowest), fed in slot-descending order. *)
+    [path_sigma] word differs in any bit.  A re-priced gate's three Φ
+    run on the four lanes of {!Sl_util.Special.normal_cdf4}.  Every
+    eligible move is then re-scored from those terms with the current
+    E[leak], as [mean -. (mean +. shift)], and the [P99_leak_per_yield]
+    quantile is recomputed, so the ranking is bit-identical to one from
+    scratch.  The live moves are sorted by one stable LSD radix sort
+    over order-preserving 64-bit keys of their scores ([Float.compare]
+    order: [-0.] = [0.], [nan] lowest), fed in slot-descending order. *)
 
 type move = { gate : int; kind : [ `Vth | `Size ]; prev : int }
 
-val still_valid : t -> candidate -> bool
-(** The move is still possible: earlier moves may have used up its gate. *)
+val still_valid : t -> [ `Vth | `Size ] -> int -> bool
+(** [still_valid st kind gate]: the move is still possible; earlier
+    moves may have used up its gate. *)
 
 val count : t -> [ `Vth | `Size ] -> int -> unit
 (** Add to the committed-move counter of one kind. *)
@@ -251,6 +261,13 @@ val est_yield_cost :
 
 (** Ranking internals exposed for unit tests ({!Stat_opt.Private}). *)
 
+type candidate = {
+  score : float;
+  kind : [ `Vth | `Size ];
+  gate : int;
+  est_cost : float;
+}
+
 val compare_candidates : candidate -> candidate -> int
 (** The documented ranking order on records — the reference the slot sort
     is tested against. *)
@@ -269,7 +286,7 @@ val create :
 
 val rank_cold :
   ?eligible:(int -> [ `Vth | `Size ] -> bool) -> ?direction:[ `Reduce | `Repair ] ->
-  t -> candidate list
+  t -> ranked
 (** {!rank} from an empty cache, leaving the run's cache as it is. *)
 
 val rebuild : t -> unit

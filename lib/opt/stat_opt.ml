@@ -37,8 +37,8 @@ let yield_margin = 0.5
    (or when the budget is exhausted) undoes the newest moves until the
    constraint holds again.  Returns the number of moves the pass kept. *)
 let pass cfg settles (st : Core.t) =
-  let candidates = Core.rank st in
-  st.trials <- st.trials + List.length candidates;
+  let r = Core.rank st in
+  st.trials <- st.trials + r.len;
   let accepted = ref 0 in
   let budget = ref (Core.headroom st ~margin:yield_margin) in
   let batch : Core.move list ref = ref [] in
@@ -68,16 +68,18 @@ let pass cfg settles (st : Core.t) =
       assert (Hier.audit st.engine)
     end
   in
-  List.iter
-    (fun (c : Core.candidate) ->
-      if Core.still_valid st c && c.est_cost <= !budget then begin
-        batch := Core.apply st c.kind c.gate :: !batch;
-        Core.count st c.kind 1;
-        incr accepted;
-        budget := !budget -. c.est_cost;
-        if List.length !batch >= cfg.refresh_every || !budget <= 0.0 then settle ()
-      end)
-    candidates;
+  for i = 0 to r.len - 1 do
+    let slot = r.order.(i) in
+    let gate = Core.slot_gate slot and kind = Core.slot_kind slot in
+    let est_cost = r.cost.(slot) in
+    if Core.still_valid st kind gate && est_cost <= !budget then begin
+      batch := Core.apply st kind gate :: !batch;
+      Core.count st kind 1;
+      incr accepted;
+      budget := !budget -. est_cost;
+      if List.length !batch >= cfg.refresh_every || !budget <= 0.0 then settle ()
+    end
+  done;
   settle ();
   !accepted
 

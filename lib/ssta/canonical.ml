@@ -114,6 +114,119 @@ let add_moments_rows ~np (a : float array) ao (b : float array) bo ~mu ~sigma i 
   mu.(i) <- a.(ao) +. b.(bo);
   sigma.(i) <- sqrt !acc
 
+(* ---------------- four lanes ----------------
+
+   The Clark max's sums are serial accumulator chains and its Φ is one
+   run of erfc's recurrence: a lone max waits on their latency.  The
+   lane forms interleave four independent operations' chains, step for
+   step in the scalar order ({!Special.clark_max4_into}), so each lane's
+   words are its scalar call's. *)
+
+type frame4 = float array
+
+let frame4 () = Array.make 64 0.0
+
+(* Lane [o]'s Clark operands from its sums, as [max2_raw] forms them. *)
+let[@inline] clark_operands (f : frame4) o am va bm vb cov =
+  let sa = sqrt va and sb = sqrt vb in
+  f.(o) <- am;
+  f.(o + 1) <- sa;
+  f.(o + 2) <- bm;
+  f.(o + 3) <- sb;
+  f.(o + 4) <- (if sa > 0.0 && sb > 0.0 then cov /. (sa *. sb) else 0.0)
+
+(* [max2_raw] on four lanes: lane l reads the rows of [a] at [ao.(l)]
+   and of [b] at [bo.(l)] and writes the row of [d] at [dr.(l)]. *)
+let max2_rows4 (f : frame4) ~np (a : float array) (ao : int array) (b : float array)
+    (bo : int array) (d : float array) (dr : int array) =
+  let a0 = ao.(0) and a1 = ao.(1) and a2 = ao.(2) and a3 = ao.(3) in
+  let b0 = bo.(0) and b1 = bo.(1) and b2 = bo.(2) and b3 = bo.(3) in
+  let ar0 = a.(a0 + 1) and ar1 = a.(a1 + 1) and ar2 = a.(a2 + 1) and ar3 = a.(a3 + 1) in
+  let br0 = b.(b0 + 1) and br1 = b.(b1 + 1) and br2 = b.(b2 + 1) and br3 = b.(b3 + 1) in
+  let va0 = ref (ar0 *. ar0) and vb0 = ref (br0 *. br0) and cov0 = ref 0.0 in
+  let va1 = ref (ar1 *. ar1) and vb1 = ref (br1 *. br1) and cov1 = ref 0.0 in
+  let va2 = ref (ar2 *. ar2) and vb2 = ref (br2 *. br2) and cov2 = ref 0.0 in
+  let va3 = ref (ar3 *. ar3) and vb3 = ref (br3 *. br3) and cov3 = ref 0.0 in
+  for k = 2 to np + 1 do
+    let x0 = a.(a0 + k) and y0 = b.(b0 + k) in
+    let x1 = a.(a1 + k) and y1 = b.(b1 + k) in
+    let x2 = a.(a2 + k) and y2 = b.(b2 + k) in
+    let x3 = a.(a3 + k) and y3 = b.(b3 + k) in
+    va0 := !va0 +. (x0 *. x0);
+    va1 := !va1 +. (x1 *. x1);
+    va2 := !va2 +. (x2 *. x2);
+    va3 := !va3 +. (x3 *. x3);
+    vb0 := !vb0 +. (y0 *. y0);
+    vb1 := !vb1 +. (y1 *. y1);
+    vb2 := !vb2 +. (y2 *. y2);
+    vb3 := !vb3 +. (y3 *. y3);
+    cov0 := !cov0 +. (x0 *. y0);
+    cov1 := !cov1 +. (x1 *. y1);
+    cov2 := !cov2 +. (x2 *. y2);
+    cov3 := !cov3 +. (x3 *. y3)
+  done;
+  clark_operands f 0 a.(a0) !va0 b.(b0) !vb0 !cov0;
+  clark_operands f 16 a.(a1) !va1 b.(b1) !vb1 !cov1;
+  clark_operands f 32 a.(a2) !va2 b.(b2) !vb2 !cov2;
+  clark_operands f 48 a.(a3) !va3 b.(b3) !vb3 !cov3;
+  Special.clark_max4_into f;
+  let t0 = f.(7) and t1 = f.(23) and t2 = f.(39) and t3 = f.(55) in
+  let u0 = 1.0 -. t0 and u1 = 1.0 -. t1 and u2 = 1.0 -. t2 and u3 = 1.0 -. t3 in
+  let d0 = dr.(0) and d1 = dr.(1) and d2 = dr.(2) and d3 = dr.(3) in
+  let e0 = ref 0.0 and e1 = ref 0.0 and e2 = ref 0.0 and e3 = ref 0.0 in
+  for k = 2 to np + 1 do
+    let c0 = (t0 *. a.(a0 + k)) +. (u0 *. b.(b0 + k)) in
+    let c1 = (t1 *. a.(a1 + k)) +. (u1 *. b.(b1 + k)) in
+    let c2 = (t2 *. a.(a2 + k)) +. (u2 *. b.(b2 + k)) in
+    let c3 = (t3 *. a.(a3 + k)) +. (u3 *. b.(b3 + k)) in
+    d.(d0 + k) <- c0;
+    d.(d1 + k) <- c1;
+    d.(d2 + k) <- c2;
+    d.(d3 + k) <- c3;
+    e0 := !e0 +. (c0 *. c0);
+    e1 := !e1 +. (c1 *. c1);
+    e2 := !e2 +. (c2 *. c2);
+    e3 := !e3 +. (c3 *. c3)
+  done;
+  d.(d0) <- f.(5);
+  d.(d0 + 1) <- sqrt (Float.max 0.0 (f.(6) -. !e0));
+  d.(d1) <- f.(21);
+  d.(d1 + 1) <- sqrt (Float.max 0.0 (f.(22) -. !e1));
+  d.(d2) <- f.(37);
+  d.(d2 + 1) <- sqrt (Float.max 0.0 (f.(38) -. !e2));
+  d.(d3) <- f.(53);
+  d.(d3 + 1) <- sqrt (Float.max 0.0 (f.(54) -. !e3))
+
+let[@inline] rnd_sum (a : float array) (b : float array) o =
+  let ar = a.(o + 1) and br = b.(o + 1) in
+  sqrt ((ar *. ar) +. (br *. br))
+
+(* [add_moments_rows] on four lanes: lane l reads the rows at index
+   [il] of [a] and of [b]. *)
+let add_moments_rows4 ~np (a : float array) (b : float array) ~mu ~sigma i0 i1 i2 i3 =
+  let w = row_width np in
+  let o0 = i0 * w and o1 = i1 * w and o2 = i2 * w and o3 = i3 * w in
+  let r0 = rnd_sum a b o0 and r1 = rnd_sum a b o1 in
+  let r2 = rnd_sum a b o2 and r3 = rnd_sum a b o3 in
+  let acc0 = ref (r0 *. r0) and acc1 = ref (r1 *. r1) in
+  let acc2 = ref (r2 *. r2) and acc3 = ref (r3 *. r3) in
+  for k = 2 to np + 1 do
+    let c0 = a.(o0 + k) +. b.(o0 + k) and c1 = a.(o1 + k) +. b.(o1 + k) in
+    let c2 = a.(o2 + k) +. b.(o2 + k) and c3 = a.(o3 + k) +. b.(o3 + k) in
+    acc0 := !acc0 +. (c0 *. c0);
+    acc1 := !acc1 +. (c1 *. c1);
+    acc2 := !acc2 +. (c2 *. c2);
+    acc3 := !acc3 +. (c3 *. c3)
+  done;
+  mu.(i0) <- a.(o0) +. b.(o0);
+  sigma.(i0) <- sqrt !acc0;
+  mu.(i1) <- a.(o1) +. b.(o1);
+  sigma.(i1) <- sqrt !acc1;
+  mu.(i2) <- a.(o2) +. b.(o2);
+  sigma.(i2) <- sqrt !acc2;
+  mu.(i3) <- a.(o3) +. b.(o3);
+  sigma.(i3) <- sqrt !acc3
+
 (* ---------------- records ---------------- *)
 
 let variance t = variance_raw ~np:(Array.length t.coeffs) t.rnd t.coeffs 0

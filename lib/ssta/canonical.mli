@@ -103,3 +103,32 @@ val add_moments_rows :
     [sigma.(i)] ← the mean and [sigma] of [add] of the rows at [a.(ao)]
     and [b.(bo)], in one pass and the same words as {!add_rows} followed
     by {!sigma_row}. *)
+
+(** {2 Four lanes}
+
+    A lone Clark max waits on the latency of its serial sums and of
+    erfc's recurrence.  The lane forms run four independent operations
+    with their chains interleaved, each lane through the scalar kernel's
+    operations in the scalar order, so each lane writes the words its
+    scalar call would, whatever the other lanes hold. *)
+
+type frame4
+(** Work space of one four-lane Clark step
+    ({!Sl_util.Special.clark_max4_into}): one per domain. *)
+
+val frame4 : unit -> frame4
+
+val max2_rows4 :
+  frame4 -> np:int -> float array -> int array -> float array -> int array ->
+  float array -> int array -> unit
+(** [max2_rows4 f ~np a ao b bo d dr]: for each lane [l] < 4, the row of
+    [d] at [dr.(l)] ← [max2_rows] of the rows at [a.(ao.(l))] and
+    [b.(bo.(l))].  A lane's destination may be its own first operand; no
+    lane may write a row another lane reads. *)
+
+val add_moments_rows4 :
+  np:int -> float array -> float array -> mu:float array -> sigma:float array ->
+  int -> int -> int -> int -> unit
+(** [add_moments_rows4 ~np a b ~mu ~sigma i0 i1 i2 i3]: for each lane,
+    [add_moments_rows] of the rows at index [il] (offset [il · row_width
+    np]) of [a] and [b] into [mu.(il)] and [sigma.(il)]. *)

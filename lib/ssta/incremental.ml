@@ -238,9 +238,7 @@ let recompute_all t =
   Parallel.run_chunks ~jobs:t.jobs ~threshold:t.par_threshold ~n:t.n
     ~init:(fun () -> ())
     (fun () lo hi ->
-      for id = lo to hi - 1 do
-        Ssta.path_into ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma
-      done);
+      Ssta.paths_into ~arr:t.arr ~bwd:t.bwd lo hi ~mu:t.path_mu ~sigma:t.path_sigma);
   t.yield_ <- Canonical.cdf (circuit_delay t) t.tmax;
   clear_pending t
 
@@ -404,13 +402,11 @@ let stage_forward t wn =
     Parallel.run_chunks ~jobs:t.jobs ~threshold:t.par_threshold ~n:wn
       ~init:(fun () -> Ssta.scratch ~num_pcs:t.arr.Arena.num_pcs)
       (fun sc lo hi ->
-        for i = lo to hi - 1 do
-          Ssta.forward_gate c ~delay:t.delay ~arr:t.arr sc ~dst:t.stage i t.work.(i)
-        done)
+        Ssta.forward_batch c ~delay:t.delay ~arr:t.arr sc ~dst:t.stage ~staged:true t.work
+          lo hi)
   else
-    for i = 0 to wn - 1 do
-      Ssta.forward_gate c ~delay:t.delay ~arr:t.arr t.sc ~dst:t.stage i t.work.(i)
-    done
+    Ssta.forward_batch c ~delay:t.delay ~arr:t.arr t.sc ~dst:t.stage ~staged:true t.work 0
+      wn
 
 let stage_backward t wn =
   let c = t.design.Design.circuit in
@@ -418,15 +414,11 @@ let stage_backward t wn =
     Parallel.run_chunks ~jobs:t.jobs ~threshold:t.par_threshold ~n:wn
       ~init:(fun () -> Ssta.scratch ~num_pcs:t.bwd.Arena.num_pcs)
       (fun sc lo hi ->
-        for i = lo to hi - 1 do
-          t.stage_live.(i) <-
-            Ssta.bwd_gate c ~delay:t.delay ~bwd:t.bwd sc ~dst:t.stage i t.work.(i)
-        done)
+        Ssta.backward_batch c ~delay:t.delay ~bwd:t.bwd sc ~dst:t.stage ~staged:true
+          ~live:t.stage_live t.work lo hi)
   else
-    for i = 0 to wn - 1 do
-      t.stage_live.(i) <-
-        Ssta.bwd_gate c ~delay:t.delay ~bwd:t.bwd t.sc ~dst:t.stage i t.work.(i)
-    done
+    Ssta.backward_batch c ~delay:t.delay ~bwd:t.bwd t.sc ~dst:t.stage ~staged:true
+      ~live:t.stage_live t.work 0 wn
 
 (* Arrival view: dirt spreads downstream from every delay-changed gate,
    repaired level by level over the union of their fanout cones.  A gate
@@ -539,6 +531,26 @@ let sync_backward t pending =
   List.iter (fun gid -> t.bwd_pending.(gid) <- false) pending;
   t.pending_bwd <- []
 
+(* The path moments of the path-dirty gates, four at a time, each
+   saved before it is overwritten. *)
+let path_clean t id =
+  save t k_path id;
+  t.path_dirty_flag.(id) <- false
+
+let rec sync_paths t = function
+  | a :: b :: c :: d :: rest ->
+    path_clean t a;
+    path_clean t b;
+    path_clean t c;
+    path_clean t d;
+    Ssta.path_into4 ~arr:t.arr ~bwd:t.bwd a b c d ~mu:t.path_mu ~sigma:t.path_sigma;
+    sync_paths t rest
+  | id :: rest ->
+    path_clean t id;
+    Ssta.path_into ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma;
+    sync_paths t rest
+  | [] -> ()
+
 let sync_impl ~paths t =
   t.n_syncs <- t.n_syncs + 1;
   (match t.pending_delay with [] -> () | pending -> sync_forward t pending);
@@ -550,12 +562,7 @@ let sync_impl ~paths t =
   end;
   if paths then begin
     (match t.pending_bwd with [] -> () | pending -> sync_backward t pending);
-    List.iter
-      (fun id ->
-        save t k_path id;
-        Ssta.path_into ~arr:t.arr ~bwd:t.bwd id ~mu:t.path_mu ~sigma:t.path_sigma;
-        t.path_dirty_flag.(id) <- false)
-      t.path_dirty;
+    sync_paths t t.path_dirty;
     t.path_dirty <- []
   end
 

@@ -9,9 +9,11 @@
 
     Gate delays, arrivals, required times and the circuit delay live in
     {!Arena} slots.  {!create} and {!rebuild} run {!Ssta}'s level sweeps
-    straight into them; {!sync} recomputes a gate with the same
-    {!Ssta.forward_gate} / {!Ssta.bwd_gate} kernels into a staging buffer
-    one level wide, then copies a slot only when a word changed.
+    straight into them; {!sync} recomputes a level's gates with the same
+    kernels ({!Ssta.forward_batch} / {!Ssta.backward_batch}: four gates'
+    folds at a time, the words of {!Ssta.forward_gate} /
+    {!Ssta.bwd_gate}) into a staging buffer one level wide, then copies
+    a slot only when a word changed.
     {!arrival}, {!required} and {!circuit_delay} materialize a
     {!Canonical.t} only when read.  A re-timing step allocates nothing
     per recomputed gate.

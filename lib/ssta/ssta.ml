@@ -87,9 +87,38 @@ let tally stats ~jobs ~threshold width =
    destination slot from slots finalized by earlier levels, through the
    calling domain's scratch. *)
 
-type scratch = { frame : Canonical.frame; term : Arena.t }
+(* A domain's work space: the scalar kernel's Clark frame and term slot,
+   and the four lanes of a level batch — their Clark frame, one slot
+   each (a forward fold's running max, a backward fold's next term), the
+   row offsets handed to the four-lane max, and each lane's gate, the
+   slot it writes and the next fanin or fanout its fold takes. *)
+type scratch = {
+  frame : Canonical.frame;
+  term : Arena.t;
+  frame4 : Canonical.frame4;
+  lanes : Arena.t;
+  own : int array; (* lane l's slot row in [lanes], fixed *)
+  rows : int array; (* lane l's other operand row for the next step *)
+  lane_gid : int array;
+  lane_slot : int array;
+  lane_k : int array;
+}
 
-let scratch ~num_pcs = { frame = Canonical.frame (); term = Arena.create ~n:1 ~num_pcs }
+let free = -1
+
+let scratch ~num_pcs =
+  let lanes = Arena.create ~n:4 ~num_pcs in
+  {
+    frame = Canonical.frame ();
+    term = Arena.create ~n:1 ~num_pcs;
+    frame4 = Canonical.frame4 ();
+    lanes;
+    own = Array.init 4 (Arena.row lanes);
+    rows = Array.make 4 0;
+    lane_gid = Array.make 4 free;
+    lane_slot = Array.make 4 0;
+    lane_k = Array.make 4 0;
+  }
 
 let forward_gate (c : Circuit.t) ~delay ~arr sc ~dst i gid =
   let fanin = c.Circuit.gates.(gid).Circuit.fanin in
@@ -130,6 +159,169 @@ let bwd_gate (c : Circuit.t) ~delay ~bwd sc ~dst i gid =
   end;
   live
 
+(* ---------------- level batches on four lanes ----------------
+
+   The gates of a level batch are independent, so their folds can share
+   the four-lane Clark max: each lane folds one gate, every step takes
+   the next operand of all four folds at once, and a lane whose fold is
+   done writes its gate's slot and takes the batch's next gate.  A gate
+   that needs no Clark step is done on the spot by the scalar kernel,
+   and once the batch has fewer than four folds left they finish on the
+   scalar kernel too.  Every fold runs the scalar kernel's operations on
+   the same operands in the same order, so each slot gets the words the
+   per-gate kernel writes.  Gate [ids.(k)] writes slot [k] of [dst] when
+   [staged], its own slot otherwise; only the lanes' slots are shared
+   between folds, and each lane writes only its own. *)
+
+let forward_batch (c : Circuit.t) ~delay ~arr sc ~dst ~staged (ids : int array) lo hi =
+  let gates = c.Circuit.gates in
+  let np = arr.Arena.num_pcs in
+  let lanes = sc.lanes in
+  let gid_of = sc.lane_gid and slot_of = sc.lane_slot and k_of = sc.lane_k in
+  Array.fill gid_of 0 4 free;
+  let next = ref lo and busy = ref 0 and go = ref true in
+  while !go do
+    (* every free lane takes the next gate whose fold needs a Clark step *)
+    let l = ref 0 in
+    while !l < 4 && !next < hi do
+      if gid_of.(!l) <> free then incr l
+      else begin
+        let k = !next in
+        incr next;
+        let gid = ids.(k) in
+        let g = gates.(gid) in
+        if g.Circuit.kind <> Cell_kind.Pi then begin
+          let slot = if staged then k else gid in
+          let fanin = g.Circuit.fanin in
+          if Array.length fanin < 2 then forward_gate c ~delay ~arr sc ~dst slot gid
+          else begin
+            Arena.blit arr fanin.(0) lanes !l;
+            gid_of.(!l) <- gid;
+            slot_of.(!l) <- slot;
+            k_of.(!l) <- 1;
+            incr busy
+          end
+        end
+      end
+    done;
+    if !busy = 4 then begin
+      for l = 0 to 3 do
+        sc.rows.(l) <- Arena.row arr gates.(gid_of.(l)).Circuit.fanin.(k_of.(l))
+      done;
+      Canonical.max2_rows4 sc.frame4 ~np lanes.Arena.data sc.own arr.Arena.data sc.rows
+        lanes.Arena.data sc.own;
+      for l = 0 to 3 do
+        let gid = gid_of.(l) in
+        let k = k_of.(l) + 1 in
+        if k < Array.length gates.(gid).Circuit.fanin then k_of.(l) <- k
+        else begin
+          Arena.add lanes l delay gid ~dst slot_of.(l);
+          gid_of.(l) <- free;
+          decr busy
+        end
+      done
+    end
+    else begin
+      (* out of gates: the last (at most three) folds finish on the
+         scalar kernel *)
+      for l = 0 to 3 do
+        let gid = gid_of.(l) in
+        if gid <> free then begin
+          let fanin = gates.(gid).Circuit.fanin in
+          for k = k_of.(l) to Array.length fanin - 1 do
+            Arena.max2 sc.frame lanes l arr fanin.(k) ~dst:lanes l
+          done;
+          Arena.add lanes l delay gid ~dst slot_of.(l);
+          gid_of.(l) <- free
+        end
+      done;
+      go := false
+    end
+  done
+
+(* A backward fold runs in its gate's slot of [dst]; a lane's own slot
+   holds the fold's next term.  [live.(k)] gets [bwd_gate]'s flag when
+   [staged]. *)
+let backward_batch (c : Circuit.t) ~delay ~bwd sc ~dst ~staged ~live (ids : int array) lo
+    hi =
+  let gates = c.Circuit.gates in
+  let np = bwd.Arena.num_pcs in
+  let lanes = sc.lanes in
+  let gid_of = sc.lane_gid and slot_of = sc.lane_slot and k_of = sc.lane_k in
+  Array.fill gid_of 0 4 free;
+  let next = ref lo and busy = ref 0 and go = ref true in
+  while !go do
+    let l = ref 0 in
+    while !l < 4 && !next < hi do
+      if gid_of.(!l) <> free then incr l
+      else begin
+        let k = !next in
+        incr next;
+        let gid = ids.(k) in
+        let slot = if staged then k else gid in
+        let len = Array.length gates.(gid).Circuit.fanout in
+        let po = Circuit.is_po c gid in
+        if (po && len > 0) || len > 1 then begin
+          (* the fold's head, then a lane takes its Clark steps *)
+          let fanout = gates.(gid).Circuit.fanout in
+          let first =
+            if po then begin
+              Arena.zero dst slot;
+              0
+            end
+            else begin
+              Arena.add delay fanout.(0) bwd fanout.(0) ~dst slot;
+              1
+            end
+          in
+          if staged then live.(k) <- true;
+          gid_of.(!l) <- gid;
+          slot_of.(!l) <- slot;
+          k_of.(!l) <- first;
+          incr busy
+        end
+        else begin
+          let lv = bwd_gate c ~delay ~bwd sc ~dst slot gid in
+          if staged then live.(k) <- lv
+        end
+      end
+    done;
+    if !busy = 4 then begin
+      for l = 0 to 3 do
+        let fo = gates.(gid_of.(l)).Circuit.fanout.(k_of.(l)) in
+        Arena.add delay fo bwd fo ~dst:lanes l;
+        sc.rows.(l) <- Arena.row dst slot_of.(l)
+      done;
+      Canonical.max2_rows4 sc.frame4 ~np dst.Arena.data sc.rows lanes.Arena.data sc.own
+        dst.Arena.data sc.rows;
+      for l = 0 to 3 do
+        let k = k_of.(l) + 1 in
+        if k < Array.length gates.(gid_of.(l)).Circuit.fanout then k_of.(l) <- k
+        else begin
+          gid_of.(l) <- free;
+          decr busy
+        end
+      done
+    end
+    else begin
+      (* out of gates: the last (at most three) folds finish on the
+         scalar kernel *)
+      for l = 0 to 3 do
+        let gid = gid_of.(l) in
+        if gid <> free then begin
+          let fanout = gates.(gid).Circuit.fanout and i = slot_of.(l) in
+          for k = k_of.(l) to Array.length fanout - 1 do
+            let fo = fanout.(k) in
+            Arena.add delay fo bwd fo ~dst:sc.term 0;
+            Arena.max2 sc.frame dst i sc.term 0 ~dst i
+          done;
+          gid_of.(l) <- free
+        end
+      done;
+      go := false
+    end
+  done
+
 let circuit_delay_into (c : Circuit.t) ~arr sc ~dst i =
   let outs = c.Circuit.outputs in
   if Array.length outs = 0 then Arena.zero dst i
@@ -143,6 +335,21 @@ let circuit_delay_into (c : Circuit.t) ~arr sc ~dst i =
 let path_into ~arr ~bwd id ~mu ~sigma =
   Canonical.add_moments_rows ~np:arr.Arena.num_pcs arr.Arena.data (Arena.row arr id)
     bwd.Arena.data (Arena.row bwd id) ~mu ~sigma id
+
+let path_into4 ~arr ~bwd i0 i1 i2 i3 ~mu ~sigma =
+  Canonical.add_moments_rows4 ~np:arr.Arena.num_pcs arr.Arena.data bwd.Arena.data ~mu
+    ~sigma i0 i1 i2 i3
+
+let paths_into ~arr ~bwd lo hi ~mu ~sigma =
+  let id = ref lo in
+  while !id + 4 <= hi do
+    let i = !id in
+    path_into4 ~arr ~bwd i (i + 1) (i + 2) (i + 3) ~mu ~sigma;
+    id := i + 4
+  done;
+  for i = !id to hi - 1 do
+    path_into ~arr ~bwd i ~mu ~sigma
+  done
 
 (* ---------------- from-scratch sweeps ---------------- *)
 
@@ -183,11 +390,7 @@ let arrival_sweep ~jobs ~par_threshold ?stats circuit ~delay ~arr =
       Parallel.run_chunks ~jobs ~threshold:par_threshold ~n:width
         ~init:(fun () -> scratch ~num_pcs)
         (fun sc lo hi ->
-          for k = lo to hi - 1 do
-            let gid = level.(k) in
-            if circuit.Circuit.gates.(gid).Circuit.kind <> Cell_kind.Pi then
-              forward_gate circuit ~delay ~arr sc ~dst:arr gid gid
-          done))
+          forward_batch circuit ~delay ~arr sc ~dst:arr ~staged:false level lo hi))
     (Circuit.levels circuit)
 
 (* Backward (required-time) sweep into caller-owned slots, by decreasing
@@ -205,10 +408,8 @@ let backward_sweep ~jobs ~par_threshold ?stats circuit ~delay ~bwd =
     Parallel.run_chunks ~jobs ~threshold:par_threshold ~n:width
       ~init:(fun () -> scratch ~num_pcs)
       (fun sc lo hi ->
-        for k = lo to hi - 1 do
-          let gid = level.(k) in
-          ignore (bwd_gate circuit ~delay ~bwd sc ~dst:bwd gid gid)
-        done)
+        backward_batch circuit ~delay ~bwd sc ~dst:bwd ~staged:false ~live:[||] level lo
+          hi)
   done
 
 (* Every full sweep is counted and traced as one analysis or one

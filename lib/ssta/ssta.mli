@@ -45,8 +45,9 @@ val default_par_threshold : int
     earlier levels and allocates nothing. *)
 
 type scratch
-(** Per-domain work space of the kernels (a Clark frame and one term
-    slot).  Never shared between domains. *)
+(** Per-domain work space of the kernels: a Clark frame and one term
+    slot for the scalar kernel, and the four lanes of a level batch.
+    Never shared between domains. *)
 
 val scratch : num_pcs:int -> scratch
 
@@ -69,6 +70,27 @@ val bwd_gate :
 (** [bwd_gate c ~delay ~bwd sc ~dst i gid]: slot [i] ← [S_gid], the max
     over fanouts of delay + required time, headed by zero at a PO driver.
     [false] (slot untouched) for a dead gate: no fanout, not a PO. *)
+
+val forward_batch :
+  Sl_netlist.Circuit.t -> delay:Arena.t -> arr:Arena.t -> scratch -> dst:Arena.t ->
+  staged:bool -> int array -> int -> int -> unit
+(** [forward_batch c ~delay ~arr sc ~dst ~staged ids lo hi]:
+    {!forward_gate} of every non-PI gate [ids.(k)], [lo] <= [k] < [hi],
+    into slot [k] of [dst] if [staged], its own slot otherwise.  The
+    gates must be independent (one level's).  Their folds share the
+    four-lane Clark max ({!Canonical.max2_rows4}): a lane that finishes
+    its gate's fold takes the next gate, a gate with under two fanins
+    and the last three folds run the scalar kernel, and every slot gets
+    the per-gate kernel's words. *)
+
+val backward_batch :
+  Sl_netlist.Circuit.t -> delay:Arena.t -> bwd:Arena.t -> scratch -> dst:Arena.t ->
+  staged:bool -> live:bool array -> int array -> int -> int -> unit
+(** [backward_batch c ~delay ~bwd sc ~dst ~staged ~live ids lo hi]:
+    {!bwd_gate} of every gate [ids.(k)], [lo] <= [k] < [hi], on four
+    lanes as {!forward_batch}; when [staged] it writes slot [k] of [dst]
+    and [live.(k)] ← its liveness flag, otherwise the gate's own slot
+    ([live] unread). *)
 
 val circuit_delay_into :
   Sl_netlist.Circuit.t -> arr:Arena.t -> scratch -> dst:Arena.t -> int -> unit
@@ -93,6 +115,17 @@ val backward_into :
   delay:Arena.t -> bwd:Arena.t -> unit
 (** The sweep of {!backward} into caller-owned slots; a dead gate's slot
     is left as it is.  Counted and traced as one backward sweep. *)
+
+val path_into4 :
+  arr:Arena.t -> bwd:Arena.t -> int -> int -> int -> int -> mu:float array ->
+  sigma:float array -> unit
+(** {!path_into} of four gates on four lanes
+    ({!Canonical.add_moments_rows4}): the same words. *)
+
+val paths_into :
+  arr:Arena.t -> bwd:Arena.t -> int -> int -> mu:float array -> sigma:float array -> unit
+(** [paths_into ~arr ~bwd lo hi ~mu ~sigma]: {!path_into} of every id in
+    [\[lo, hi)], four at a time and the last under four one by one. *)
 
 (** {2 From-scratch analysis} *)
 

@@ -39,3 +39,27 @@ val clark_max_into : float array -> unit
     [(mu1, sigma1, mu2, sigma2, rho)] from slots 0–4 of the frame and
     writes [(mean, variance, tightness)] to slots 5–7, the same words.
     @raise Invalid_argument if the frame is shorter than 8. *)
+
+(** {2 Four lanes}
+
+    erfc's recurrence is one serial chain, so a lone call waits on its
+    latency.  These forms run four independent arguments through the
+    scalar kernel's operations in the scalar order, interleaved, and
+    return each lane's scalar word: lane [l] of {!erfc4} is [erfc] of
+    its argument, bit for bit, whatever the other lanes hold. *)
+
+val erfc4 : float array -> unit
+(** [erfc4 f]: [f.(l)] ← [erfc f.(l)] for [l] < 4; [f.(4)] .. [f.(7)]
+    are work space.  @raise Invalid_argument if [f] is shorter than 8. *)
+
+val normal_cdf4 : float array -> unit
+(** [normal_cdf4 f]: [f.(l)] ← [normal_cdf f.(l)] for [l] < 4; [f.(4)]
+    .. [f.(7)] are work space.
+    @raise Invalid_argument if [f] is shorter than 8. *)
+
+val clark_max4_into : float array -> unit
+(** Four {!clark_max_into} frames in one call: lane [l]'s operands at
+    [f.(16 l)] .. [f.(16 l + 4)], its results at [f.(16 l + 5)] ..
+    [f.(16 l + 7)] — the words {!clark_max_into} writes for that lane
+    alone — and [f.(16 l + 8)] .. [f.(16 l + 15)] work space.
+    @raise Invalid_argument if [f] is shorter than 64. *)

@@ -85,6 +85,8 @@ let estimate ?(ci = 0.95) ?jobs ?(method_ = Is_cv) ?(quantity = Yield)
   let term (die : Mc.die) =
     match quantity with Yield -> fail die | Leak_mean -> die.Mc.leak
   in
+  (* a yield estimate reads no die's leakage *)
+  let leak = quantity = Leak_mean in
   let consume_batch ~batch ~first ~count =
     let dies =
       match method_ with
@@ -95,9 +97,9 @@ let estimate ?(ci = 0.95) ?jobs ?(method_ = Is_cv) ?(quantity = Yield)
         let table =
           Mc.lhs_z_table (Rng.stream ~seed (-2 - batch)) ~samples:count ~dims:num_pcs
         in
-        Mc.run_dies ?jobs ~z_of:(fun i -> table.(i - first)) ~seed ~first ~count d
+        Mc.run_dies ?jobs ~z_of:(fun i -> table.(i - first)) ~leak ~seed ~first ~count d
           model
-      | _ -> Mc.run_dies ?jobs ?shift ~seed ~first ~count d model
+      | _ -> Mc.run_dies ?jobs ?shift ~leak ~seed ~first ~count d model
     in
     (match state with
     | Plain acc -> Array.iter (fun die -> Stats.Acc.add acc (term die)) dies

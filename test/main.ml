@@ -8,6 +8,7 @@ let () =
          Test_variation.suite;
          Test_sta.suite;
          Test_ssta.suite;
+         Test_lanes.suite;
          Test_incremental.suite;
          Test_hier.suite;
          Test_leakage.suite;

@@ -469,15 +469,9 @@ let optimize circuit_spec lib_file sigma_scale size_idx factor eta mode samples 
       st.Sl_opt.Lr_opt.corner_dmax
   | ("stat" | "batch") as mode ->
     let jobs = ssta_jobs jobs in
+    let optimize = if mode = "stat" then Sl_opt.Stat_opt.optimize else Sl_opt.Batch_opt.optimize in
     let st =
-      if mode = "stat" then
-        Sl_opt.Stat_opt.optimize
-          { (Sl_opt.Stat_opt.default_config ~tmax ~eta) with Sl_opt.Stat_opt.jobs; partition }
-          d s.Setup.model
-      else
-        Sl_opt.Batch_opt.optimize
-          { (Sl_opt.Batch_opt.default_config ~tmax ~eta) with Sl_opt.Batch_opt.jobs; partition }
-          d s.Setup.model
+      optimize { (Opt_core.default_config ~tmax ~eta) with jobs; partition } d s.Setup.model
     in
     Printf.printf
       "%s optimizer: feasible=%b vth_moves=%d size_moves=%d trials=%d passes=%d \

@@ -104,7 +104,7 @@ end
 let chunk_size = 256
 
 (* Evaluate dies [first, first+count) ([first] chunk-aligned) and hand
-   each to [consume chunk i z delay leak]; [z] is the evaluating domain's
+   each to [consume i z delay leak]; [z] is the evaluating domain's
    buffer, valid only during the call.  Without [leak] no die evaluates
    its leakage (an [exp] per gate) and [consume] gets [nan]. *)
 let sweep ~name ?z_of ?shift ?(leak = true) ~jobs ~seed ~first ~count (d : Design.t) model
@@ -121,7 +121,7 @@ let sweep ~name ?z_of ?shift ?(leak = true) ~jobs ~seed ~first ~count (d : Desig
     for i = lo to Stdlib.min last (lo + chunk_size - 1) do
       Eval.draw ?row:(Option.map (fun f -> f i) z_of) ?shift ev rng;
       let dvth = die.Model.Sample.dvth in
-      consume c i die.Model.Sample.z (Eval.delay ev ~dvth)
+      consume i die.Model.Sample.z (Eval.delay ev ~dvth)
         (if leak then Eval.leak ev ~dvth else Float.nan)
     done
   in
@@ -140,8 +140,9 @@ let sweep ~name ?z_of ?shift ?(leak = true) ~jobs ~seed ~first ~count (d : Desig
   Metrics.set m_run_seconds dt;
   if dt > 0.0 then Metrics.set m_throughput (float_of_int count /. dt)
 
-(* [run] and [run_stats]: dies [0, samples), LHS rows from stream -1 *)
-let sweep_samples ~sampling ~jobs ~seed ~samples d model ~consume =
+(* Dies [0, samples); LHS rows come from stream -1. *)
+let run ?(sampling = `Naive) ?jobs ~seed ~samples (d : Design.t) model =
+  if samples < 1 then invalid_arg "Mc.run: samples < 1";
   let z_of =
     match sampling with
     | `Naive -> None
@@ -149,34 +150,12 @@ let sweep_samples ~sampling ~jobs ~seed ~samples d model ~consume =
       let table = lhs_z_table (Rng.stream ~seed (-1)) ~samples ~dims:(Model.num_pcs model) in
       Some (fun i -> table.(i))
   in
-  sweep ~name:"mc.run" ?z_of ~jobs ~seed ~first:0 ~count:samples d model ~consume
-
-let run ?(sampling = `Naive) ?jobs ~seed ~samples (d : Design.t) model =
-  if samples < 1 then invalid_arg "Mc.run: samples < 1";
   let delay = Array.make samples 0.0 and leak = Array.make samples 0.0 in
-  sweep_samples ~sampling ~jobs ~seed ~samples d model ~consume:(fun _ i _ dm lk ->
+  sweep ~name:"mc.run" ?z_of ~jobs ~seed ~first:0 ~count:samples d model
+    ~consume:(fun i _ dm lk ->
       delay.(i) <- dm;
       leak.(i) <- lk);
   { delay; leak }
-
-let run_stats ?(sampling = `Naive) ?jobs ~seed ~samples (d : Design.t) model =
-  if samples < 1 then invalid_arg "Mc.run_stats: samples < 1";
-  (* one accumulator pair per chunk, merged in chunk order afterwards:
-     the reduction tree is fixed, so the result is as schedule-independent
-     as the arrays from [run] — without materializing them *)
-  let accs =
-    Array.init
-      ((samples + chunk_size - 1) / chunk_size)
-      (fun _ -> (Stats.Acc.create (), Stats.Acc.create ()))
-  in
-  sweep_samples ~sampling ~jobs ~seed ~samples d model ~consume:(fun c _ _ dm lk ->
-      let da, la = accs.(c) in
-      Stats.Acc.add da dm;
-      Stats.Acc.add la lk);
-  Array.fold_left
-    (fun (da, la) (dc, lc) -> (Stats.Acc.merge da dc, Stats.Acc.merge la lc))
-    (Stats.Acc.create (), Stats.Acc.create ())
-    accs
 
 let timing_yield r ~tmax =
   if Array.length r.delay = 0 then invalid_arg "Mc.timing_yield: empty result";
@@ -211,5 +190,5 @@ let run_dies ?jobs ?z_of ?shift ?leak ~seed ~first ~count (d : Design.t) model =
   | _ -> ());
   let out = Array.make count { z = [||]; delay = 0.0; leak = 0.0 } in
   sweep ~name:"mc.run_dies" ?z_of ?shift ?leak ~jobs ~seed ~first ~count d model
-    ~consume:(fun _ i z delay leak -> out.(i - first) <- { z = Array.copy z; delay; leak });
+    ~consume:(fun i z delay leak -> out.(i - first) <- { z = Array.copy z; delay; leak });
   out

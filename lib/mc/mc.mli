@@ -31,18 +31,6 @@ val run :
     across domains.  Default [`Naive].
     @raise Invalid_argument if [samples] < 1 or [jobs] < 1. *)
 
-val run_stats :
-  ?sampling:[ `Naive | `Lhs ] -> ?jobs:int ->
-  seed:int -> samples:int -> Sl_tech.Design.t -> Sl_variation.Model.t ->
-  Sl_util.Stats.Acc.t * Sl_util.Stats.Acc.t
-(** [(delay_acc, leak_acc)] over the same dies [run] would evaluate, but
-    streaming: per-chunk Welford accumulators are combined with
-    {!Sl_util.Stats.Acc.merge} in fixed chunk order, so memory stays O(1)
-    per worker regardless of [samples] and the reduction is
-    schedule-independent.  Use this for sample counts where materializing
-    the per-die arrays is the bottleneck.
-    @raise Invalid_argument if [samples] < 1 or [jobs] < 1. *)
-
 type die = {
   z : float array;  (** the shared-PC vector the die was evaluated at *)
   delay : float;    (** non-linear STA circuit delay, ps *)
@@ -110,7 +98,7 @@ val lhs_z_table :
 (** One domain's die evaluator: the die buffers, {!Sl_sta.Sta.Fast}
     scratch and a compiled leakage evaluator, built once and overwritten
     by every die, so a die allocates nothing that grows with the circuit.
-    {!run}, {!run_stats}, {!run_dies} and {!Abb.tune} all evaluate dies
+    {!run}, {!run_dies} and {!Abb.tune} all evaluate dies
     through it.  Not shareable across domains. *)
 module Eval : sig
   type t

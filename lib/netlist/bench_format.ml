@@ -89,20 +89,11 @@ let parse_string ?(sequential = `Reject) ~name text =
 let parse_string_cut ~name text =
   parse_with_registers ~sequential:`Cut ~name text
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  (Filename.remove_extension (Filename.basename path), text)
-
 let parse_file ?sequential path =
-  let name, text = read_file path in
-  parse_string ?sequential ~name text
-
-let parse_file_cut path =
-  let name, text = read_file path in
-  parse_string_cut ~name text
+  let ic = open_in path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  parse_string ?sequential ~name:(Filename.remove_extension (Filename.basename path)) text
 
 let to_string (c : Circuit.t) =
   let buf = Buffer.create 4096 in

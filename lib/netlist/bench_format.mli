@@ -41,9 +41,6 @@ val parse_string_cut : name:string -> string -> Circuit.t * register list
     the D->Q bookkeeping the plain parser discards.
     @raise Parse_error / Failure as {!parse_string}. *)
 
-val parse_file_cut : string -> Circuit.t * register list
-(** File variant of {!parse_string_cut}. *)
-
 val to_string : Circuit.t -> string
 (** Render back to ".bench" text; [parse_string] of the result
     reconstructs an isomorphic circuit. *)

@@ -70,7 +70,4 @@ let instantiate keep =
 
 let small () = instantiate (fun n -> List.mem n [ "c17"; "par64"; "add32"; "dec6" ])
 
-let medium () =
-  instantiate (fun n -> List.mem n [ "add32"; "csel32"; "mult8"; "alu32" ])
-
 let full () = instantiate (fun _ -> true)

@@ -25,9 +25,6 @@ val large_names : string list
 val small : unit -> (string * Circuit.t) list
 (** c17 + the sub-200-cell circuits; used by fast unit tests. *)
 
-val medium : unit -> (string * Circuit.t) list
-(** ~150–900 cells; used by Monte-Carlo validation experiments. *)
-
 val full : unit -> (string * Circuit.t) list
 (** The whole suite (≈6 to ≈3500 cells), smallest first; used by the
     headline tables. *)

@@ -55,9 +55,5 @@ let eval kind ins =
   | Xor -> Array.fold_left (fun acc b -> acc <> b) false ins
   | Xnor -> not (Array.fold_left (fun acc b -> acc <> b) false ins)
 
-let is_inverting = function
-  | Not | Nand | Nor | Xnor -> true
-  | Pi | Buf | And | Or | Xor -> false
-
 let all_cells = [ Buf; Not; And; Nand; Or; Nor; Xor; Xnor ]
 let pp ppf k = Format.pp_print_string ppf (to_string k)

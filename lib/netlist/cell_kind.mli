@@ -21,10 +21,6 @@ val min_arity : t -> int
 val max_arity : t -> int
 (** Inclusive arity bounds ([max_int] for the n-ary kinds). *)
 
-val is_inverting : t -> bool
-(** True for [Not], [Nand], [Nor], [Xnor] — used by generators that need
-    signal polarity. *)
-
 val all_cells : t list
 (** Every kind except [Pi], i.e. the kinds a technology library provides. *)
 

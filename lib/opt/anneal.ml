@@ -7,18 +7,15 @@ module Ssta = Sl_ssta.Ssta
 module Leak_ssta = Sl_leakage.Leak_ssta
 module Rng = Sl_util.Rng
 
-type config = {
-  tmax : float;
-  eta : float;
-  iterations : int;
-  t_start : float;
-  t_end : float;
-  seed : int;
-  penalty : float;
-}
+type config = { tmax : float; eta : float; iterations : int; seed : int }
 
-let default_config ~tmax ~eta =
-  { tmax; eta; iterations = 20_000; t_start = 0.05; t_end = 0.0005; seed = 1; penalty = 10.0 }
+let default_config ~tmax ~eta = { tmax; eta; iterations = 20_000; seed = 1 }
+
+(* The initial and final temperatures, as fractions of the initial cost,
+   and λ, the yield-shortfall penalty weight. *)
+let t_start = 0.05
+let t_end = 0.0005
+let penalty = 10.0
 
 type stats = {
   accepted : int;
@@ -34,7 +31,7 @@ let optimize cfg (d : Design.t) model =
   let yield_of () = Ssta.timing_yield (Ssta.analyze d model) ~tmax:cfg.tmax in
   let leak0 = Leak_ssta.mean leak in
   let cost_of y =
-    Leak_ssta.mean leak +. (cfg.penalty *. leak0 *. Float.max 0.0 (cfg.eta -. y))
+    Leak_ssta.mean leak +. (penalty *. leak0 *. Float.max 0.0 (cfg.eta -. y))
   in
   let cells =
     Array.to_list d.Design.circuit.Circuit.gates
@@ -57,9 +54,9 @@ let optimize cfg (d : Design.t) model =
   let proposed = ref 0 in
   let cooling =
     (* geometric schedule touching t_end at the last iteration *)
-    (cfg.t_end /. cfg.t_start) ** (1.0 /. float_of_int (Stdlib.max 1 cfg.iterations))
+    (t_end /. t_start) ** (1.0 /. float_of_int (Stdlib.max 1 cfg.iterations))
   in
-  let temp = ref (cfg.t_start *. !cost) in
+  let temp = ref (t_start *. !cost) in
   for _ = 1 to cfg.iterations do
     let id = cells.(Rng.int rng (Array.length cells)) in
     let knob = if Rng.int rng 2 = 0 then `Vth else `Size in

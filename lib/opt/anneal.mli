@@ -10,15 +10,11 @@ type config = {
   tmax : float;
   eta : float;
   iterations : int;        (** total proposed moves *)
-  t_start : float;         (** initial temperature, as a fraction of the
-                               initial cost *)
-  t_end : float;           (** final temperature fraction *)
   seed : int;
-  penalty : float;         (** λ: yield-shortfall penalty weight *)
 }
 
 val default_config : tmax:float -> eta:float -> config
-(** 20 000 iterations, geometric cooling 0.05 → 0.0005, seed 1, λ = 10. *)
+(** 20 000 iterations, seed 1. *)
 
 type stats = {
   accepted : int;       (** proposals accepted by the Metropolis test *)
@@ -33,4 +29,6 @@ type stats = {
 }
 
 val optimize : config -> Sl_tech.Design.t -> Sl_variation.Model.t -> stats
-(** Mutates the design in place; keeps the best feasible solution seen. *)
+(** Mutates the design in place; keeps the best feasible solution seen.
+    The temperature cools geometrically from 0.05 to 0.0005 of the
+    initial cost over the run, and λ = 10. *)

@@ -33,32 +33,21 @@ let m_band_size =
   Metrics.histogram ~help:"Moves per attempted band" ~bins:16 ~lo:0.0
     ~hi:(float_of_int band_size) "statleak_batch_band_size"
 
-type config = {
-  tmax : float;
-  eta : float;
-  sensitivity : sensitivity;
-  allow_vth : bool;
-  allow_size : bool;
-  yield_margin : float;
-  min_pass_moves : int;
-  partition : bool;
-  audit : bool;
-  jobs : int;
-}
+(* The share of the headroom (yield − η) a band's cumulative estimated
+   cost may spend: the safe zone.  Unlike the greedy policy's 0.5, which
+   must survive 25 blind moves between re-measures, the band budget is
+   re-measured from the live engine before every band and overspending
+   costs one checkpoint rollback, so a band spends the full headroom. *)
+let yield_margin = 1.0
 
-let default_config ~tmax ~eta =
-  {
-    tmax;
-    eta;
-    sensitivity = Stat_leak_per_yield;
-    allow_vth = true;
-    allow_size = true;
-    yield_margin = 1.0;
-    min_pass_moves = 4;
-    partition = false;
-    audit = false;
-    jobs = 1;
-  }
+(* The trickle cutoff: the reduction stops when a pass commits fewer
+   moves than [min min_pass_moves (gates/250)] (at least 1).  The greedy
+   policy runs its boundary trickle to literal exhaustion — dozens of
+   passes committing a handful of moves each; cutting it early trades a
+   sliver of leakage (bounded in the bench at ≤ 1% vs {!Stat_opt}) for a
+   large share of the remaining timing propagations.  The cutoff scales
+   with circuit size, so small circuits still run to exhaustion. *)
+let min_pass_moves = 4
 
 type bands = {
   (* adaptive band cap, TCP-style: the estimated yield costs the safe
@@ -93,7 +82,7 @@ let block b gate kind = Bytes.set b.blocked (slot gate kind) '\001'
    roll back and bisect.  A failing single move is simply dropped — the
    greedy degenerate case — so from a feasible state this can only ever
    keep or improve the greedy result. *)
-let rec try_band cfg b (st : Core.t) len =
+let rec try_band b (st : Core.t) len =
   Trace.span "opt.band" ~attrs:[ ("moves", string_of_int len) ] @@ fun () ->
   st.bands_tried <- st.bands_tried + 1;
   Metrics.incr m_bands_tried;
@@ -106,7 +95,7 @@ let rec try_band cfg b (st : Core.t) len =
     applied := Core.apply st (Core.slot_kind slot) (Core.slot_gate slot) :: !applied
   done;
   Core.measure st;
-  if Core.yield st >= cfg.eta then begin
+  if Core.yield st >= st.p.eta then begin
     Hier.commit st.engine cp;
     st.bands_committed <- st.bands_committed + 1;
     Metrics.incr m_bands_committed;
@@ -136,7 +125,7 @@ let rec try_band cfg b (st : Core.t) len =
          stale, so it is better re-ranked on the next pass. *)
       st.bisections <- st.bisections + 1;
       Metrics.incr m_bisections;
-      try_band cfg b st (len / 2)
+      try_band b st (len / 2)
     end
   end
 
@@ -150,8 +139,8 @@ let rec try_band cfg b (st : Core.t) len =
    capped at [band_size] moves; the candidates beyond the cap start the
    next band, whose budget is re-measured from the live engine after
    this band settles. *)
-let form_band cfg b (st : Core.t) (r : Core.ranked) pos =
-  let budget = ref (Core.headroom st ~margin:cfg.yield_margin) in
+let form_band b (st : Core.t) (r : Core.ranked) pos =
+  let budget = ref (Core.headroom st ~margin:yield_margin) in
   let cap = Stdlib.min b.band_cap band_size in
   let n = ref 0 and i = ref pos in
   while !n < cap && !i < r.len do
@@ -171,20 +160,19 @@ let form_band cfg b (st : Core.t) (r : Core.ranked) pos =
 (* One pass: the ranking syncs the worst-path view, every eligible move
    is ranked once, and the ranking is consumed band by band.  Returns the
    number of committed moves. *)
-let pass cfg b (st : Core.t) =
+let pass b (st : Core.t) =
   let r = Core.rank ~eligible:(fun gate kind -> not (is_blocked b gate kind)) st in
-  if cfg.audit then assert (Hier.audit st.engine);
   st.trials <- st.trials + r.len;
   let committed = ref 0 in
   let pos = ref 0 in
   let go = ref true in
   while !go && !pos < r.len do
-    let band_len, next = form_band cfg b st r !pos in
+    let band_len, next = form_band b st r !pos in
     pos := next;
     if band_len = 0 then go := false (* only invalidated candidates remained *)
     else begin
       let rolled_before = st.bands_rolled_back in
-      committed := !committed + try_band cfg b st band_len;
+      committed := !committed + try_band b st band_len;
       if st.bands_rolled_back = rolled_before then begin
         (* grow only when the band actually filled the cap: growing on
            every success lets a trickle of tiny committed bands creep the
@@ -210,32 +198,15 @@ let pass cfg b (st : Core.t) =
   Core.report st "reduce";
   !committed
 
-let optimize ?progress ?engine cfg (d : Design.t) model =
+let optimize ?progress ?engine p (d : Design.t) model =
   let n = Circuit.num_gates d.Design.circuit in
   let b =
     { band_cap = Stdlib.min 64 band_size; slow_start = true;
       blocked = Bytes.make (2 * n) '\000'; band = Array.make band_size 0 }
   in
-  (* Passes run until one commits fewer than [cutoff] moves.  The greedy
-     policy runs its boundary trickle to literal exhaustion — dozens of
-     passes committing a handful of moves each; cutting the trickle at a
-     small threshold trades a sliver of leakage (bounded in the bench at
-     ≤ 1% vs {!Stat_opt}) for a large share of the remaining timing
-     propagations.  The cutoff scales with circuit size, so small
-     circuits still run to exhaustion. *)
-  let cutoff = Stdlib.max 1 (Stdlib.min cfg.min_pass_moves (n / 250)) in
+  let cutoff = Stdlib.max 1 (Stdlib.min min_pass_moves (n / 250)) in
   let reduce st =
     Bytes.fill b.blocked 0 (Bytes.length b.blocked) '\000';
-    Core.reduce st ~cutoff (pass cfg b)
+    Core.reduce st ~cutoff (pass b)
   in
-  Core.run ~mode:"batch" ?progress ?engine
-    {
-      Core.tmax = cfg.tmax;
-      eta = cfg.eta;
-      sensitivity = cfg.sensitivity;
-      allow_vth = cfg.allow_vth;
-      allow_size = cfg.allow_size;
-      partition = cfg.partition;
-      jobs = cfg.jobs;
-    }
-    ~reduce d model
+  Core.run ~mode:"batch" ?progress ?engine p ~reduce d model

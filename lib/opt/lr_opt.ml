@@ -3,17 +3,15 @@ module Cell_kind = Sl_netlist.Cell_kind
 module Design = Sl_tech.Design
 module Cell_lib = Sl_tech.Cell_lib
 
-type config = {
-  tmax : float;
-  corner_k : float;
-  outer : int;
-  inner : int;
-  step : float;
-  polish : bool;
-}
+type config = { tmax : float; corner_k : float }
 
-let default_config ~tmax =
-  { tmax; corner_k = 3.0; outer = 40; inner = 2; step = 1.0; polish = true }
+let default_config ~tmax = { tmax; corner_k = 3.0 }
+
+(* Multiplier updates, coordinate-descent passes per update, and the
+   exponent of the output multipliers' criticality reweighting. *)
+let outer = 40
+let inner = 2
+let step = 1.0
 
 type stats = {
   feasible : bool;
@@ -140,7 +138,7 @@ let optimize cfg (d : Design.t) (spec : Sl_variation.Spec.t) =
   in
   record_if_better ();
   (try
-     for _ = 1 to cfg.outer do
+     for _ = 1 to outer do
        incr iterations;
        (* multiplicative subgradient on the POs: scale by how badly each
           output violates (or clears) the constraint *)
@@ -148,11 +146,11 @@ let optimize cfg (d : Design.t) (spec : Sl_variation.Spec.t) =
          (fun id ->
            let ratio = Inc_sta.arrival inc id /. cfg.tmax in
            lambda_po.(id) <-
-             Float.max 1e-9 (lambda_po.(id) *. (ratio ** cfg.step)))
+             Float.max 1e-9 (lambda_po.(id) *. (ratio ** step)))
          c.Circuit.outputs;
        let lambda = distribute d inc ~lambda_po ~tau in
        let changes = ref 0 in
-       for _ = 1 to cfg.inner do
+       for _ = 1 to inner do
          changes := !changes + descend d ~lambda ~dvth ~dl
        done;
        Inc_sta.refresh inc;
@@ -184,7 +182,7 @@ let optimize cfg (d : Design.t) (spec : Sl_variation.Spec.t) =
   end;
   (* standard LR finishing move: the Lagrangian iterate is a global warm
      start; a greedy exact-feasibility pass mops up the remaining slack *)
-  if cfg.polish && Inc_sta.dmax inc <= cfg.tmax then begin
+  if Inc_sta.dmax inc <= cfg.tmax then begin
     let det_cfg =
       { (Det_opt.default_config ~tmax:cfg.tmax) with Det_opt.corner_k = cfg.corner_k }
     in

@@ -22,16 +22,10 @@
 type config = {
   tmax : float;        (** delay constraint, ps *)
   corner_k : float;    (** guard-band sigmas, as in {!Det_opt} *)
-  outer : int;         (** multiplier updates *)
-  inner : int;         (** coordinate-descent passes per multiplier step *)
-  step : float;        (** criticality-reweighting exponent *)
-  polish : bool;       (** finish with the exact greedy pass ({!Det_opt})
-                           from the LR warm start — the standard LR
-                           cleanup *)
 }
 
 val default_config : tmax:float -> config
-(** 3-sigma corner, 40 outer × 2 inner, step 1.0, polish on. *)
+(** 3-sigma corner. *)
 
 type stats = {
   feasible : bool;
@@ -41,4 +35,6 @@ type stats = {
 }
 
 val optimize : config -> Sl_tech.Design.t -> Sl_variation.Spec.t -> stats
-(** Mutates the design in place. *)
+(** Mutates the design in place: at most 40 multiplier updates of 2
+    coordinate-descent passes each, then the exact greedy pass
+    ({!Det_opt}) from the LR warm start — the standard LR cleanup. *)

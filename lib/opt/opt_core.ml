@@ -18,6 +18,27 @@ module Types = struct
     | Nominal_leak_per_yield
     | P99_leak_per_yield
 
+  type params = {
+    tmax : float;
+    eta : float;
+    sensitivity : sensitivity;
+    allow_vth : bool;
+    allow_size : bool;
+    partition : bool;
+    jobs : int;
+  }
+
+  let default_config ~tmax ~eta =
+    {
+      tmax;
+      eta;
+      sensitivity = Stat_leak_per_yield;
+      allow_vth = true;
+      allow_size = true;
+      partition = false;
+      jobs = 1;
+    }
+
   type stats = {
     feasible : bool;
     vth_moves : int;
@@ -56,16 +77,6 @@ module Types = struct
 end
 
 include Types
-
-type params = {
-  tmax : float;
-  eta : float;
-  sensitivity : sensitivity;
-  allow_vth : bool;
-  allow_size : bool;
-  partition : bool;
-  jobs : int;
-}
 
 (* The ranking's radix sort takes 11-bit digits: six counting passes
    cover a 64-bit key, and the six histograms stay in cache. *)

@@ -23,8 +23,8 @@
     caller that keeps a design open (a serve session) passes its own in,
     and the run builds and rebuilds nothing. *)
 
-(** Types both policies re-export, so [Stat_opt.stats] and
-    [Batch_opt.stats] are the same record. *)
+(** What both policies re-export, so [Stat_opt.params] and
+    [Batch_opt.params], like their [stats], are the same record. *)
 module Types : sig
   type sensitivity =
     | Stat_leak_per_yield
@@ -38,6 +38,30 @@ module Types : sig
     | P99_leak_per_yield
         (** Δ 99th-percentile leak per yield cost: tail-driven ranking
             (A3 ablation) *)
+
+  type params = {
+    tmax : float;               (** delay constraint, ps *)
+    eta : float;                (** timing-yield target in (0, 1), e.g. 0.95 *)
+    sensitivity : sensitivity;  (** move-ranking metric *)
+    allow_vth : bool;           (** threshold moves *)
+    allow_size : bool;          (** size moves *)
+    partition : bool;           (** time register-boundary cones
+                                    separately ({!Sl_ssta.Hier}): cones
+                                    re-timed concurrently on [jobs]
+                                    domains.  Bit-identical to one cone at
+                                    every re-measure — trajectories,
+                                    leakage and yield do not change.  A
+                                    netlist that does not decompose is
+                                    timed as one cone *)
+    jobs : int;                 (** domains for level-parallel propagation
+                                    and candidate ranking.  Bit-identical
+                                    for every value — only wall-clock
+                                    changes *)
+  }
+  (** The settings of one statistical optimization, for either policy. *)
+
+  val default_config : tmax:float -> eta:float -> params
+  (** Paper metric, both move kinds, one cone, one job. *)
 
   type stats = {
     feasible : bool;          (** η met at exit (SSTA-verified) *)
@@ -85,17 +109,6 @@ module Types : sig
 end
 
 include module type of struct include Types end
-
-type params = {
-  tmax : float;
-  eta : float;
-  sensitivity : sensitivity;
-  allow_vth : bool;
-  allow_size : bool;
-  partition : bool;
-  jobs : int;
-}
-(** The settings both policies share; see their [config] docs. *)
 
 type ranking
 (** The ranking scan's run state: each move's cached terms and the sort
@@ -259,7 +272,7 @@ val est_yield_cost :
 
 (**/**)
 
-(** Ranking internals exposed for unit tests ({!Stat_opt.Private}). *)
+(** Internals exposed for unit tests. *)
 
 type candidate = {
   score : float;
@@ -277,6 +290,10 @@ val sort_slots : float array -> int array -> unit
     by [score] descending ([Float.compare] order), then slot descending,
     where gate g's threshold move sits in slot 2g and its size move in
     slot 2g + 1 — the ranking's radix sort. *)
+
+val build : params -> Sl_tech.Design.t -> Sl_variation.Model.t -> engine
+(** The engine a one-shot {!run} builds from its [params]: a test that
+    passes it to {!run} can audit it at every progress point. *)
 
 val create :
   mode:string -> progress:(progress -> unit) -> ?engine:engine -> params ->

@@ -225,16 +225,10 @@ let savepoint_names t = List.map fst t.savepoints
 
 let optimize ?progress ?(jobs = 1) t ~mode ~eta =
   let engine = { Opt_core.timing = t.engine; leak = t.leak; memo = t.memo } in
-  let model = t.setup.Setup.model in
-  match mode with
-  | `Stat ->
-    Stat_opt.optimize ?progress ~engine
-      { (Stat_opt.default_config ~tmax:t.tmax ~eta) with Stat_opt.jobs }
-      t.design model
-  | `Batch ->
-    Batch_opt.optimize ?progress ~engine
-      { (Batch_opt.default_config ~tmax:t.tmax ~eta) with Batch_opt.jobs }
-      t.design model
+  let optimize = match mode with `Stat -> Stat_opt.optimize | `Batch -> Batch_opt.optimize in
+  optimize ?progress ~engine
+    { (Opt_core.default_config ~tmax:t.tmax ~eta) with jobs }
+    t.design t.setup.Setup.model
 
 (* Eviction snapshots: everything needed to rebuild deterministically.
    A version tag guards against unmarshalling a stale on-disk format. *)

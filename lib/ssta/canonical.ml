@@ -243,13 +243,6 @@ let add a b =
   add_raw ~np a.mean a.rnd a.coeffs 0 b.mean b.rnd b.coeffs 0 d 0;
   of_row ~np d 0
 
-let add_const a x = { a with mean = a.mean +. x }
-
-let scale k a =
-  { mean = k *. a.mean; coeffs = Array.map (fun c -> k *. c) a.coeffs; rnd = Float.abs k *. a.rnd }
-
-let sub a b = add a (scale (-1.0) b)
-
 let covariance a b =
   check_basis a b;
   let acc = ref 0.0 in

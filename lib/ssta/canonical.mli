@@ -24,12 +24,6 @@ val add : t -> t -> t
 (** Exact sum; independent remainders combine root-sum-square.
     @raise Invalid_argument on basis-size mismatch. *)
 
-val add_const : t -> float -> t
-val scale : float -> t -> t
-val sub : t -> t -> t
-(** [sub a b] treats the two independent remainders as independent, like
-    {!add}. *)
-
 val covariance : t -> t -> float
 (** Covariance through the shared PCs only (independent remainders never
     co-vary across distinct forms). *)

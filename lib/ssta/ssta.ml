@@ -457,8 +457,6 @@ let analyze ?memo ?(jobs = 1) ?(par_threshold = default_par_threshold) ?stats
   circuit_delay_into circuit ~arr:slots (scratch ~num_pcs) ~dst:cd 0;
   { gate_delay; arrival = to_array ~jobs ~par_threshold slots; circuit_delay = Arena.get cd 0 }
 
-let pc_sensitivity res = Array.copy res.circuit_delay.Canonical.coeffs
-
 let timing_yield res ~tmax = Canonical.cdf res.circuit_delay tmax
 let tmax_for_yield res ~p = Canonical.quantile res.circuit_delay p
 

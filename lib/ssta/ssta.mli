@@ -142,12 +142,6 @@ val analyze :
     only when [?memo] is absent or frozen (an unfrozen memo fills its
     table lazily and is not domain-safe). *)
 
-val pc_sensitivity : result -> float array
-(** Fresh copy of the circuit-delay canonical form's PC sensitivity
-    vector ∂D/∂Z_k — the direction in shared-PC space along which the
-    circuit delay degrades fastest.  This is the mean-shift direction of
-    the importance-sampling yield estimator ({!Sl_yield.Is}). *)
-
 val timing_yield : result -> tmax:float -> float
 (** P(circuit delay ≤ tmax). *)
 

@@ -11,9 +11,12 @@
 # differs, 0 if all are identical.  Each side's outputs stay in
 # DIR/{base,change}/out/.  The list covers the timing kernels (every
 # optimizer mode on mult16 and rand1700, jobs 1 and 2, a one-cone and a
-# ten-cone partitioned optimize), the ranking (experiments A3: all four
-# sensitivities) and the die kernel (mc and yield).  About 1-2 minutes
-# per side on 2 cores, most of it experiments A3.
+# ten-cone partitioned optimize), every optimizer option a caller sets
+# (experiments A2: threshold-only and size-only runs; A3: all four
+# sensitivities; A13: the det corner sweep; A14: the LR optimizer) and
+# the die kernel (mc and yield).  A4 is left out: it prints wall-clock
+# columns.  About 1-2 minutes per side on 2 cores, most of it the
+# experiments, which are all computed whatever ids are asked for.
 set -euo pipefail
 
 base=HEAD dir=""
@@ -54,7 +57,7 @@ done
 commands+=(
   "optimize add32 --partition"
   "optimize spipe30k --mode batch --partition --jobs 2 --samples 0 --profile"
-  "experiments A3"
+  "experiments A2 A3 A13 A14"
   "mc alu32 --samples 3000 --seed 42 --jobs 2"
   "mc rand1700 --samples 2000 --seed 7"
   "yield add32"

@@ -3,9 +3,9 @@
 
    The load-bearing property is the first one: a rolled-back band must
    leave the incremental engine bit-identical to a from-scratch analysis
-   of the restored design — [audit = true] asserts exactly that at every
-   pass boundary, through every commit, rollback and bisection the run
-   performs. *)
+   of the restored design — an audited run ([Audit.run]) checks exactly
+   that after every pass, through every commit, rollback and bisection
+   the run performs. *)
 
 module Circuit = Sl_netlist.Circuit
 module Benchmarks = Sl_netlist.Benchmarks
@@ -37,10 +37,7 @@ let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
    stale canonical form anywhere fails the run. *)
 let test_audited_run name () =
   let d, model, tmax = setup name in
-  let cfg =
-    { (Batch_opt.default_config ~tmax ~eta:0.95) with Batch_opt.audit = true }
-  in
-  let st = Batch_opt.optimize cfg d model in
+  let st = Audit.run Batch_opt.optimize (Batch_opt.default_config ~tmax ~eta:0.95) d model in
   Alcotest.(check bool) "feasible" true st.Batch_opt.feasible;
   (* the exit yield must bit-match an independent from-scratch SSTA of
      the mutated design *)
@@ -50,21 +47,18 @@ let test_audited_run name () =
     true
     (feq y st.Batch_opt.final_yield)
 
-(* Force the bisection path: a huge margin lets bands overspend the real
-   headroom, so they roll back and retry halved.  The audit stays on —
-   bit-identity must survive the failure path, not just clean commits —
-   and the result must still exit feasible. *)
+(* The bisection path: on c17 at the default config, bands overspend
+   the real headroom (the pins record 9 band rollbacks and 7 bisections),
+   so they roll back and retry halved.  The audit checks that
+   bit-identity survives the failure path, not just clean commits, and
+   the run must still exit feasible. *)
 let test_forced_bisection () =
-  let d, model, tmax = setup "add32" in
-  let cfg =
-    {
-      (Batch_opt.default_config ~tmax ~eta:0.95) with
-      Batch_opt.yield_margin = 1000.0;
-      Batch_opt.min_pass_moves = 1;
-      Batch_opt.audit = true;
-    }
+  let s = Setup.of_benchmark "c17" in
+  let tmax = Setup.tmax s ~factor:1.25 in
+  let st =
+    Audit.run Batch_opt.optimize (Batch_opt.default_config ~tmax ~eta:0.95)
+      (Setup.fresh_design s) s.Setup.model
   in
-  let st = Batch_opt.optimize cfg d model in
   Alcotest.(check bool) "feasible" true st.Batch_opt.feasible;
   Alcotest.(check bool) "yield >= eta" true (st.Batch_opt.final_yield >= 0.95);
   Alcotest.(check bool)
@@ -243,7 +237,7 @@ let test_knobs () =
 (* A circuit wide enough (256-gate levels > the 192-gate threshold) that
    jobs=2 really takes the domain path inside the incremental engine —
    then the whole optimization trajectory (assignment, moves, yield bits)
-   must be unchanged, with audit re-checking the engine throughout. *)
+   must be unchanged, with the audit re-checking the engine throughout. *)
 let test_jobs_trajectory_identity () =
   let c =
     Sl_netlist.Bench_format.parse_string ~sequential:`Cut ~name:"spipe-test"
@@ -254,11 +248,10 @@ let test_jobs_trajectory_identity () =
     let d = Design.create ~size_idx:2 (Cell_lib.default ()) c in
     let res0 = Ssta.analyze d model in
     let tmax = 1.25 *. res0.Ssta.circuit_delay.Canonical.mean in
-    let cfg =
-      { (Batch_opt.default_config ~tmax ~eta:0.95) with
-        Batch_opt.audit = true; jobs }
+    let st =
+      Audit.run Batch_opt.optimize { (Batch_opt.default_config ~tmax ~eta:0.95) with jobs } d
+        model
     in
-    let st = Batch_opt.optimize cfg d model in
     (Design.assignment_digest d, st)
   in
   let dig1, st1 = run 1 in

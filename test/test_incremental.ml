@@ -286,20 +286,16 @@ let optimizer_regression () =
       Alcotest.(check string) (tag "digest") p.p_digest (Design.assignment_digest d))
     seed_pins
 
-(* With audit on, every refresh_every-th settle asserts bit-agreement with
-   a from-scratch analysis inside the optimizer itself. *)
+(* An audited run checks bit-agreement with a from-scratch analysis at
+   every re-measure point of every pass, and walks the unaudited run's
+   trajectory. *)
 let test_optimize_with_audit () =
   let s = Setup.of_benchmark "add32" in
   let tmax = Setup.tmax s ~factor:1.25 in
-  let d = Setup.fresh_design s in
-  let cfg =
-    {
-      (Stat_opt.default_config ~tmax ~eta:0.95) with
-      Stat_opt.audit = true;
-      refresh_every = 5;
-    }
+  let st =
+    Audit.run Stat_opt.optimize (Stat_opt.default_config ~tmax ~eta:0.95)
+      (Setup.fresh_design s) s.Setup.model
   in
-  let st = Stat_opt.optimize cfg d s.Setup.model in
   if not st.Stat_opt.feasible then Alcotest.fail "audited run infeasible"
 
 (* ---------- engine pins: state digests and counters ----------
@@ -549,7 +545,7 @@ let test_sync_allocation_budget () =
 
 let test_zero_sigma_cost () =
   let path_mu = [| 50.0; 120.0 |] and path_sigma = [| 0.0; 0.0 |] in
-  let cost = Stat_opt.Private.est_yield_cost ~path_mu ~path_sigma ~tmax:100.0 in
+  let cost = Sl_opt.Opt_core.est_yield_cost ~path_mu ~path_sigma ~tmax:100.0 in
   (* below the constraint, pushed over: full cost *)
   Alcotest.(check (float 0.0)) "crossing move" 1.0 (cost 0 ~delta:60.0);
   (* below the constraint, stays below: free *)

@@ -186,24 +186,6 @@ let test_jobs_invariant () =
         ])
     [ ("naive", `Naive); ("lhs", `Lhs) ]
 
-let test_run_stats_matches_run () =
-  let d, m = setup (Generators.ripple_adder 8) in
-  let module Stats = Sl_util.Stats in
-  List.iter
-    (fun jobs ->
-      let r = Mc.run ~jobs ~seed:9 ~samples:600 d m in
-      let da, la = Mc.run_stats ~jobs ~seed:9 ~samples:600 d m in
-      Alcotest.(check int) "count" 600 (Stats.Acc.count da);
-      let close msg a b =
-        if Float.abs (a -. b) > 1e-9 *. Float.max 1.0 (Float.abs a) then
-          Alcotest.failf "%s: %.12g vs %.12g" msg a b
-      in
-      close "delay mean" (Stats.mean r.Mc.delay) (Stats.Acc.mean da);
-      close "delay var" (Stats.variance r.Mc.delay) (Stats.Acc.variance da);
-      close "leak mean" (Stats.mean r.Mc.leak) (Stats.Acc.mean la);
-      close "leak var" (Stats.variance r.Mc.leak) (Stats.Acc.variance la))
-    [ 1; 3 ]
-
 (* ---------- bit pins ---------- *)
 
 (* Digest of every word of the given arrays.  A die must draw the same
@@ -331,7 +313,6 @@ let suite =
         Alcotest.test_case "rejects zero samples" `Quick test_rejects_zero_samples;
         Alcotest.test_case "rejects zero jobs" `Quick test_rejects_zero_jobs;
         Alcotest.test_case "bit-identical across jobs" `Quick test_jobs_invariant;
-        Alcotest.test_case "run_stats matches run" `Quick test_run_stats_matches_run;
         Alcotest.test_case "run bit pins" `Quick test_run_bit_pins;
         Alcotest.test_case "run_dies bit pins" `Quick test_run_dies_bit_pins;
         Alcotest.test_case "abb bit pins" `Quick test_abb_bit_pins;

@@ -553,7 +553,7 @@ let prop_slot_sort_matches_reference =
         }
       in
       let reference =
-        List.sort Stat_opt.Private.compare_candidates (List.map candidate (Array.to_list idx))
+        List.sort Sl_opt.Opt_core.compare_candidates (List.map candidate (Array.to_list idx))
       in
       Sl_opt.Opt_core.sort_slots score idx;
       List.map (fun (c : Sl_opt.Opt_core.candidate) -> (c.gate, c.kind)) reference
